@@ -17,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import cellfilt, cellhopf, cobar, dyer_lashof as dl, grouphom, mayss
@@ -154,12 +153,6 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _rows_payload(schema: str, columns, rows) -> str:
-    doc = {"schema": f"{SCHEMA_PREFIX}.{schema}/1", "columns": list(columns),
-           "rows": [list(r) for r in rows]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _tsv(columns, rows, comments=()) -> str:
     lines = ["\t".join(columns)]
     lines.extend("\t".join(str(c) for c in r) for r in rows)
@@ -238,7 +231,12 @@ def cmd_nishida(args) -> str:
 
 
 def cmd_wbasis(args) -> str:
-    gens = [ALPHABET[n] for n in args.gens.split(",")]
+    names = args.gens.split(",")
+    unknown = [n for n in names if n not in ALPHABET]
+    if unknown:
+        raise ValueError(f"unknown generator {unknown[0]!r}; "
+                         f"choose from {','.join(ALPHABET)}")
+    gens = [ALPHABET[n] for n in names]
     if args.quotient:
         rels = [dl.parse(r, ALPHABET) for r in STABILITY_RELATIONS]
         dims = dl.ideal_quotient_dims(gens, rels, args.gmax, args.dmax)
@@ -316,7 +314,8 @@ def cmd_grouphom(args) -> str:
     path = Path(args.group)
     text = path.read_text() if path.exists() else args.group
     g = grouphom.parse_group(text)
-    res = grouphom.resolve(g, args.dmax + 1)
+    # through H_1 at least, for the abelianization cross-check
+    res = grouphom.resolve(g, max(args.dmax, 1) + 1)
     dims = grouphom.homology_dims(res)
     name = g.name or args.group
     comments = [f"H_1 abelianization cross-check: "
@@ -397,6 +396,14 @@ def cmd_families(args) -> str:
 
 # ---------------------------------------------------------------- driver
 
+def _window(text: str) -> int:
+    """argparse type of a window bound: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"window bound must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="f2alg", fromfile_prefix_chars="@",
                                  description=__doc__)
@@ -408,21 +415,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cotor", help="Cotor chart of a named Hopf algebra")
     p.add_argument("--algebra", default="a1")
-    p.add_argument("--gmax", type=int, default=17)
-    p.add_argument("--dmax", type=int, default=10)
+    p.add_argument("--gmax", type=_window, default=17)
+    p.add_argument("--dmax", type=_window, default=10)
     common(p)
     p.set_defaults(fn=cmd_cotor)
 
     p = sub.add_parser("cone", help="chart and module actions of the h10 cone")
-    p.add_argument("--gmax", type=int, default=8)
-    p.add_argument("--dmax", type=int, default=6)
+    p.add_argument("--gmax", type=_window, default=8)
+    p.add_argument("--dmax", type=_window, default=6)
     common(p)
     p.set_defaults(fn=cmd_cone)
 
     p = sub.add_parser("may", help="filtration spectral sequence page dims")
     p.add_argument("--page", type=int, default=1)
-    p.add_argument("--gmax", type=int, default=14)
-    p.add_argument("--dmax", type=int, default=10)
+    p.add_argument("--gmax", type=_window, default=14)
+    p.add_argument("--dmax", type=_window, default=10)
     p.add_argument("--cone", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_may)
@@ -440,11 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wbasis", help="free or quotient basis dims")
     p.add_argument("--gens", default="s")
-    p.add_argument("--g", type=int, default=0)
-    p.add_argument("--d", type=int, default=0)
+    p.add_argument("--g", type=_window, default=0)
+    p.add_argument("--d", type=_window, default=0)
     p.add_argument("--quotient", action="store_true")
-    p.add_argument("--gmax", type=int, default=6)
-    p.add_argument("--dmax", type=int, default=3)
+    p.add_argument("--gmax", type=_window, default=6)
+    p.add_argument("--dmax", type=_window, default=3)
     common(p)
     p.set_defaults(fn=cmd_wbasis)
 
@@ -462,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grouphom", help="group homology dims")
     p.add_argument("group")
-    p.add_argument("--dmax", type=int, default=4)
+    p.add_argument("--dmax", type=_window, default=4)
     common(p)
     p.set_defaults(fn=cmd_grouphom)
 
     p = sub.add_parser("families", help="periodic family bidegree table")
-    p.add_argument("--max-i", type=int, default=1)
+    p.add_argument("--max-i", type=_window, default=1)
     p.add_argument("--no-verify", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_families)

@@ -10,17 +10,19 @@ Everything is computed lazily per bidegree and cached.  Full homology
 (kernel mod image with representatives) is only materialized where asked;
 dimension-only queries stream boundary rows through an online elimination
 without storing matrices, which is what makes large-grading charts cheap.
-That rank-only stream pivots on each row's highest set bit, keyed by the
-small int ``bit_length()``: a rank does not depend on pivot order, and
-this order keeps fill-in and key hashing cheap.  Every representative is
-still chosen by lowest-set-bit pivots (see ``f2linalg``).
+Every elimination here runs through the top-bit reduction of
+``f2linalg`` and no output depends on its pivot order: ranks and boundary
+membership are invariants of spans, homology coordinates are tags over
+the representatives, and the representatives are the reduced-echelon
+kernel basis vectors (``_echelonize``) independent modulo boundaries and
+the earlier ones.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .f2linalg import Echelon, F2Matrix, bits_of
+from .f2linalg import Echelon, F2Matrix, bits_of, row_rank
 from .hopf import CoalgebraMap, HopfAlgebra
 
 # symbolic d*d verification is skipped above this many words in a bidegree;
@@ -49,8 +51,8 @@ class CotorClass(NamedTuple):
 
 
 class Homology(NamedTuple):
-    reps: list  # cycle bitsets, deterministic leftmost-pivot choices
-    coords_ech: Echelon  # image rows tagged 0, reps tagged with unit vectors
+    reps: list  # cycle bitsets, chosen from the reduced-echelon kernel basis
+    coords_ech: Echelon  # image rows tagged 0; tags are coordinates over reps
 
     @property
     def dim(self) -> int:
@@ -113,34 +115,21 @@ class BigradedComplex:
                 for r in rows:
                     assert nxt.apply_rowspace(r) == 0, f"d*d != 0 at ({g},{s})"
             self._matrix_cache[key] = m
-            self._rank_cache.setdefault(key, m.rank())
+            if key not in self._rank_cache:
+                self._rank_cache[key] = m.rank()
         return self._matrix_cache[key]
 
     def rank_d(self, g: int, s: int) -> int:
-        """Rank of d: (g, s) -> (g, s+1); streamed, matrix not retained.
-
-        Pivots are highest set bits, keyed by ``v.bit_length()``.  Only a
-        count is returned and a rank does not depend on pivot order, so the
-        result equals that of the lowest-set-bit elimination that chooses
-        representatives elsewhere.
-        """
+        """Rank of d: (g, s) -> (g, s+1); streamed, matrix not retained."""
         key = (g, s)
         if key not in self._rank_cache:
             if self._dim(g, s) == 0 or self._dim(g, s + 1) == 0:
                 self._rank_cache[key] = 0
             else:
                 self.check_window(g, s)
-                pivots: dict[int, int] = {}
-                for i in range(self._dim(g, s)):
-                    v = self.boundary_bits(g, s, i)
-                    while v:
-                        top = v.bit_length()
-                        hit = pivots.get(top)
-                        if hit is None:
-                            pivots[top] = v
-                            break
-                        v ^= hit
-                self._rank_cache[key] = len(pivots)
+                self._rank_cache[key] = row_rank(
+                    self.boundary_bits(g, s, i) for i in range(self._dim(g, s))
+                )
         return self._rank_cache[key]
 
     def image_echelon(self, g: int, s: int) -> Echelon:
@@ -170,16 +159,12 @@ class BigradedComplex:
         key = (g, d)
         if key not in self._homology_cache:
             s = g - d
-            ech = Echelon()
-            if s >= 1 and self._dim(g, s - 1):
-                for i in range(self._dim(g, s - 1)):
-                    ech.add(self.boundary_bits(g, s - 1, i), 0)
+            # a copy, so that the cached image echelon stays image-only
+            ech = self.image_echelon(g, s).copy()
             reps: list[int] = []
             if self._dim(g, s):
                 for v in self.boundary_matrix(g, s).left_kernel().basis:
-                    r, _ = ech.reduce(v)
-                    if r:
-                        ech.add(r, 1 << len(reps))
+                    if ech.add(v, 1 << len(reps))[0]:
                         reps.append(v)
             hd = self.homology_dim(g, d)
             assert len(reps) == hd, f"homology bookkeeping off at ({g},{d})"

@@ -5,11 +5,15 @@ coordinate j.  CPython stores ints as arrays of machine words, so XOR of
 two n-bit rows is a single C-level pass; this comfortably handles the
 ~40k-dimensional chain groups that show up downstream.
 
-All elimination that chooses a representative, echelon form or solution is
-deterministic leftmost-pivot (lowest set bit), so every representative
-chosen anywhere in the package is reproducible bit-for-bit.  Rank-only
-streaming (``cobar.BigradedComplex.rank_d``) pivots on highest set bits
-instead: a rank does not depend on pivot order, and it returns no vectors.
+Only ``_echelonize`` (reduced row echelon form, lowest-set-bit pivots)
+has an output that depends on pivot order.  Every other elimination runs
+through one top-bit reduction, ``_reduce``, keyed by ``v.bit_length()``,
+and returns only order-free results: zero-ness of a residue and ranks;
+tags, the unique coordinates over rows independent modulo the rows
+tagged 0; ``solve``'s x, whose basic columns are chosen greedily in
+insertion order; kernels and intersections, passed through
+``_echelonize``.  Top-bit pivots keep fill-in small on boundary matrices
+(LaMacchia-Odlyzko 1990) and avoid hashing row-wide keys.
 """
 
 from __future__ import annotations
@@ -25,8 +29,42 @@ def bits_of(v: int):
         v ^= low
 
 
-def popcount(v: int) -> int:
-    return v.bit_count()
+# highest set bit (as v.bit_length()) -> (row, tag)
+Pivots = dict[int, tuple[int, int]]
+
+
+def _reduce(pivots: Pivots, v: int, tag: int, keep: bool) -> tuple[int, int]:
+    """Reduce (v, tag) against rows keyed by their highest set bit; with
+    keep, a nonzero residue becomes a new pivot row.
+
+    The one top-bit reduction of the package; every tag is XORed along
+    with its row, so a zero residue's tag certifies the combination.
+    """
+    while v:
+        top = v.bit_length()
+        hit = pivots.get(top)
+        if hit is None:
+            if keep:
+                pivots[top] = (v, tag)
+            return v, tag
+        v ^= hit[0]
+        tag ^= hit[1]
+    return 0, tag
+
+
+def row_pivots(rows: Iterable[int]) -> list[int]:
+    """Per row, in order: the bit_length() of its residue against the
+    earlier rows (its top-bit pivot), or 0 if it depends on them."""
+    pivots: Pivots = {}
+    return [_reduce(pivots, v, 0, True)[0].bit_length() for v in rows]
+
+
+def row_rank(rows: Iterable[int]) -> int:
+    """Rank of the span of the rows, streamed (rows are not retained)."""
+    pivots: Pivots = {}
+    for v in rows:
+        _reduce(pivots, v, 0, True)
+    return len(pivots)
 
 
 class F2Matrix:
@@ -111,12 +149,7 @@ class F2Matrix:
         return out
 
     def rank(self) -> int:
-        pivots: dict[int, int] = {}
-        for r in self.data:
-            r = _reduce(r, pivots)
-            if r:
-                pivots[r & -r] = r
-        return len(pivots)
+        return row_rank(self.data)
 
     def kernel_basis(self) -> "Subspace":
         """Reduced-echelon basis of {v : M.v = 0} (right kernel)."""
@@ -124,50 +157,27 @@ class F2Matrix:
 
     def left_kernel(self) -> "Subspace":
         """Combinations of rows summing to zero: {v : v^T.M = 0}."""
-        pivots: dict[int, tuple[int, int]] = {}  # lowbit -> (row, tag)
+        pivots: Pivots = {}
         kernel: list[int] = []
         for i, r in enumerate(self.data):
-            tag = 1 << i
-            while r:
-                low = r & -r
-                hit = pivots.get(low)
-                if hit is None:
-                    pivots[low] = (r, tag)
-                    break
-                r ^= hit[0]
-                tag ^= hit[1]
-            else:
+            r, tag = _reduce(pivots, r, 1 << i, True)
+            if not r:
                 kernel.append(tag)
         return Subspace(self.rows, _echelonize(kernel))
 
     def solve(self, b: int) -> Optional[int]:
         """Some x with M.x = b, or None.
 
-        Deterministic: elimination proceeds leftmost-pivot over the columns
-        of M; free variables are zero.
+        Deterministic: the basic columns are chosen greedily, each column
+        of M that is independent of the earlier ones in order; free
+        variables are zero, so x is unique.
         """
         # Work with columns as rows: x^T (M^T) = b^T.
-        t = self.transpose()
-        pivots: dict[int, tuple[int, int]] = {}
-        for j, r in enumerate(t.data):
-            tag = 1 << j
-            while r:
-                low = r & -r
-                hit = pivots.get(low)
-                if hit is None:
-                    pivots[low] = (r, tag)
-                    break
-                r ^= hit[0]
-                tag ^= hit[1]
-        x = 0
-        while b:
-            low = b & -b
-            hit = pivots.get(low)
-            if hit is None:
-                return None
-            b ^= hit[0]
-            x ^= hit[1]
-        return x
+        pivots: Pivots = {}
+        for j, r in enumerate(self.transpose().data):
+            _reduce(pivots, r, 1 << j, True)
+        r, x = _reduce(pivots, b, 0, False)
+        return None if r else x
 
     def __eq__(self, other) -> bool:
         return (
@@ -184,30 +194,28 @@ class F2Matrix:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
 
 
-def _reduce(v: int, pivots: dict[int, int]) -> int:
-    """Reduce v against pivot rows keyed by their lowest set bit."""
-    while v:
-        hit = pivots.get(v & -v)
-        if hit is None:
-            return v
-        v ^= hit
-    return 0
-
-
 def _echelonize(rows: list[int]) -> list[int]:
-    """Reduced row echelon over F2, rows keyed and sorted by pivot."""
+    """Reduced row echelon over F2, rows sorted by pivot.
+
+    Pivots are lowest set bits, keyed by bit index.  This is the only
+    elimination whose pivot order is part of its output.
+    """
     pivots: dict[int, int] = {}
     for r in rows:
-        r = _reduce(r, pivots)
-        if r:
-            pivots[r & -r] = r
+        while r:
+            low = (r & -r).bit_length()
+            hit = pivots.get(low)
+            if hit is None:
+                pivots[low] = r
+                break
+            r ^= hit
     # back-substitute so each pivot bit appears in exactly one row
-    keys = sorted(pivots, key=lambda p: p.bit_length())
-    for idx in range(len(keys) - 1, -1, -1):
-        p = keys[idx]
-        r = pivots[p]
+    keys = sorted(pivots)
+    for idx in range(len(keys) - 1, 0, -1):
+        r = pivots[keys[idx]]
+        bit = 1 << (keys[idx] - 1)
         for q in keys[:idx]:
-            if pivots[q] & p:
+            if pivots[q] & bit:
                 pivots[q] ^= r
     return [pivots[p] for p in keys]
 
@@ -260,26 +268,20 @@ class Subspace:
         return Subspace(self.ambient_dim, _echelonize(self.basis + other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: eliminate [u | u] from self against [v | 0] from other;
-        rows that die on the low half have their high half in the intersection."""
+        """Zassenhaus: eliminate u tagged u from self against v tagged 0
+        from other; rows that reduce to zero have their tag in the
+        intersection."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient mismatch")
-        n = self.ambient_dim
-        low_mask = (1 << n) - 1
-        pivots: dict[int, int] = {}
+        pivots: Pivots = {}
+        for v in other.basis:
+            _reduce(pivots, v, 0, True)
         out: list[int] = []
-        for r in list(other.basis) + [x | (x << n) for x in self.basis]:
-            while r & low_mask:
-                part = r & low_mask
-                hit = pivots.get(part & -part)
-                if hit is None:
-                    break
-                r ^= hit
-            if r & low_mask:
-                pivots[(r & low_mask) & -(r & low_mask)] = r
-            elif r:
-                out.append(r >> n)
-        return Subspace.span(n, out)
+        for u in self.basis:
+            r, tag = _reduce(pivots, u, u, True)
+            if not r:
+                out.append(tag)
+        return Subspace.span(self.ambient_dim, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -292,31 +294,20 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F2^{self.ambient_dim})"
 
 
-def rank(m: F2Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: F2Matrix) -> Subspace:
-    return m.kernel_basis()
-
-
-def solve(m: F2Matrix, b: int) -> Optional[int]:
-    return m.solve(b)
-
-
 class Echelon:
     """Incremental echelon form with optional combination tags.
 
     Used for kernel/homology bookkeeping: add rows one at a time; a row that
     reduces to zero reports the combination of previously added rows that
-    produced it.
+    produced it.  Pivots are highest set bits (see ``_reduce``): zero-ness,
+    the rank and tags do not depend on pivot order, a nonzero residue does
+    (it is still a valid new spanning vector).
     """
 
-    __slots__ = ("pivots", "count")
+    __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots: dict[int, tuple[int, int]] = {}
-        self.count = 0
+        self.pivots: Pivots = {}
 
     def add(self, v: int, tag: int = 0) -> tuple[int, int]:
         """Reduce v (with tag) against the current rows; insert if nonzero.
@@ -324,26 +315,17 @@ class Echelon:
         Returns the reduced (v, tag).  If v reduced to zero the tag is the
         certificate combination.
         """
-        while v:
-            hit = self.pivots.get(v & -v)
-            if hit is None:
-                self.pivots[v & -v] = (v, tag)
-                self.count += 1
-                return v, tag
-            v ^= hit[0]
-            tag ^= hit[1]
-        return 0, tag
+        return _reduce(self.pivots, v, tag, True)
 
     def reduce(self, v: int, tag: int = 0) -> tuple[int, int]:
         """Reduce without inserting."""
-        while v:
-            hit = self.pivots.get(v & -v)
-            if hit is None:
-                return v, tag
-            v ^= hit[0]
-            tag ^= hit[1]
-        return 0, tag
+        return _reduce(self.pivots, v, tag, False)
+
+    def copy(self) -> "Echelon":
+        out = Echelon()
+        out.pivots = dict(self.pivots)
+        return out
 
     @property
     def rank(self) -> int:
-        return self.count
+        return len(self.pivots)

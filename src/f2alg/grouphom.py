@@ -125,6 +125,8 @@ def builtin_group(name: str) -> PermGroup:
         return PermGroup(max(n, 1), gens, name)
     if (m := re.fullmatch(r"C(\d+)", name)) is not None:
         n = int(m.group(1))
+        if n < 1:
+            raise ValueError(f"cyclic group {name!r} needs order >= 1")
         return PermGroup(n, [tuple(range(1, n)) + (0,)], name)
     if name == "D8":
         return PermGroup(4, [(1, 2, 3, 0), (0, 3, 2, 1)], name)
@@ -175,7 +177,6 @@ class Resolution(NamedTuple):
 def _act(group: PermGroup, e: int, v: int, rank: int) -> int:
     """Left translation by element e on a free-module vector."""
     n = group.order
-    row = group.elements[e]
     # translation permutes element coordinates within each generator block
     out = 0
     for bit in bits_of(v):
@@ -303,7 +304,7 @@ def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):
     """Lift the homomorphism to a chain map: per-degree generator images
     in the target free module (solved deterministically; always solvable
     over a free resolution)."""
-    n_s, n_t = hom.source.order, hom.target.order
+    n_s = hom.source.order
 
     def push(lift: list[int], v: int, rank_t: int) -> int:
         """Apply the equivariant extension of the current degree's lift."""
@@ -350,7 +351,6 @@ def induced_map(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d: int) -> 
     """Matrix of H_d(source) -> H_d(target): column j gives the image of
     the j-th source homology basis vector in target coordinates."""
     lifts = chain_lift(hom, r_src, r_tgt, d)
-    n_t = hom.target.order
     reps_s, _ = _homology_coords(r_src, d)
     reps_t, image_t = _homology_coords(r_tgt, d)
     # Subspace.reduce is a canonical linear projection mod the image;

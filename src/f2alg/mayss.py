@@ -10,13 +10,17 @@ the page E^r at (g, d, f) with s = g - d, p = f has
 
 where z_s(r, p) = dim { x in fil_p : dx in fil_{p-r} }.  Every z is read
 off one rank profile per (g, s): rows sorted by ascending filtration,
-columns by descending filtration, online leftmost-pivot elimination; the
-pivot (row_filt, col_filt) pairs then give every submatrix rank at once.
-Pages are computed from these first principles, never by propagating
-declared differentials.
+columns by descending filtration, online elimination pivoting on each
+row's first column; the pivot (row_filt, col_filt) pairs then give every
+submatrix rank at once.  Columns are stored mirrored (column position j
+at bit n-1-j), so that first column is the top bit the ``f2linalg``
+reduction pivots on.  Pages are computed from these first principles,
+never by propagating declared differentials.
 
 Explicit subquotient representatives and d^r matrices are built by tagged
-elimination only at requested spots.
+elimination only at requested spots: the representatives are reduced-
+echelon basis vectors (``_echelonize``) and d^r entries are tags, so
+neither depends on pivot order.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from .cobar import BigradedComplex, CobarComplex, ConeComplex, CotorClass
-from .f2linalg import Echelon, F2Matrix, Subspace, bits_of
+from .f2linalg import Echelon, F2Matrix, Subspace, bits_of, row_pivots
 from .hopf import HopfAlgebra
 
 
@@ -74,7 +78,7 @@ class Layer(NamedTuple):
     filts: list[int]  # canonical index -> filtration
     row_order: list[int]  # canonical indices, ascending filtration
     col_order: list[int]  # canonical indices, descending filtration
-    col_pos: dict[int, int]
+    col_bit: dict[int, int]  # canonical index -> n-1-(position in col_order)
 
 
 class FilteredComplex:
@@ -95,7 +99,7 @@ class FilteredComplex:
             row_order = sorted(range(n), key=lambda i: (filts[i], i))
             col_order = sorted(range(n), key=lambda i: (-filts[i], i))
             self._layer_cache[key] = Layer(
-                filts, row_order, col_order, {c: j for j, c in enumerate(col_order)}
+                filts, row_order, col_order, {c: n - 1 - j for j, c in enumerate(col_order)}
             )
         return self._layer_cache[key]
 
@@ -103,30 +107,23 @@ class FilteredComplex:
         tgt = self.layer(g, s + 1)
         out = 0
         for b in bits_of(self.complex.boundary_bits(g, s, i)):
-            out |= 1 << tgt.col_pos[b]
+            out |= 1 << tgt.col_bit[b]
         return out
 
     def pivots(self, g: int, s: int) -> list[tuple[int, int]]:
         """(row_filt, col_filt) of each elimination pivot; rows processed
-        in ascending filtration, leftmost pivot in descending-filtration
-        column coordinates."""
+        in ascending filtration, each pivot the first column in descending
+        filtration order (the top bit of the mirrored row)."""
         key = (g, s)
         if key not in self._pivot_cache:
             src = self.layer(g, s)
             tgt = self.layer(g, s + 1)
-            table: dict[int, int] = {}
-            out = []
-            for i in src.row_order:
-                v = self._permuted_row(g, s, i)
-                while v:
-                    hit = table.get(v & -v)
-                    if hit is None:
-                        table[v & -v] = v
-                        col = tgt.col_order[(v & -v).bit_length() - 1]
-                        out.append((src.filts[i], tgt.filts[col]))
-                        break
-                    v ^= hit
-            self._pivot_cache[key] = out
+            n = len(tgt.col_order)
+            tops = row_pivots(self._permuted_row(g, s, i) for i in src.row_order)
+            self._pivot_cache[key] = [
+                (src.filts[i], tgt.filts[tgt.col_order[n - top]])
+                for i, top in zip(src.row_order, tops) if top
+            ]
         return self._pivot_cache[key]
 
     # -- rank bookkeeping
@@ -200,9 +197,7 @@ class FilteredComplex:
                     ech.add(self.complex.apply_boundary(g, s - 1, x), 0)
             reps = []
             for v in self.ztilde(g, s, r, p).basis:
-                red, _ = ech.reduce(v)
-                if red:
-                    ech.add(red, 1 << len(reps))
+                if ech.add(v, 1 << len(reps))[0]:
                     reps.append(v)
             assert len(reps) == self.page_dim(r, g, d, f), (
                 f"page bookkeeping off at r={r}, ({g},{d},{f})"

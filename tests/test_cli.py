@@ -111,6 +111,34 @@ def test_exit_invalid_input():
     assert run(["adem", "Q[oops](s)"])[0] == 2
     assert run(["cotor", "--algebra", "nope"])[0] == 2
     assert run(["nonsense-subcommand"])[0] == 2
+    assert run(["wbasis", "--gens", "x"])[0] == 2
+    assert run(["grouphom", "C0"])[0] == 2
+
+
+def test_invalid_input_reports_one_error_line(capsys):
+    for argv in (["wbasis", "--gens", "x"], ["grouphom", "C0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid input:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cotor", "--gmax", "-1"],
+    ["families", "--max-i", "-3"],
+    ["cone", "--dmax", "-2"],
+    ["may", "--gmax", "-1"],
+    ["wbasis", "--g", "-1"],
+    ["grouphom", "C2", "--dmax", "-1"],
+])
+def test_exit_meaningless_window(argv, capsys):
+    assert run(argv) == (2, "")
+    assert "window bound must be >= 0" in capsys.readouterr().err
+
+
+def test_grouphom_dmax_zero():
+    code, out = run(["grouphom", "C2", "--dmax", "0"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["C2\t0\t1", "# H_1 abelianization cross-check: ok"]
 
 
 def test_exit_budget_exceeded():

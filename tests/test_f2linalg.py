@@ -6,7 +6,9 @@ subsets, kernel/solve by exhaustive vector enumeration.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from f2alg.f2linalg import Echelon, F2Matrix, Subspace, bits_of
@@ -206,3 +208,136 @@ def test_echelon_incremental_tags():
     v, tag = e.add(0b101, 4)
     assert v == 0
     assert tag == 0b111  # 101 = 011 + 110
+
+
+# ---------------------------------------------------------------- pivot-order invariance
+#
+# Every elimination outside _echelonize pivots on highest set bits.  The
+# reference below pivots on lowest set bits; results that must not depend
+# on pivot order (rank, membership, tags, solve, and the RREFs of kernels
+# and intersections) have to agree between the two.
+
+def low_insert(pivots, v, tag):
+    """Lowest-set-bit reduction of (v, tag); keeps a nonzero residue."""
+    while v:
+        hit = pivots.get(v & -v)
+        if hit is None:
+            pivots[v & -v] = (v, tag)
+            return v, tag
+        v ^= hit[0]
+        tag ^= hit[1]
+    return 0, tag
+
+
+def low_reduce(pivots, v, tag):
+    return low_insert(dict(pivots), v, tag)
+
+
+def low_rref(rows):
+    """Gauss-Jordan on lowest set bits, rows sorted by pivot."""
+    basis = []
+    for v in rows:
+        for r in basis:
+            if v & (r & -r):
+                v ^= r
+        if v:
+            low = v & -v
+            basis = [r ^ v if r & low else r for r in basis] + [v]
+    return sorted(basis, key=lambda r: r & -r)
+
+
+def random_rows(rng, n_rows, n_cols):
+    """Random rows with some forced dependencies, so kernels are nonempty."""
+    rows = [rng.getrandbits(n_cols) & rng.getrandbits(n_cols) for _ in range(n_rows)]
+    for _ in range(n_rows // 3):
+        i, j = rng.randrange(n_rows), rng.randrange(n_rows)
+        rows[i] = rows[j] ^ rows[rng.randrange(n_rows)]
+    return rows
+
+
+SEEDS = range(40)
+
+
+def seeded_matrix(seed):
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 24), rng.randint(1, 24)
+    return rng, F2Matrix(n_rows, n_cols, random_rows(rng, n_rows, n_cols))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rank_and_membership_order_free(seed):
+    rng, m = seeded_matrix(seed)
+    ref: dict = {}
+    for r in m.data:
+        low_insert(ref, r, 0)
+    assert m.rank() == len(ref)
+    e = Echelon()
+    for r in m.data:
+        e.add(r)
+    assert e.rank == len(ref)
+    for _ in range(30):
+        v = rng.getrandbits(m.cols)
+        assert (e.reduce(v)[0] == 0) == (low_reduce(ref, v, 0)[0] == 0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_echelon_tags_order_free(seed):
+    # as in homology: boundaries tagged 0, then candidate cycles tagged
+    # with unit vectors; tags are coordinates over the independent ones
+    rng, m = seeded_matrix(seed)
+    image = random_rows(rng, rng.randint(0, 8), m.cols)
+    e, ref = Echelon(), {}
+    for r in image:
+        assert (e.add(r, 0)[0] == 0) == (low_insert(ref, r, 0)[0] == 0)
+    for i, r in enumerate(m.data):
+        new, tag = e.add(r, 1 << i)
+        ref_new, ref_tag = low_insert(ref, r, 1 << i)
+        assert (new == 0) == (ref_new == 0)
+        if not new:
+            assert tag == ref_tag
+    for _ in range(30):
+        v = rng.getrandbits(m.cols)
+        r, tag = e.reduce(v)
+        ref_r, ref_tag = low_reduce(ref, v, 0)
+        assert (r == 0) == (ref_r == 0)
+        if not r:
+            assert tag == ref_tag
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solve_order_free(seed):
+    rng, m = seeded_matrix(seed)
+    ref: dict = {}
+    for j, col in enumerate(m.transpose().data):
+        low_insert(ref, col, 1 << j)
+    for b in [m.mul_vec(rng.getrandbits(m.cols)) for _ in range(10)] + [
+        rng.getrandbits(m.rows) for _ in range(10)
+    ]:
+        r, x = low_reduce(ref, b, 0)
+        assert m.solve(b) == (None if r else x)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_left_kernel_and_intersect_rref_order_free(seed):
+    rng, m = seeded_matrix(seed)
+    ref: dict = {}
+    kernel = []
+    for i, r in enumerate(m.data):
+        r, tag = low_insert(ref, r, 1 << i)
+        if not r:
+            kernel.append(tag)
+    assert m.left_kernel().basis == low_rref(kernel)
+
+    u_rows = random_rows(rng, rng.randint(0, 12), m.cols)
+    w_rows = random_rows(rng, rng.randint(0, 12), m.cols) + u_rows[:2]
+    u, w = Subspace.span(m.cols, u_rows), Subspace.span(m.cols, w_rows)
+    assert u.basis == low_rref(u_rows)
+    # Zassenhaus with lowest-set-bit pivots on the low half
+    ref, meet = {}, []
+    for v in w.basis:
+        low_insert(ref, v, 0)
+    for x in u.basis:
+        r, tag = low_insert(ref, x, x)
+        if not r:
+            meet.append(tag)
+    assert u.intersect(w).basis == low_rref(meet)

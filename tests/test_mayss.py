@@ -8,7 +8,7 @@ the rank-profile formula.
 
 import pytest
 
-from f2alg.f2linalg import F2Matrix
+from f2alg.f2linalg import F2Matrix, bits_of
 from f2alg.hopf import build_a1_star
 from f2alg.mayss import (
     augmentation_depths,
@@ -92,6 +92,35 @@ def test_rank_profile_matches_bruteforce(fc):
                     assert fc.restricted_rank(g, s, p, q) == oracle_restricted_rank(
                         fc, g, s, p, q
                     ), (g, s, p, q)
+
+
+def reference_pivots(fc, g, s):
+    """The rank profile with unmirrored columns: position j of the
+    descending-filtration column order at bit j, lowest-set-bit pivots."""
+    base = fc.complex
+    src, tgt = fc.layer(g, s), fc.layer(g, s + 1)
+    pos = {c: j for j, c in enumerate(tgt.col_order)}
+    table, out = {}, []
+    for i in src.row_order:
+        v = 0
+        for b in bits_of(base.boundary_bits(g, s, i)):
+            v |= 1 << pos[b]
+        while v:
+            low = v & -v
+            if low not in table:
+                table[low] = v
+                col = tgt.col_order[low.bit_length() - 1]
+                out.append((src.filts[i], tgt.filts[col]))
+                break
+            v ^= table[low]
+    return out
+
+
+def test_mirrored_pivots_match_unmirrored_reference(a1):
+    small = build_filtered(a1, g_max=8, s_max=8)
+    for g in range(9):
+        for s in range(g + 1):
+            assert small.pivots(g, s) == reference_pivots(small, g, s), (g, s)
 
 
 def test_page_dims_match_subquotient_path(fc):
