@@ -6,15 +6,17 @@ h10 together with its hidden extension.
 Run:  python3 demos/cotor_chart_walkthrough.py
 """
 
-from f2alg.cobar import build_cobar, build_cone, chart_rows, chart_tsv, ring_chart_names
+from f2alg.cobar import build_cobar, build_cone, chart_rows, ring_chart_names
 from f2alg.hopf import build_a1_star
 
 G, D = 13, 9
 
 cx = build_cobar(build_a1_star(), g_max=G + 1, s_max=G + 1)
 print(f"Cotor chart, g <= {G}, d <= {D} (blank rows elided):")
-rows = chart_rows(cx, G, D, names=ring_chart_names(G, D))
-print(chart_tsv([r for r in rows if r[2]]))
+for g, d, dim, names in chart_rows(cx, G, D, names=ring_chart_names(G, D)):
+    if dim:
+        print(f"  ({g},{d})  dim {dim}  {names}")
+print()
 
 h10 = cx.unique_class(1, 0, "h10")
 h11 = cx.unique_class(2, 1, "h11")

@@ -348,13 +348,14 @@ def propagate(
     return chart._replace(status=status)
 
 
-def survivor_tsv(charts: list[BocksteinChart]) -> str:
-    lines = ["g\td\tf\tp\tclass\tstatus\tkilled_by"]
+def survivor_rows(charts: list[BocksteinChart]) -> list[tuple]:
+    """(g, d, f, p, class, status, killed_by) per chart entry, in order."""
+    rows = []
     for chart in charts:
         for c in chart.entries:
             st, by = chart.status.get(c, ("survives", ""))
-            lines.append(f"{c.g}\t{c.d}\t{c.f}\t{c.p}\t{c.label}\t{st}\t{by}")
-    return "\n".join(lines) + "\n"
+            rows.append((c.g, c.d, c.f, c.p, c.label, st, by))
+    return rows
 
 
 # ---------------------------------------------------------------- recorded tables

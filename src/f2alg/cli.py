@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import cellfilt, cellhopf, cobar, dyer_lashof as dl, grouphom, mayss
-from .cobar import WindowError, build_cobar, build_cone, chart_rows, chart_tsv, ring_chart_names
+from .cobar import WindowError, build_cobar, build_cone, chart_rows, ring_chart_names
 from .hopf import build_a1_star, build_delta_cgl
 
 EXIT_OK = 0
@@ -153,19 +153,21 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _tsv(columns, rows, comments=()) -> str:
+def _json(schema: str, doc: dict) -> str:
+    """Canonical JSON: sorted keys, no whitespace, schema-tagged."""
+    doc = {"schema": f"{SCHEMA_PREFIX}.{schema}/1", **doc}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _table(args, schema, columns, rows, comments=()) -> str:
+    """The one table writer: TSV with '# ' note lines, or canonical JSON."""
+    if args.format == "json":
+        return _json(schema, {"columns": list(columns), "rows": [list(r) for r in rows],
+                              "notes": list(comments)})
     lines = ["\t".join(columns)]
     lines.extend("\t".join(str(c) for c in r) for r in rows)
     lines.extend(f"# {c}" for c in comments)
     return "\n".join(lines) + "\n"
-
-
-def _table(args, schema, columns, rows, comments=()):
-    if args.format == "json":
-        doc = {"schema": f"{SCHEMA_PREFIX}.{schema}/1", "columns": list(columns),
-               "rows": [list(r) for r in rows], "notes": list(comments)}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    return _tsv(columns, [[str(c) for c in r] for r in rows], comments)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -184,9 +186,7 @@ def cmd_cotor(args) -> str:
     cx = build_cobar(h, g_max=max(args.gmax, 1), s_max=max(args.gmax, 1))
     names = ring_chart_names(args.gmax, args.dmax) if args.algebra == "a1" else None
     rows = chart_rows(cx, args.gmax, args.dmax, names)
-    if args.format == "json":
-        return _table(args, "chart", ["g", "d", "dim", "class_names"], rows)
-    return chart_tsv(rows)
+    return _table(args, "chart", ["g", "d", "dim", "class_names"], rows)
 
 
 def cmd_cone(args) -> str:
@@ -216,10 +216,8 @@ def cmd_may(args) -> str:
     if args.cone:
         fc = mayss.filtered_cone(fc, fc.complex.unique_class(1, 0))
     p = mayss.page(fc, args.page, args.gmax, args.dmax)
-    if args.format == "json":
-        rows = [(g, d, f, dim) for (g, d, f), dim in sorted(p.dims.items())]
-        return _table(args, "sspage", ["g", "d", "f", "dim"], rows)
-    return mayss.page_tsv(p)
+    rows = [(p.r, g, d, f, dim) for (g, d, f), dim in sorted(p.dims.items())]
+    return _table(args, "sspage", ["r", "g", "d", "f", "dim"], rows)
 
 
 def cmd_adem(args) -> str:
@@ -283,14 +281,9 @@ def cmd_cellss(args) -> str:
     )
     if not rep["agree"]:
         raise AssertionError("filtration readings disagree on survivors")
-    rows = []
-    for chart in charts:
-        for c in chart.entries:
-            st, by = chart.status.get(c, ("survives", ""))
-            rows.append((c.g, c.d, c.f, c.p, c.label, st, by))
     return _table(args, "survivors",
                   ["g", "d", "f", "p", "class", "status", "killed_by"],
-                  rows, comments)
+                  cellfilt.survivor_rows(charts), comments)
 
 
 def cmd_delta(args) -> str:
@@ -300,14 +293,12 @@ def cmd_delta(args) -> str:
     else:
         spec = cellhopf.load_cells(args.cells)
     pres = cellhopf.delta_of_cells(spec, args.bound)
-    doc = {
-        "schema": f"{SCHEMA_PREFIX}.delta/1",
+    return _json("delta", {
         "generators": [list(g) for g in pres.generators],
         "flags": list(pres.flags),
         "log": list(pres.log),
         "hopf": json.loads(pres.hopf.to_json()),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    })
 
 
 def cmd_grouphom(args) -> str:
@@ -318,9 +309,9 @@ def cmd_grouphom(args) -> str:
     res = grouphom.resolve(g, max(args.dmax, 1) + 1)
     dims = grouphom.homology_dims(res)
     name = g.name or args.group
-    comments = [f"H_1 abelianization cross-check: "
-                f"{'ok' if dims[1] == grouphom.abelianization_f2_dim(g) else 'FAILED'}"]
-    if dims[1] != grouphom.abelianization_f2_dim(g):
+    ok = dims[1] == grouphom.abelianization_f2_dim(g)
+    comments = [f"H_1 abelianization cross-check: {'ok' if ok else 'FAILED'}"]
+    if not ok:
         raise AssertionError("H_1 disagrees with the abelianization oracle")
     rows = [(name, d, dims[d]) for d in range(args.dmax + 1)]
     return _table(args, "grouphom", ["group", "d", "dim"], rows, comments)
@@ -409,8 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["tsv", "json"], default="tsv")
+    def common(p, formats=("tsv", "json")):
+        # only the formats the subcommand produces; the first is the default
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", default=None)
 
     p = sub.add_parser("cotor", help="Cotor chart of a named Hopf algebra")
@@ -436,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adem", help="normalize a class expression")
     p.add_argument("expr")
-    common(p)
+    common(p, ("tsv",))
     p.set_defaults(fn=cmd_adem)
 
     p = sub.add_parser("nishida", help="dual Steenrod action Sq^a_*")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("expr")
-    common(p)
+    common(p, ("tsv",))
     p.set_defaults(fn=cmd_nishida)
 
     p = sub.add_parser("wbasis", help="free or quotient basis dims")
@@ -464,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="stability Hopf algebra from a cell spec")
     p.add_argument("--cells", default="cgl.cells")
     p.add_argument("--bound", type=int, default=5)
-    common(p)
+    common(p, ("json",))
     p.set_defaults(fn=cmd_delta)
 
     p = sub.add_parser("grouphom", help="group homology dims")
@@ -494,9 +486,6 @@ def main(argv=None) -> int:
         print(f"error: budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as e:
-        if "budget" in str(e):
-            print(f"error: budget exceeded: {e}", file=sys.stderr)
-            return EXIT_BUDGET
         print(f"error: invalid input: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (AssertionError, KeyError) as e:

@@ -31,8 +31,8 @@ from .hopf import CoalgebraMap, HopfAlgebra
 D2_CHECK_LIMIT = 60_000
 
 
-class WindowError(Exception):
-    pass
+class WindowError(ValueError):
+    """A request beyond a size budget (exit 3 on the command line)."""
 
 
 class CotorClass(NamedTuple):
@@ -115,8 +115,6 @@ class BigradedComplex:
                 for r in rows:
                     assert nxt.apply_rowspace(r) == 0, f"d*d != 0 at ({g},{s})"
             self._matrix_cache[key] = m
-            if key not in self._rank_cache:
-                self._rank_cache[key] = m.rank()
         return self._matrix_cache[key]
 
     def rank_d(self, g: int, s: int) -> int:
@@ -163,7 +161,10 @@ class BigradedComplex:
             ech = self.image_echelon(g, s).copy()
             reps: list[int] = []
             if self._dim(g, s):
-                for v in self.boundary_matrix(g, s).left_kernel().basis:
+                kernel = self.boundary_matrix(g, s).left_kernel()
+                # the one elimination of d(g, s) also gives its rank
+                self._rank_cache.setdefault((g, s), self._dim(g, s) - kernel.dim)
+                for v in kernel.basis:
                     if ech.add(v, 1 << len(reps))[0]:
                         reps.append(v)
             hd = self.homology_dim(g, d)
@@ -319,13 +320,6 @@ class CobarComplex(BigradedComplex):
         return m
 
     # -- chain translation helpers
-    def chain_of_words(self, g: int, s: int, words) -> int:
-        idx = self.word_index(g, s)
-        out = 0
-        for w in words:
-            out ^= 1 << idx[w]
-        return out
-
     def chain_words(self, g: int, s: int, chain: int) -> list[tuple[int, ...]]:
         ws = self.words(g, s)
         return [ws[i] for i in bits_of(chain)]
@@ -398,10 +392,6 @@ class ConeComplex(BigradedComplex):
 
     def join_chain(self, g: int, s: int, x: int, y: int) -> int:
         return x | (y << self.base._dim(g, s))
-
-    def inject(self, c: CotorClass) -> int:
-        """Chain image of a base class under base -> cone, (x -> (x, 0))."""
-        return c.chain
 
     def module_action(self, r: CotorClass, g: int, d: int, chain: int) -> tuple[int, int, int]:
         """Right concatenation by a base class on a cone chain at (g, d);
@@ -489,7 +479,7 @@ def induced_map(f: CoalgebraMap, source: CobarComplex, target: CobarComplex) -> 
     return CobarMap(f, source, target)
 
 
-# ---------------------------------------------------------------- chart emitters
+# ---------------------------------------------------------------- chart rows
 
 def chart_rows(c: BigradedComplex, g_max: int, d_max: int,
                names: Optional[dict] = None) -> list[tuple[int, int, int, str]]:
@@ -500,13 +490,6 @@ def chart_rows(c: BigradedComplex, g_max: int, d_max: int,
             label = ",".join((names or {}).get((g, d), [])) if names else ""
             out.append((g, d, dim, label))
     return out
-
-
-def chart_tsv(rows: list[tuple[int, int, int, str]]) -> str:
-    lines = ["g\td\tdim\tclass_names"]
-    for g, d, dim, label in rows:
-        lines.append(f"{g}\t{d}\t{dim}\t{label}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- known chart names

@@ -89,34 +89,6 @@ class F2Matrix:
         self.cols = cols
         self.data = data
 
-    @classmethod
-    def from_bitlists(cls, rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "F2Matrix":
-        data = []
-        width = 0
-        for row in rows:
-            v = 0
-            n = 0
-            for j, b in enumerate(row):
-                n = j + 1
-                if b & 1:
-                    v |= 1 << j
-            width = max(width, n)
-            data.append(v)
-        if cols is None:
-            cols = width
-        return cls(len(data), cols, data)
-
-    def row(self, i: int) -> int:
-        return self.data[i]
-
-    def column(self, j: int) -> int:
-        out = 0
-        bit = 1 << j
-        for i, r in enumerate(self.data):
-            if r & bit:
-                out |= 1 << i
-        return out
-
     def transpose(self) -> "F2Matrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):
@@ -190,9 +162,6 @@ class F2Matrix:
     def __repr__(self) -> str:
         return f"F2Matrix({self.rows}x{self.cols})"
 
-    def to_bitlists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
-
 
 def _echelonize(rows: list[int]) -> list[int]:
     """Reduced row echelon over F2, rows sorted by pivot.
@@ -229,11 +198,9 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: Optional[list[int]] = None, *, reduced: bool = True):
+    def __init__(self, ambient_dim: int, basis: Optional[list[int]] = None):
         if basis is None:
             basis = []
-        if not reduced:
-            basis = _echelonize(basis)
         self.ambient_dim = ambient_dim
         self.basis = basis
 
@@ -258,9 +225,6 @@ class Subspace:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

@@ -19,6 +19,7 @@ import re
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
+from .cobar import WindowError
 from .f2linalg import Echelon, F2Matrix, Subspace, bits_of
 
 MAX_ORDER = 1000
@@ -57,7 +58,7 @@ class PermGroup:
                     q = compose(g, p)
                     if q not in seen:
                         if len(seen) >= MAX_ORDER:
-                            raise ValueError("group order exceeds budget")
+                            raise WindowError("group order exceeds budget")
                         seen.add(q)
                         nxt.append(q)
             frontier = nxt
@@ -192,11 +193,11 @@ def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Reso
     basis (reversed order under reverse_ties; homology dims must not
     depend on this)."""
     if group.order > MAX_ORDER:
-        raise ValueError("group order exceeds budget")
+        raise WindowError("group order exceeds budget")
     if d_max > MAX_DEGREE + 1:
         # one above the homology-degree budget: the top degree is consumed
         # by the incoming boundary when tensoring down
-        raise ValueError("degree exceeds budget")
+        raise WindowError("degree exceeds budget")
     n = group.order
     ranks = [1]
     aug = F2Matrix(1, n, [(1 << n) - 1])

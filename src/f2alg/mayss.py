@@ -227,9 +227,7 @@ def build_filtered(h: HopfAlgebra, g_max: int = 20, s_max: int = 20) -> Filtered
     def filt_of(g: int, s: int, i: int) -> int:
         return -sum(letter_depth[l] for l in base.words(g, s)[i])
 
-    fc = FilteredComplex(base, filt_of)
-    fc.letter_depth = letter_depth  # type: ignore[attr-defined]
-    return fc
+    return FilteredComplex(base, filt_of)
 
 
 def filtered_cone(fc: FilteredComplex, z: CotorClass) -> FilteredComplex:
@@ -327,10 +325,3 @@ def einfty_report(fc: FilteredComplex, g_max: int, d_max: int) -> list[EinftyRow
             )
             out.append(row)
     return out
-
-
-def page_tsv(p: SSPage) -> str:
-    lines = ["r\tg\td\tf\tdim"]
-    for (g, d, f), dim in sorted(p.dims.items()):
-        lines.append(f"{p.r}\t{g}\t{d}\t{f}\t{dim}")
-    return "\n".join(lines) + "\n"

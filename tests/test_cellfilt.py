@@ -26,7 +26,6 @@ from f2alg.cellfilt import (
     q1_divisibility,
     reading_report,
     slope_filter,
-    survivor_tsv,
     tri,
     validate_declarations,
 )
@@ -257,13 +256,10 @@ def test_filtration_discrepancies_clean_table():
     assert filtration_discrepancies(TABLE_13_8) == []
 
 
-def test_survivor_tsv(decls):
-    charts = [
-        propagate(build_chart(12, 8, -4), decls),
-        propagate(build_chart(13, 8, -5), decls),
-    ]
-    text = survivor_tsv(charts)
-    lines = text.strip().split("\n")
+def test_survivor_tsv(table_lines):
+    # the default spots are the charts at (12, 8, -4) and (13, 8, -5)
+    code, lines = table_lines(["cellss"])
+    assert code == 0
     assert lines[0] == "g\td\tf\tp\tclass\tstatus\tkilled_by"
     assert len(lines) == 1 + 7 + 3
     assert any("b^4\tsurvives" in ln for ln in lines)

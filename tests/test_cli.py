@@ -113,6 +113,30 @@ def test_exit_invalid_input():
     assert run(["nonsense-subcommand"])[0] == 2
     assert run(["wbasis", "--gens", "x"])[0] == 2
     assert run(["grouphom", "C0"])[0] == 2
+    # invalid names that happen to contain the word "budget"
+    assert run(["wbasis", "--gens", "budget"])[0] == 2
+    assert run(["adem", "budget"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["adem", "s", "--format", "json"],
+    ["nishida", "--a", "2", "Q[4](s)", "--format", "json"],
+    ["delta", "--format", "tsv"],
+])
+def test_exit_unproduced_format(argv, capsys):
+    assert run(argv) == (2, "")
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_may_json_columns_match_tsv():
+    argv = ["may", "--page", "2", "--gmax", "3", "--dmax", "2"]
+    code1, tsv = run(argv)
+    code2, out = run(argv + ["--format", "json"])
+    assert code1 == code2 == 0
+    doc = json.loads(out)
+    header, *rows = tsv.splitlines()
+    assert doc["columns"] == header.split("\t")
+    assert [[str(c) for c in r] for r in doc["rows"]] == [r.split("\t") for r in rows]
 
 
 def test_invalid_input_reports_one_error_line(capsys):

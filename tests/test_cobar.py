@@ -14,8 +14,6 @@ from f2alg.cobar import (
     WindowError,
     build_cobar,
     build_cone,
-    chart_rows,
-    chart_tsv,
     induced_map,
     ring_chart_names,
 )
@@ -311,12 +309,11 @@ def test_comparison_map_hits_h10_and_h11(cx, a1):
     assert cx.class_nonzero(2, 1, img2)
 
 
-# ---------------------------------------------------------------- emitters
+# ---------------------------------------------------------------- chart table
 
-def test_chart_tsv_shape(cx):
-    rows = chart_rows(cx, 3, 2, names=ring_chart_names(3, 2))
-    text = chart_tsv(rows)
-    lines = text.strip().split("\n")
+def test_chart_tsv_shape(table_lines):
+    code, lines = table_lines(["cotor", "--gmax", "3", "--dmax", "2"])
+    assert code == 0
     assert lines[0] == "g\td\tdim\tclass_names"
     assert f"1\t0\t1\th10" in lines
     assert len(lines) == 1 + 4 * 3

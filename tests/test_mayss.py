@@ -16,7 +16,6 @@ from f2alg.mayss import (
     einfty_report,
     filtered_cone,
     page,
-    page_tsv,
 )
 
 
@@ -216,10 +215,10 @@ def test_cone_d4_pattern(fc):
     assert (m.rows, m.cols, m.data) == (1, 1, [1])
 
 
-# ---------------------------------------------------------------- emitters
+# ---------------------------------------------------------------- page table
 
-def test_page_tsv(fc):
-    text = page_tsv(page(fc, 2, 3, 2))
-    lines = text.strip().split("\n")
+def test_page_tsv(table_lines):
+    code, lines = table_lines(["may", "--page", "2", "--gmax", "3", "--dmax", "2"])
+    assert code == 0
     assert lines[0] == "r\tg\td\tf\tdim"
     assert "2\t1\t0\t-1\t1" in lines
