@@ -40,7 +40,6 @@ from .dyer_lashof import (
     BETA,
     SIGMA,
     Monomial,
-    Poly,
     factor_bidegree,
     mono_bidegree,
     normal_factors,

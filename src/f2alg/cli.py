@@ -19,7 +19,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import cellfilt, cellhopf, cobar, dyer_lashof as dl, grouphom, mayss
+from . import cellfilt, cellhopf, dyer_lashof as dl, grouphom, mayss
 from .cobar import WindowError, build_cobar, build_cone, chart_rows, ring_chart_names
 from .hopf import build_a1_star, build_delta_cgl
 

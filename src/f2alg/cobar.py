@@ -164,9 +164,7 @@ class BigradedComplex:
                 kernel = self.boundary_matrix(g, s).left_kernel()
                 # the one elimination of d(g, s) also gives its rank
                 self._rank_cache.setdefault((g, s), self._dim(g, s) - kernel.dim)
-                for v in kernel.basis:
-                    if ech.add(v, 1 << len(reps))[0]:
-                        reps.append(v)
+                reps = ech.add_reps(kernel.basis)
             hd = self.homology_dim(g, d)
             assert len(reps) == hd, f"homology bookkeeping off at ({g},{d})"
             self._homology_cache[key] = Homology(reps, ech)
@@ -207,18 +205,10 @@ class BigradedComplex:
     def map_rank_mod_boundaries(self, g: int, d: int, chains: list[int]) -> int:
         """Rank of the span of the given cycles in homology at (g, d),
         using only the image-side elimination."""
-        ech = self.image_echelon(g, g - d)
-        extra = Echelon()
-        count = 0
         for c in chains:
             if not self.is_cycle(g, d, c):
                 raise ValueError("not a cycle")
-            r, _ = ech.reduce(c)
-            if r:
-                r, _ = extra.add(r)
-            if r:
-                count += 1
-        return count
+        return len(self.image_echelon(g, g - d).copy().add_reps(chains))
 
 
 # ---------------------------------------------------------------- cobar proper
@@ -324,18 +314,21 @@ class CobarComplex(BigradedComplex):
         ws = self.words(g, s)
         return [ws[i] for i in bits_of(chain)]
 
-    def product_chain(self, x: CotorClass, y: CotorClass) -> int:
-        """Concatenation product of representatives, as a chain at
-        (g1+g2, s1+s2)."""
-        g, s = x.g + y.g, x.s + y.s
-        idx = self.word_index(g, s)
-        xw = self.chain_words(x.g, x.s, x.chain)
+    def concat_chain(self, g: int, s: int, chain: int, y: CotorClass) -> int:
+        """Concatenation of a chain at (g, s) with the representative of
+        y, as a chain at (g + y.g, s + y.s)."""
+        idx = self.word_index(g + y.g, s + y.s)
         yw = self.chain_words(y.g, y.s, y.chain)
         out = 0
-        for a in xw:
+        for a in self.chain_words(g, s, chain):
             for b in yw:
                 out ^= 1 << idx[a + b]
         return out
+
+    def product_chain(self, x: CotorClass, y: CotorClass) -> int:
+        """Concatenation product of representatives, as a chain at
+        (g1+g2, s1+s2)."""
+        return self.concat_chain(x.g, x.s, x.chain, y)
 
     def cotor_product(self, x: CotorClass, y: CotorClass) -> CotorClass:
         """Product class with canonical (image-reduced) representative."""
@@ -399,17 +392,8 @@ class ConeComplex(BigradedComplex):
         s = g - d
         x, y = self.split_chain(g, s, chain)
         gt, st = g + r.g, s + r.s
-        rw = self.base.chain_words(r.g, r.s, r.chain)
-        xi = self.base.word_index(gt, st)
-        nxt = 0
-        for a in self.base.chain_words(g, s, x):
-            for b in rw:
-                nxt ^= 1 << xi[a + b]
-        yi = self.base.word_index(gt - 1, st)
-        nyt = 0
-        for a in self.base.chain_words(g - 1, s, y):
-            for b in rw:
-                nyt ^= 1 << yi[a + b]
+        nxt = self.base.concat_chain(g, s, x, r)
+        nyt = self.base.concat_chain(g - 1, s, y, r)
         return gt, d + r.d, self.join_chain(gt, st, nxt, nyt)
 
 

@@ -10,7 +10,7 @@ has an output that depends on pivot order.  Every other elimination runs
 through one top-bit reduction, ``_reduce``, keyed by ``v.bit_length()``,
 and returns only order-free results: zero-ness of a residue and ranks;
 tags, the unique coordinates over rows independent modulo the rows
-tagged 0; ``solve``'s x, whose basic columns are chosen greedily in
+tagged 0; ``solve``'s x, whose basic rows are chosen greedily in
 insertion order; kernels and intersections, passed through
 ``_echelonize``.  Top-bit pivots keep fill-in small on boundary matrices
 (LaMacchia-Odlyzko 1990) and avoid hashing row-wide keys.
@@ -70,7 +70,8 @@ def row_rank(rows: Iterable[int]) -> int:
 class F2Matrix:
     """Dense bit-packed matrix over F2, row-major.
 
-    ``data[i]`` is row i as an int bitset over the columns.  Immutable by
+    ``data[i]`` is row i as an int bitset over the columns, and row i is
+    the image of basis vector i (see ``apply_rowspace``).  Immutable by
     convention: no method mutates self after construction.
     """
 
@@ -99,19 +100,11 @@ class F2Matrix:
                 v ^= low
         return F2Matrix(self.cols, self.rows, out)
 
-    def mul_vec(self, x: int) -> int:
-        """M.x for a column vector x (bitset over cols); result over rows."""
-        out = 0
-        for i, r in enumerate(self.data):
-            if (r & x).bit_count() & 1:
-                out |= 1 << i
-        return out
-
     def apply_rowspace(self, v: int) -> int:
         """XOR of rows selected by bitset v; the map e_i -> row i.
 
-        This is the natural "linear map as table of images" reading used by
-        all boundary operators in the package.
+        This "linear map as table of images" reading is the package's one
+        matrix convention: every boundary, kernel and solve uses it.
         """
         out = 0
         while v:
@@ -122,10 +115,6 @@ class F2Matrix:
 
     def rank(self) -> int:
         return row_rank(self.data)
-
-    def kernel_basis(self) -> "Subspace":
-        """Reduced-echelon basis of {v : M.v = 0} (right kernel)."""
-        return self.transpose().left_kernel()
 
     def left_kernel(self) -> "Subspace":
         """Combinations of rows summing to zero: {v : v^T.M = 0}."""
@@ -138,16 +127,15 @@ class F2Matrix:
         return Subspace(self.rows, _echelonize(kernel))
 
     def solve(self, b: int) -> Optional[int]:
-        """Some x with M.x = b, or None.
+        """Some x with apply_rowspace(x) == b, or None.
 
-        Deterministic: the basic columns are chosen greedily, each column
-        of M that is independent of the earlier ones in order; free
-        variables are zero, so x is unique.
+        Deterministic: the basic rows are chosen greedily, each row of M
+        that is independent of the earlier ones in order; free rows get
+        zero, so x is unique.
         """
-        # Work with columns as rows: x^T (M^T) = b^T.
         pivots: Pivots = {}
-        for j, r in enumerate(self.transpose().data):
-            _reduce(pivots, r, 1 << j, True)
+        for i, r in enumerate(self.data):
+            _reduce(pivots, r, 1 << i, True)
         r, x = _reduce(pivots, b, 0, False)
         return None if r else x
 
@@ -284,6 +272,20 @@ class Echelon:
     def reduce(self, v: int, tag: int = 0) -> tuple[int, int]:
         """Reduce without inserting."""
         return _reduce(self.pivots, v, tag, False)
+
+    def add_reps(self, vectors: Iterable[int]) -> list[int]:
+        """Add each vector tagged with the next unused unit vector; return
+        the vectors kept, those independent of the rows before them.
+
+        Over rows already present tagged 0 (boundaries), the kept vectors
+        are homology representatives and a later zero residue's tag is
+        its coordinates over them.
+        """
+        reps: list[int] = []
+        for v in vectors:
+            if self.add(v, 1 << len(reps))[0]:
+                reps.append(v)
+        return reps
 
     def copy(self) -> "Echelon":
         out = Echelon()

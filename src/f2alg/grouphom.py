@@ -10,17 +10,20 @@ homomorphisms come from explicit chain lifts.
 
 Free-module coordinates: rank-r free module over F2[G] has F2 basis
 indexed by (generator k, element e) at bit position k*|G| + e, with G
-acting by left translation on the element coordinate.
+acting by left translation on the element coordinate.  Boundaries are
+``F2Matrix`` tables of images: row k*|G| + e is the image of that basis
+vector.  The tensored-down complex is a ``BigradedComplex``, so its
+kernels, homology representatives and coordinates are computed as for
+the cobar complexes.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import combinations
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
-from .cobar import WindowError
-from .f2linalg import Echelon, F2Matrix, Subspace, bits_of
+from .cobar import BigradedComplex, WindowError
+from .f2linalg import Echelon, F2Matrix, bits_of
 
 MAX_ORDER = 1000
 MAX_DEGREE = 6
@@ -172,10 +175,12 @@ def parse_group(text: str) -> PermGroup:
 class Resolution(NamedTuple):
     group: PermGroup
     ranks: tuple
-    boundaries: tuple  # boundaries[d]: F_d -> F_{d-1}; [0] is the augmentation
+    # boundaries[d]: F_d -> F_{d-1} as rows, one per F2 basis vector of F_d;
+    # [0] is the augmentation F_0 -> F2
+    boundaries: tuple
 
 
-def _act(group: PermGroup, e: int, v: int, rank: int) -> int:
+def _act(group: PermGroup, e: int, v: int) -> int:
     """Left translation by element e on a free-module vector."""
     n = group.order
     # translation permutes element coordinates within each generator block
@@ -200,11 +205,10 @@ def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Reso
         raise WindowError("degree exceeds budget")
     n = group.order
     ranks = [1]
-    aug = F2Matrix(1, n, [(1 << n) - 1])
-    boundaries = [aug]
+    boundaries = [F2Matrix(n, 1, [1] * n)]
     for d in range(1, d_max + 1):
         prev = boundaries[-1]
-        kernel = prev.kernel_basis()
+        kernel = prev.left_kernel()
         basis = list(kernel.basis)
         if reverse_ties:
             basis.reverse()
@@ -217,13 +221,10 @@ def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Reso
                 continue
             gens.append(v)
             for e in range(n):
-                span.add(_act(group, e, v, ranks[-1]))
-        cols = []
-        for v in gens:
-            for e in range(n):
-                cols.append(_act(group, e, v, ranks[-1]))
+                span.add(_act(group, e, v))
+        rows = [_act(group, e, v) for v in gens for e in range(n)]
         ranks.append(len(gens))
-        boundaries.append(F2Matrix(len(gens) * n, prev.cols, cols).transpose())
+        boundaries.append(F2Matrix(len(rows), prev.rows, rows))
     return Resolution(group, tuple(ranks), tuple(boundaries))
 
 
@@ -232,16 +233,15 @@ def assert_resolution(res: Resolution) -> None:
     n = res.group.order
     for d in range(1, len(res.boundaries)):
         prev, cur = res.boundaries[d - 1], res.boundaries[d]
-        t = cur.transpose()
-        for col in t.data:
-            if prev.mul_vec(col):
+        for row in cur.data:
+            if prev.apply_rowspace(row):
                 raise AssertionError(f"boundary square nonzero at degree {d}")
-        if prev.kernel_basis().dim != cur.rank():
+        if prev.left_kernel().dim != cur.rank():
             raise AssertionError(f"resolution not exact at degree {d - 1}")
         for e in range(n):
             for k in range(res.ranks[d]):
-                moved = cur.mul_vec(_act(res.group, e, 1 << (k * n), res.ranks[d]))
-                direct = _act(res.group, e, cur.mul_vec(1 << (k * n)), res.ranks[d - 1])
+                moved = cur.apply_rowspace(_act(res.group, e, 1 << (k * n)))
+                direct = _act(res.group, e, cur.data[k * n])
                 if moved != direct:
                     raise AssertionError(f"boundary not equivariant at degree {d}")
 
@@ -260,23 +260,37 @@ def _collapse(group: PermGroup, v: int, rank: int) -> int:
 def tensored_boundary(res: Resolution, d: int) -> F2Matrix:
     """The boundary F_d -> F_{d-1} after applying F2 (x)_{F2[G]} -."""
     n = res.group.order
-    cur = res.boundaries[d]
-    cols = []
-    for k in range(res.ranks[d]):
-        cols.append(_collapse(res.group, cur.mul_vec(1 << (k * n)), res.ranks[d - 1]))
-    return F2Matrix(res.ranks[d], res.ranks[d - 1], cols).transpose()
+    rows = [_collapse(res.group, res.boundaries[d].data[k * n], res.ranks[d - 1])
+            for k in range(res.ranks[d])]
+    return F2Matrix(res.ranks[d], res.ranks[d - 1], rows)
+
+
+class TensoredComplex(BigradedComplex):
+    """F2 (x)_{F2[G]} of a resolution, in the one grading g = top (the top
+    built degree) with degree d at s = top - d.  So d: (top, s) ->
+    (top, s+1) is the tensored boundary of degree d, the rows of C_0 are
+    zero, and homology_dim(top, d) is H_d for d < top (the top degree is
+    consumed by the incoming boundary)."""
+
+    def __init__(self, res: Resolution):
+        self.top = len(res.ranks) - 1
+        super().__init__(self.top, self.top)
+        # bars[d] is the tensored boundary of degree d
+        self.bars = [F2Matrix(res.ranks[0], 0, [0] * res.ranks[0])] + [
+            tensored_boundary(res, d) for d in range(1, self.top + 1)
+        ]
+
+    def chain_dim(self, g: int, s: int) -> int:
+        return self.bars[g - s].rows if g == self.top else 0
+
+    def boundary_bits(self, g: int, s: int, i: int) -> int:
+        return self.bars[g - s].data[i]
 
 
 def homology_dims(res: Resolution) -> tuple:
-    """dim H_d for d = 0 .. d_max - 1 (the top built degree is consumed
-    by the incoming boundary)."""
-    top = len(res.ranks) - 1
-    bars = [tensored_boundary(res, d) for d in range(1, top + 1)]
-    dims = []
-    for d in range(top):
-        cycles = res.ranks[d] if d == 0 else bars[d - 1].kernel_basis().dim
-        dims.append(cycles - bars[d].rank())
-    return tuple(dims)
+    """dim H_d for d = 0 .. d_max - 1."""
+    c = TensoredComplex(res)
+    return tuple(c.homology_dim(c.top, d) for d in range(c.top))
 
 
 # ---------------------------------------------------------------- induced maps
@@ -307,20 +321,19 @@ def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):
     over a free resolution)."""
     n_s = hom.source.order
 
-    def push(lift: list[int], v: int, rank_t: int) -> int:
+    def push(lift: list[int], v: int) -> int:
         """Apply the equivariant extension of the current degree's lift."""
         out = 0
         for bit in bits_of(v):
             k, e = divmod(bit, n_s)
-            out ^= _act(hom.target, hom.images[e], lift[k], rank_t)
+            out ^= _act(hom.target, hom.images[e], lift[k])
         return out
 
     lifts = [[1 << hom.target.identity]]
     for d in range(1, d_max + 1):
         cur = []
         for k in range(r_src.ranks[d]):
-            b = push(lifts[d - 1], r_src.boundaries[d].mul_vec(1 << (k * n_s)),
-                     r_tgt.ranks[d - 1])
+            b = push(lifts[d - 1], r_src.boundaries[d].data[k * n_s])
             x = r_tgt.boundaries[d].solve(b)
             if x is None:
                 raise AssertionError("chain lift failed; resolution inexact")
@@ -329,60 +342,34 @@ def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):
     return lifts
 
 
-def _homology_coords(res: Resolution, d: int):
-    """Cycle representatives and the boundary subspace at degree d."""
-    bar_in = tensored_boundary(res, d + 1)
-    image = Subspace.span(res.ranks[d], bar_in.transpose().data)
-    if d == 0:
-        cycles = [1 << k for k in range(res.ranks[0])]
-    else:
-        cycles = list(tensored_boundary(res, d).kernel_basis().basis)
-    reps = []
-    ech = Echelon()
-    for r in image.basis:
-        ech.add(r)
-    for v in cycles:
-        red, _ = ech.add(v)
-        if red:
-            reps.append(v)
-    return reps, image
-
-
 def induced_map(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d: int) -> F2Matrix:
     """Matrix of H_d(source) -> H_d(target): column j gives the image of
     the j-th source homology basis vector in target coordinates."""
+    src, tgt = TensoredComplex(r_src), TensoredComplex(r_tgt)
+    if not 0 <= d < min(src.top, tgt.top):
+        raise ValueError(f"H_{d} needs resolutions built beyond degree {d}")
     lifts = chain_lift(hom, r_src, r_tgt, d)
-    reps_s, _ = _homology_coords(r_src, d)
-    reps_t, image_t = _homology_coords(r_tgt, d)
-    # Subspace.reduce is a canonical linear projection mod the image;
-    # coordinates come from membership certificates over projected reps
-    coords = Echelon()
-    for i, v in enumerate(reps_t):
-        coords.add(image_t.reduce(v), 1 << i)
+    reps = src.homology(src.top, d).reps
     cols = []
-    for v in reps_s:
+    for v in reps:
         w = 0
         for k in bits_of(v):
             w ^= _collapse(hom.target, lifts[d][k], r_tgt.ranks[d])
-        rem, tag = coords.reduce(image_t.reduce(w))
-        if rem:
-            raise AssertionError("image of a cycle not a cycle")
-        cols.append(tag)
-    return F2Matrix(len(reps_s), len(reps_t), cols).transpose()
+        cols.append(tgt.coords(tgt.top, d, w))
+    return F2Matrix(len(reps), tgt.homology_dim(tgt.top, d), cols).transpose()
 
 
 # ---------------------------------------------------------------- oracles
 
 def abelianization_f2_dim(group: PermGroup) -> int:
     """dim over F2 of the abelianization tensored with F2, from the
-    multiplication table: index of the subgroup generated by commutators
-    and squares."""
+    multiplication table: index of the subgroup generated by squares.
+
+    That subgroup is normal (conjugates of squares are squares), and the
+    quotient by it has exponent 2, hence is abelian; so it already
+    contains every commutator and equals [G, G] G^2."""
     n = group.order
     seeds = {group.mult(i, i) for i in range(n)}
-    for i, j in combinations(range(n), 2):
-        seeds.add(
-            group.mult(group.mult(i, j), group.mult(group.inv(i), group.inv(j)))
-        )
     sub = {group.identity}
     frontier = list(sub)
     while frontier:
@@ -397,7 +384,7 @@ def abelianization_f2_dim(group: PermGroup) -> int:
     quot = n // len(sub)
     dim = quot.bit_length() - 1
     if 1 << dim != quot:
-        raise AssertionError("quotient by commutators and squares not elementary")
+        raise AssertionError("quotient by squares not elementary")
     return dim
 
 

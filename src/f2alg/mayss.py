@@ -195,10 +195,7 @@ class FilteredComplex:
             if s >= 1:
                 for x in self.ztilde(g, s - 1, r - 1, p + r - 1).basis:
                     ech.add(self.complex.apply_boundary(g, s - 1, x), 0)
-            reps = []
-            for v in self.ztilde(g, s, r, p).basis:
-                if ech.add(v, 1 << len(reps))[0]:
-                    reps.append(v)
+            reps = ech.add_reps(self.ztilde(g, s, r, p).basis)
             assert len(reps) == self.page_dim(r, g, d, f), (
                 f"page bookkeeping off at r={r}, ({g},{d},{f})"
             )

@@ -41,7 +41,6 @@ from f2alg.dyer_lashof import (
     factor_bidegree,
 )
 from f2alg.grouphom import (
-    GroupHom,
     abelianization_f2_dim,
     builtin_group,
     homology_dims,
@@ -56,7 +55,7 @@ from f2alg.hopf import (
     check_hopf_map,
     dualize,
 )
-from f2alg.mayss import build_filtered, einfty_report, filtered_cone, page
+from f2alg.mayss import build_filtered, einfty_report, page
 
 FLASH = {(0, 0), (2, 1), (4, 2), (3, 2), (5, 3), (7, 4)}
 

@@ -10,7 +10,6 @@ import itertools
 import pytest
 
 from f2alg.cellfilt import (
-    GENS,
     TABLE_12_8,
     TABLE_13_8,
     build_chart,

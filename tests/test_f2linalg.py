@@ -2,7 +2,11 @@
 
 The oracles here are deliberately naive and independent of the package
 implementation: rank by maximal-independent-subset search over all row
-subsets, kernel/solve by exhaustive vector enumeration.
+subsets, kernel/solve by exhaustive vector enumeration.  The kernel and
+solve oracles read a map by the rows of its matrix acting on column
+vectors; the package stores a map as its table of images (row i is the
+image of basis vector i), which is the transpose, so they are fed
+``m.transpose().data``.
 """
 
 import itertools
@@ -85,18 +89,19 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity():
-    k = F2Matrix(3, 3, [1, 2, 4]).kernel_basis()
+    k = F2Matrix(3, 3, [1, 2, 4]).left_kernel()
     assert k.dim == 0
 
 
 def test_kernel_zero_matrix():
-    k = F2Matrix(2, 3, [0, 0]).kernel_basis()
+    # the zero map F2^3 -> F2^2
+    k = F2Matrix(3, 2, [0, 0, 0]).left_kernel()
     assert k.dim == 3
 
 
 def test_kernel_one_row():
-    # (1 1): kernel is span{(1,1)}
-    k = F2Matrix(1, 2, [0b11]).kernel_basis()
+    # (1 1), i.e. both basis vectors map to 1: kernel is span{(1,1)}
+    k = F2Matrix(2, 1, [1, 1]).left_kernel()
     assert k.dim == 1
     assert k.basis == [0b11]
     assert oracle_kernel([0b11], 2) == {0, 0b11}
@@ -112,9 +117,9 @@ def test_solve_inconsistent():
 
 
 def test_solve_underdetermined_deterministic():
-    # (1 1 | 1): solutions {(1,0),(0,1)}; leftmost-pivot with free vars
-    # zero picks x = (1,0)
-    m = F2Matrix(1, 2, [0b11])
+    # (1 1 | 1): solutions {(1,0),(0,1)}; the first independent row is
+    # basic and free rows get zero, so x = (1,0)
+    m = F2Matrix(2, 1, [1, 1])
     assert m.solve(1) == 0b01
     assert m.solve(1) in oracle_solutions([0b11], 2, 1)
 
@@ -130,28 +135,28 @@ def test_rank_matches_bruteforce(m):
 @settings(max_examples=150, deadline=None)
 @given(small_matrix)
 def test_rank_nullity(m):
-    assert m.rank() + m.kernel_basis().dim == m.cols
+    assert m.rank() + m.left_kernel().dim == m.rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrix)
 def test_kernel_vectors_annihilate(m):
-    k = m.kernel_basis()
-    assert len(set(oracle_kernel(m.data, m.cols))) == 1 << k.dim
+    k = m.left_kernel()
+    assert len(set(oracle_kernel(m.transpose().data, m.rows))) == 1 << k.dim
     for v in k.basis:
-        assert m.mul_vec(v) == 0
+        assert m.apply_rowspace(v) == 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrix, st.integers(0, 31))
 def test_solve_exact_or_none(m, seed):
-    b = seed & ((1 << m.rows) - 1)
+    b = seed & ((1 << m.cols) - 1)
     x = m.solve(b)
-    sols = oracle_solutions(m.data, m.cols, b)
+    sols = oracle_solutions(m.transpose().data, m.rows, b)
     if x is None:
         assert not sols
     else:
-        assert m.mul_vec(x) == b
+        assert m.apply_rowspace(x) == b
         assert x in sols
 
 
@@ -308,10 +313,10 @@ def test_echelon_tags_order_free(seed):
 def test_solve_order_free(seed):
     rng, m = seeded_matrix(seed)
     ref: dict = {}
-    for j, col in enumerate(m.transpose().data):
-        low_insert(ref, col, 1 << j)
-    for b in [m.mul_vec(rng.getrandbits(m.cols)) for _ in range(10)] + [
-        rng.getrandbits(m.rows) for _ in range(10)
+    for i, r in enumerate(m.data):
+        low_insert(ref, r, 1 << i)
+    for b in [m.apply_rowspace(rng.getrandbits(m.rows)) for _ in range(10)] + [
+        rng.getrandbits(m.cols) for _ in range(10)
     ]:
         r, x = low_reduce(ref, b, 0)
         assert m.solve(b) == (None if r else x)
@@ -341,3 +346,27 @@ def test_left_kernel_and_intersect_rref_order_free(seed):
         if not r:
             meet.append(tag)
     assert u.intersect(w).basis == low_rref(meet)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_add_reps_tags_are_coordinates(seed):
+    # boundaries tagged 0, then candidates: the kept ones are those
+    # independent of everything before them, and a reduction's tag is its
+    # coordinates over them modulo the boundaries
+    rng, m = seeded_matrix(seed)
+    image = random_rows(rng, rng.randint(0, 8), m.cols)
+    e, ref = Echelon(), {}
+    for r in image:
+        e.add(r, 0)
+        low_insert(ref, r, 0)
+    reps = e.add_reps(m.data)
+    assert reps == [r for r in m.data if low_insert(ref, r, 0)[0]]
+    for _ in range(10):
+        combo = rng.getrandbits(len(reps))
+        v = 0
+        for k in bits_of(combo):
+            v ^= reps[k]
+        for r in image:
+            if rng.getrandbits(1):
+                v ^= r
+        assert e.reduce(v) == (0, combo)

@@ -105,6 +105,28 @@ def test_dims_independent_of_greedy_ties(name):
     )
 
 
+def abelianization_reference(group):
+    """log2 of the index of the subgroup generated by all squares and
+    all pairwise commutators, by closure under multiplication."""
+    n = group.order
+    seeds = {group.mult(i, i) for i in range(n)}
+    for i in range(n):
+        for j in range(n):
+            seeds.add(group.mult(group.mult(i, j), group.mult(group.inv(i), group.inv(j))))
+    sub = {group.identity}
+    while True:
+        grown = sub | {group.mult(a, s) for a in sub for s in seeds}
+        if grown == sub:
+            return (n // len(sub)).bit_length() - 1
+        sub = grown
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["S4", "UT(4,2)"])
+def test_abelianization_squares_suffice(name):
+    g = builtin_group(name)
+    assert abelianization_f2_dim(g) == abelianization_reference(g)
+
+
 def test_h0_and_h1_against_abelianization():
     for name in BUILTINS:
         g = builtin_group(name)
@@ -120,6 +142,15 @@ def test_identity_induces_identity(gl2, r_gl2):
     for d in range(4):
         m = induced_map(ih, r_gl2, r_gl2, d)
         assert m.rows == m.cols == 1 and m.rank() == 1
+
+
+def test_identity_induces_identity_matrix():
+    # H_d(UT(3,2)) has dims 1..5, so coordinates over several classes count
+    ut3 = builtin_group("UT(3,2)")
+    res = resolve(ut3, 5)
+    for d, dim in enumerate(homology_dims(res)):
+        m = induced_map(GroupHom.identity(ut3), res, res, d)
+        assert m.data == [1 << i for i in range(dim)]
 
 
 def test_identity_across_tie_breaks(gl2, r_gl2):
@@ -139,6 +170,27 @@ def test_stabilization_gl2_gl3(gl2, gl3, r_gl2, r_gl3):
             assert m.rank() == src == tgt  # isomorphism
         else:
             assert m.rank() == 0  # zero map
+
+
+def test_stabilization_gl2_gl3_entries(gl2, gl3, r_gl2, r_gl3):
+    stab = stabilization_hom(gl2, gl3, 2)
+    got = [induced_map(stab, r_gl2, r_gl3, d).data for d in range(5)]
+    assert got == [[1], [], [1], [0, 0], [1]]
+
+
+def test_sylow_c2_into_s3_entries():
+    c2, s3 = builtin_group("C2"), builtin_group("S3")
+    incl = GroupHom(c2, s3, lambda p: tuple(p) + (2,))
+    r2, r3 = resolve(c2, 5), resolve(s3, 5)
+    for d in range(5):
+        assert induced_map(incl, r2, r3, d).data == [1]
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_induced_map_needs_a_higher_degree(gl2, r_gl2, d):
+    # H_d needs the boundary out of degree d + 1; resolve(_, 5) stops at 5
+    with pytest.raises(ValueError):
+        induced_map(GroupHom.identity(gl2), r_gl2, r_gl2, d)
 
 
 def test_s2_into_gl2_iso(gl2, r_gl2):
