@@ -36,9 +36,9 @@ from .dyer_lashof import (
     Poly,
     ZERO,
     bar_class,
-    mono_bidegree,
     parse,
     poly_add,
+    poly_bidegree,
     poly_mul,
     render,
 )
@@ -57,15 +57,6 @@ class Cell(NamedTuple):
 class CellSpec(NamedTuple):
     cells: tuple
     alphabet: dict  # name -> Generator, for generator cells
-
-
-def poly_bidegree(p: Poly) -> tuple[int, int]:
-    if not p:
-        raise ValueError("zero class has no bidegree")
-    bd = mono_bidegree(next(iter(p)))
-    if any(mono_bidegree(m) != bd for m in p):
-        raise ValueError(f"inhomogeneous class {render(p)}")
-    return bd
 
 
 # ---------------------------------------------------------------- spec files
@@ -259,9 +250,7 @@ def delta_of_cells(spec: CellSpec, bound: int) -> DeltaPresentation:
                 raise ValueError(
                     f"rel {cell.name}: bracket rule needs a decomposition"
                 )
-            recomposed = ZERO
-            for a, b in cell.q:
-                recomposed = poly_add(recomposed, poly_mul(a, b))
+            recomposed = poly_add(*(poly_mul(a, b) for a, b in cell.q))
             if recomposed != cell.attach:
                 raise ValueError(
                     f"rel {cell.name}: decomposition multiplies to "

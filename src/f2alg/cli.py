@@ -100,7 +100,7 @@ def eval_expr(text: str, gens: dict = ALPHABET) -> "dl.Poly":
             for s in reversed(seq):
                 if op == "q":
                     # lower index: offset by the current degree
-                    _, d = cellhopf.poly_bidegree(inner)
+                    _, d = dl.poly_bidegree(inner)
                     s += d
                 inner = dl.apply_q(s, inner)
             return inner

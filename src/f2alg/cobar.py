@@ -3,8 +3,10 @@
 Chains at (g, s) are F2 spans of words [a1|...|as] of positive-grading
 basis letters with gradings summing to g, ordered lexicographically by
 letter indices.  The differential splits each letter by the reduced
-coproduct.  Homology in cohomological degree s at grading g is Cotor,
-reindexed by (g, d) with d = g - s.
+coproduct: ``boundary_words`` yields one term per split, repeated terms
+included, and a boundary row is the XOR of the terms' index bits, so
+terms of even multiplicity cancel there.  Homology in cohomological
+degree s at grading g is Cotor, reindexed by (g, d) with d = g - s.
 
 Everything is computed lazily per bidegree and cached.  Full homology
 (kernel mod image with representatives) is only materialized where asked;
@@ -20,6 +22,7 @@ the earlier ones.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple, Optional
 
 from .f2linalg import Echelon, F2Matrix, bits_of, row_rank
@@ -109,11 +112,13 @@ class BigradedComplex:
             prev = self._matrix_cache.get((g, s - 1))
             if prev is not None:
                 for r in prev.data:
-                    assert m.apply_rowspace(r) == 0, f"d*d != 0 at ({g},{s - 1})"
+                    if m.apply_rowspace(r):
+                        raise AssertionError(f"d*d != 0 at ({g},{s - 1})")
             nxt = self._matrix_cache.get((g, s + 1))
             if nxt is not None:
                 for r in rows:
-                    assert nxt.apply_rowspace(r) == 0, f"d*d != 0 at ({g},{s})"
+                    if nxt.apply_rowspace(r):
+                        raise AssertionError(f"d*d != 0 at ({g},{s})")
             self._matrix_cache[key] = m
         return self._matrix_cache[key]
 
@@ -165,8 +170,8 @@ class BigradedComplex:
                 # the one elimination of d(g, s) also gives its rank
                 self._rank_cache.setdefault((g, s), self._dim(g, s) - kernel.dim)
                 reps = ech.add_reps(kernel.basis)
-            hd = self.homology_dim(g, d)
-            assert len(reps) == hd, f"homology bookkeeping off at ({g},{d})"
+            if len(reps) != self.homology_dim(g, d):
+                raise AssertionError(f"homology bookkeeping off at ({g},{d})")
             self._homology_cache[key] = Homology(reps, ech)
         return self._homology_cache[key]
 
@@ -199,7 +204,8 @@ class BigradedComplex:
         if not self.is_cycle(g, d, chain):
             raise ValueError("not a cycle")
         r, tag = self.homology(g, d).coords_ech.reduce(chain)
-        assert r == 0
+        if r:
+            raise AssertionError
         return tag
 
     def map_rank_mod_boundaries(self, g: int, d: int, chains: list[int]) -> int:
@@ -275,22 +281,18 @@ class CobarComplex(BigradedComplex):
         return len(self.words(g, s))
 
     def boundary_words(self, w: tuple[int, ...]):
-        """Words of the boundary of w with odd multiplicity."""
-        acc: dict[tuple[int, ...], bool] = {}
+        """Every term of the boundary of w, one per split of a letter;
+        a word that occurs twice is yielded twice (XOR the terms)."""
         for k, lid in enumerate(w):
-            for (l, r) in self.splits[lid]:
-                nw = w[:k] + (l, r) + w[k + 1:]
-                if nw in acc:
-                    del acc[nw]
-                else:
-                    acc[nw] = True
-        return acc.keys()
+            head, tail = w[:k], w[k + 1:]
+            for lr in self.splits[lid]:
+                yield head + lr + tail
 
     def boundary_bits(self, g: int, s: int, i: int) -> int:
         idx = self.word_index(g, s + 1)
         out = 0
         for nw in self.boundary_words(self.words(g, s)[i]):
-            out |= 1 << idx[nw]
+            out ^= 1 << idx[nw]
         return out
 
     def boundary_matrix(self, g: int, s: int) -> F2Matrix:
@@ -298,14 +300,12 @@ class CobarComplex(BigradedComplex):
         # symbolic d*d check, independent of any neighbouring matrix
         if (g, s) not in self._d2_checked and m.rows <= D2_CHECK_LIMIT:
             for w in self.words(g, s):
-                acc: dict[tuple[int, ...], bool] = {}
+                acc: set[tuple[int, ...]] = set()
                 for nw in self.boundary_words(w):
                     for nnw in self.boundary_words(nw):
-                        if nnw in acc:
-                            del acc[nnw]
-                        else:
-                            acc[nnw] = True
-                assert not acc, f"d*d != 0 on {self.word_label(w)}"
+                        acc ^= {nnw}
+                if acc:
+                    raise AssertionError(f"d*d != 0 on {self.word_label(w)}")
             self._d2_checked.add((g, s))
         return m
 
@@ -336,7 +336,8 @@ class CobarComplex(BigradedComplex):
         chain = self.product_chain(x, y)
         hom = self.homology(g, d)
         r, tag = hom.coords_ech.reduce(chain)
-        assert r == 0, "product of cycles is not recognized as a cycle"
+        if r:
+            raise AssertionError("product of cycles is not recognized as a cycle")
         rep = 0
         for k in bits_of(tag):
             rep ^= hom.reps[k]
@@ -431,20 +432,7 @@ class CobarMap:
         idx = self.target.word_index(g, s)
         out = 0
         for w in self.source.chain_words(g, s, chain):
-            images: dict[tuple[int, ...], bool] = {(): True}
-            for lid in w:
-                nxt: dict[tuple[int, ...], bool] = {}
-                for prefix in images:
-                    for t in self.letter_images[lid]:
-                        nw = prefix + (t,)
-                        if nw in nxt:
-                            del nxt[nw]
-                        else:
-                            nxt[nw] = True
-                images = nxt
-                if not images:
-                    break
-            for nw in images:
+            for nw in itertools.product(*(self.letter_images[lid] for lid in w)):
                 out ^= 1 << idx[nw]
         return out
 

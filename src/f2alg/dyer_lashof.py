@@ -17,6 +17,11 @@ it is pinned by Q^{3,1}(sigma) = 0 (empty sum).  The Nishida relation is
     Sq^a_* Q^s = sum_t C(s-a, a-2t) Q^{s-a+t} Sq^t_*
 
 with binomials of negative top zero and Q^{<0} = 0.
+
+Both operations act on single towers first; the Cartan formula that
+carries an operation across the factors of a monomial is written once
+(``_cartan``), as is its linear extension over a polynomial (``_linear``).
+Sums are built in a mutable set toggled by ``^=`` and frozen on return.
 """
 
 from __future__ import annotations
@@ -79,17 +84,27 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return mono_sorted(a + b)
 
 
+def poly_bidegree(p: Poly) -> tuple[int, int]:
+    """(g, d) of a nonzero bihomogeneous class; ValueError otherwise."""
+    if not p:
+        raise ValueError("zero class has no bidegree")
+    bd = mono_bidegree(next(iter(p)))
+    if any(mono_bidegree(m) != bd for m in p):
+        raise ValueError(f"inhomogeneous class {render(p)}")
+    return bd
+
+
 def poly(*monos: Monomial) -> Poly:
-    out = set()
+    out: set = set()
     for m in monos:
-        out.symmetric_difference_update({m})
+        out ^= {m}
     return frozenset(out)
 
 
 def poly_add(*ps: Poly) -> Poly:
     out: set = set()
     for p in ps:
-        out.symmetric_difference_update(p)
+        out ^= p
     return frozenset(out)
 
 
@@ -97,7 +112,7 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     out: set = set()
     for a in p:
         for b in q:
-            out.symmetric_difference_update({mono_mul(a, b)})
+            out ^= {mono_mul(a, b)}
     return frozenset(out)
 
 
@@ -138,6 +153,30 @@ def is_normal(upper: tuple[int, ...], x: Generator) -> bool:
     return all(low[i] <= low[i + 1] for i in range(len(low) - 1))
 
 
+# ---------------------------------------------------------------- Cartan formula
+
+def _cartan(op, s: int, m: Monomial) -> set:
+    """op^s on a monomial: the sum over i of op^i(first factor) times
+    op^{s-i}(the rest).  op(i, factor) acts on a single tower."""
+    if not m:
+        return {()} if s == 0 else set()
+    head, rest = m[0], m[1:]
+    out: set = set()
+    for i in range(s + 1):
+        a = op(i, head)
+        if a:
+            out ^= poly_mul(a, _cartan(op, s - i, rest))
+    return out
+
+
+def _linear(op, s: int, p: Poly) -> Poly:
+    """op^s extended linearly over the monomials of p."""
+    out: set = set()
+    for m in p:
+        out ^= _cartan(op, s, m)
+    return frozenset(out)
+
+
 # ---------------------------------------------------------------- Q action
 
 def _q_factor(s: int, f: Factor) -> Poly:
@@ -155,34 +194,15 @@ def _q_factor(s: int, f: Factor) -> Poly:
         return poly(q_mono_of(gen, (s,) + seq))
     t = seq[0]
     inner: Factor = (gen, seq[1:])
-    out = ZERO
+    out: set = set()
     for i in range((s + 1) // 2, s - t):
         if ADEM_COEFF(s, t, i):
-            out = poly_add(out, _q_poly(s + t - i, _q_factor(i, inner)))
-    return out
-
-
-def _q_mono(s: int, m: Monomial) -> Poly:
-    """Cartan expansion over the factors of m."""
-    if not m:
-        return ONE if s == 0 else ZERO
-    head, rest = m[0], m[1:]
-    out = ZERO
-    for i in range(s + 1):
-        a = _q_factor(i, head)
-        if not a:
-            continue
-        b = _q_mono(s - i, rest)
-        if b:
-            out = poly_add(out, poly_mul(a, b))
-    return out
+            out ^= _q_poly(s + t - i, _q_factor(i, inner))
+    return frozenset(out)
 
 
 def _q_poly(s: int, p: Poly) -> Poly:
-    out = ZERO
-    for m in p:
-        out = poly_add(out, _q_mono(s, m))
-    return out
+    return _linear(_q_factor, s, p)
 
 
 def apply_q(s: int, p: Poly) -> Poly:
@@ -206,26 +226,11 @@ def _sq_factor(a: int, f: Factor, registered) -> Poly:
         return ZERO
     s = seq[0]
     inner: Factor = (gen, seq[1:])
-    out = ZERO
+    out: set = set()
     for t in range(a // 2 + 1):
         if binom_odd(s - a, a - 2 * t):
-            out = poly_add(out, _q_poly(s - a + t, _sq_factor(t, inner, registered)))
-    return out
-
-
-def _sq_mono(a: int, m: Monomial, registered) -> Poly:
-    if not m:
-        return ONE if a == 0 else ZERO
-    head, rest = m[0], m[1:]
-    out = ZERO
-    for i in range(a + 1):
-        x = _sq_factor(i, head, registered)
-        if not x:
-            continue
-        y = _sq_mono(a - i, rest, registered)
-        if y:
-            out = poly_add(out, poly_mul(x, y))
-    return out
+            out ^= _q_poly(s - a + t, _sq_factor(t, inner, registered))
+    return frozenset(out)
 
 
 def dual_steenrod(a: int, p: Poly, registered: Optional[dict] = None) -> Poly:
@@ -236,10 +241,7 @@ def dual_steenrod(a: int, p: Poly, registered: Optional[dict] = None) -> Poly:
     """
     if a < 1:
         raise ValueError("operation index must be positive")
-    out = ZERO
-    for m in p:
-        out = poly_add(out, _sq_mono(a, m, registered))
-    return out
+    return _linear(lambda t, f: _sq_factor(t, f, registered), a, p)
 
 
 # ---------------------------------------------------------------- basis enumeration
@@ -350,9 +352,7 @@ def ideal_quotient_dims(
     for p in relations:
         if not p:
             continue
-        bd = mono_bidegree(next(iter(p)))
-        if any(mono_bidegree(m) != bd for m in p):
-            raise ValueError("relations must be bihomogeneous")
+        bd = poly_bidegree(p)
         if bd in bases:
             insert(bd, to_vec(p, bd))
 
@@ -385,28 +385,20 @@ def bar_class(p: Poly) -> Poly:
     """Bar of a class: decomposables die; on a single tower the lower
     indices shift down by one and are evaluated over the barred generator
     (Q_0 = squaring), raising homological degree by one."""
-    out = ZERO
+    out: set = set()
     for m in p:
         if len(m) != 1:
             continue  # decomposable
         gen, upper = m[0]
-        low = lower_form(upper, gen)
         acc = poly(gen_mono(barred(gen)))
-        for j in range(len(low) - 1, -1, -1):
-            shifted = low[j] - 1
-            if shifted < 0:
+        for low in reversed(lower_form(upper, gen)):
+            if low < 1 or not acc:
                 acc = ZERO
                 break
-            # lower Q_shifted on a homogeneous polynomial of degree deg
-            deg = None
-            for mm in acc:
-                deg = mono_bidegree(mm)[1]
-                break
-            if deg is None:
-                break
-            acc = _q_poly(shifted + deg, acc)
-        out = poly_add(out, acc)
-    return out
+            # lower Q_{low - 1} on a homogeneous polynomial
+            acc = _q_poly(low - 1 + poly_bidegree(acc)[1], acc)
+        out ^= acc
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------- slope
@@ -432,7 +424,7 @@ def parse(text: str, gens: dict[str, Generator]) -> Poly:
     text = text.strip()
     if text == "0":
         return ZERO
-    out = ZERO
+    out: set = set()
     for term in text.split("+"):
         factors: list[Factor] = []
         for atom in term.strip().split("*"):
@@ -456,8 +448,8 @@ def parse(text: str, gens: dict[str, Generator]) -> Poly:
                     raise ValueError(f"non-normal sequence in {atom!r}")
                 f = (gens[name], seq)
             factors.extend([f] * power)
-        out = poly_add(out, poly(mono_sorted(factors)))
-    return out
+        out ^= {mono_sorted(factors)}
+    return frozenset(out)
 
 
 def render_factor(f: Factor, power: int) -> str:

@@ -33,7 +33,7 @@ Perm = tuple
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p*q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:
@@ -45,34 +45,43 @@ def inverse(p: Perm) -> Perm:
 
 class PermGroup:
     """Finite permutation group: elements enumerated and canonically
-    ordered lexicographically; multiplication by composition."""
+    ordered lexicographically; multiplication by composition, tabulated
+    once (``table[i][j]`` is the index of i*j; at most MAX_ORDER^2
+    entries)."""
 
     def __init__(self, degree: int, generators: list[Perm], name: str = ""):
         self.degree = degree
         self.name = name
         ident = tuple(range(degree))
-        seen = {ident}
-        frontier = [ident]
         gens = [tuple(g) for g in generators]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = compose(g, p)
-                    if q not in seen:
-                        if len(seen) >= MAX_ORDER:
-                            raise WindowError("group order exceeds budget")
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
+        # breadth first from the identity; a new element q = gens[k] * p
+        # records (k, p)
+        found = {ident: None}
+        order = [ident]
+        for p in order:
+            for k, g in enumerate(gens):
+                q = compose(g, p)
+                if q not in found:
+                    if len(found) >= MAX_ORDER:
+                        raise WindowError("group order exceeds budget")
+                    found[q] = (k, p)
+                    order.append(q)
         self.generators = gens
-        self.elements = tuple(sorted(seen))
+        self.elements = tuple(sorted(found))
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.identity = self.index[ident]
         self.order = len(self.elements)
+        # the row of q = gens[k] * p is the row of p relabelled by left
+        # multiplication with gens[k], so only the generators compose
+        left = [[self.index[compose(g, q)] for q in self.elements] for g in gens]
+        self.table: list = [None] * self.order
+        self.table[self.identity] = list(range(self.order))
+        for q in order[1:]:
+            k, p = found[q]
+            self.table[self.index[q]] = list(map(left[k].__getitem__, self.table[self.index[p]]))
 
     def mult(self, i: int, j: int) -> int:
-        return self.index[compose(self.elements[i], self.elements[j])]
+        return self.table[i][j]
 
     def inv(self, i: int) -> int:
         return self.index[inverse(self.elements[i])]
@@ -90,7 +99,7 @@ def _matrix_perm(rows: tuple, g: int) -> Perm:
     for v in range(1, 1 << g):
         w = 0
         for i in range(g):
-            if bin(rows[i] & v).count("1") & 1:
+            if (rows[i] & v).bit_count() & 1:
                 w |= 1 << i
         out.append(w - 1)
     return tuple(out)
@@ -183,11 +192,12 @@ class Resolution(NamedTuple):
 def _act(group: PermGroup, e: int, v: int) -> int:
     """Left translation by element e on a free-module vector."""
     n = group.order
+    row = group.table[e]
     # translation permutes element coordinates within each generator block
     out = 0
     for bit in bits_of(v):
         k, x = divmod(bit, n)
-        out |= 1 << (k * n + group.mult(e, x))
+        out |= 1 << (k * n + row[x])
     return out
 
 
@@ -213,17 +223,17 @@ def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Reso
         if reverse_ties:
             basis.reverse()
         span = Echelon()
-        gens: list[int] = []
+        rows: list[int] = []  # the n translates of each new generator
         for v in basis:
             if span.rank == kernel.dim:
                 break
             if span.reduce(v)[0] == 0:
                 continue
-            gens.append(v)
-            for e in range(n):
-                span.add(_act(group, e, v))
-        rows = [_act(group, e, v) for v in gens for e in range(n)]
-        ranks.append(len(gens))
+            translates = [_act(group, e, v) for e in range(n)]
+            for t in translates:
+                span.add(t)
+            rows.extend(translates)
+        ranks.append(len(rows) // n)
         boundaries.append(F2Matrix(len(rows), prev.rows, rows))
     return Resolution(group, tuple(ranks), tuple(boundaries))
 
@@ -252,7 +262,7 @@ def _collapse(group: PermGroup, v: int, rank: int) -> int:
     out = 0
     for k in range(rank):
         block = (v >> (k * n)) & ((1 << n) - 1)
-        if bin(block).count("1") & 1:
+        if block.bit_count() & 1:
             out |= 1 << k
     return out
 

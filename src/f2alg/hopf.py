@@ -26,13 +26,6 @@ class TruncationError(Exception):
 Pair = tuple[tuple[int, int], tuple[int, int]]  # ((g1,i1),(g2,i2))
 
 
-def _xor_key(d: dict, k) -> None:
-    if k in d:
-        del d[k]
-    else:
-        d[k] = True
-
-
 class HopfAlgebra:
     """Connected graded bialgebra over F2 given by tables.
 
@@ -111,11 +104,11 @@ class HopfAlgebra:
             if g1 > 0 and g2 > 0
         )
 
-    def coproduct_combo(self, g: int, v: int) -> dict[Pair, bool]:
-        acc: dict[Pair, bool] = {}
+    def coproduct_combo(self, g: int, v: int) -> set[Pair]:
+        acc: set[Pair] = set()
         for i in bits_of(v):
             for p in self.coproduct(g, i):
-                _xor_key(acc, p)
+                acc ^= {p}
         return acc
 
     def is_primitive(self, g: int, i: int) -> bool:
@@ -171,13 +164,13 @@ class HopfAlgebra:
         # coassociativity
         bad = None
         for g, i in gi_pairs(bound):
-            lhs: dict[tuple, bool] = {}
-            rhs: dict[tuple, bool] = {}
-            for (g1, i1), (g2, i2) in self.coproduct(g, i):
-                for (h1, j1), (h2, j2) in self.coproduct(g1, i1):
-                    _xor_key(lhs, ((h1, j1), (h2, j2), (g2, i2)))
-                for (h1, j1), (h2, j2) in self.coproduct(g2, i2):
-                    _xor_key(rhs, ((g1, i1), (h1, j1), (h2, j2)))
+            lhs: set[tuple] = set()
+            rhs: set[tuple] = set()
+            for x, y in self.coproduct(g, i):
+                for x1, x2 in self.coproduct(*x):
+                    lhs ^= {(x1, x2, y)}
+                for y1, y2 in self.coproduct(*y):
+                    rhs ^= {(x, y1, y2)}
             if lhs != rhs:
                 bad = (g, i)
                 break
@@ -190,14 +183,14 @@ class HopfAlgebra:
                 break
             for (gb, b) in gi_pairs(bound - ga):
                 lhs = self.coproduct_combo(ga + gb, self.product(ga, 1 << a, gb, 1 << b))
-                rhs: dict[Pair, bool] = {}
+                rhs: set[Pair] = set()
                 for (g1, i1), (g2, i2) in self.coproduct(ga, a):
                     for (h1, j1), (h2, j2) in self.coproduct(gb, b):
                         left = (g1 + h1, self.product(g1, 1 << i1, h1, 1 << j1))
                         right = (g2 + h2, self.product(g2, 1 << i2, h2, 1 << j2))
                         for li in bits_of(left[1]):
                             for ri in bits_of(right[1]):
-                                _xor_key(rhs, ((left[0], li), (right[0], ri)))
+                                rhs ^= {((left[0], li), (right[0], ri))}
                 if lhs != rhs:
                     bad = ((ga, a), (gb, b))
                     break
@@ -244,17 +237,17 @@ class HopfAlgebra:
                 for (g1, i), (g2, j) in self.coproduct(g, k):
                     key = (g1, i, g2, j)
                     mult[key] = mult.get(key, 0) ^ (1 << k)
-        pair_acc: dict[tuple[int, int], dict[Pair, bool]] = {}
+        pair_acc: dict[tuple[int, int], set[Pair]] = {}
         for (g1, i, g2, j), v in self.mult.items():
             g = g1 + g2
             if g > bound:
                 continue
             for k in bits_of(v):
-                _xor_key(pair_acc.setdefault((g, k), {}), ((g1, i), (g2, j)))
+                pairs = pair_acc.setdefault((g, k), set())
+                pairs ^= {((g1, i), (g2, j))}
         for g in range(bound + 1):
             for k in range(self.dim(g)):
-                pairs = pair_acc.get((g, k), {})
-                comult[(g, k)] = tuple(sorted(pairs))
+                comult[(g, k)] = tuple(sorted(pair_acc.get((g, k), ())))
         mult = {k: v for k, v in mult.items() if v}
         return HopfAlgebra(basis, mult, comult, truncation=self.truncation)
 
@@ -390,17 +383,17 @@ class PolyHopf(HopfAlgebra):
 
     def _mon_coproduct(self, m, gen_coproducts) -> tuple[Pair, ...]:
         zero = tuple(0 for _ in self.gens)
-        acc: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {(zero, zero): True}
+        acc: set[tuple[tuple[int, ...], tuple[int, ...]]] = {(zero, zero)}
         for gi, e in enumerate(m):
             for _ in range(e):
-                nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+                nxt: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
                 for (l, r) in acc:
                     for dl, dr in gen_coproducts[gi]:
                         nl = self._mon_mul(l, dl)
                         nr = self._mon_mul(r, dr)
                         if nl is None or nr is None:
                             continue
-                        _xor_key(nxt, (nl, nr))
+                        nxt ^= {(nl, nr)}
                 acc = nxt
         out = []
         for (l, r) in acc:
@@ -549,11 +542,11 @@ def check_hopf_map(f: CoalgebraMap) -> list[tuple[str, bool, Optional[tuple]]]:
     bad = None
     for g in range(bound + 1):
         for i in range(src.dim(g)):
-            lhs: dict[Pair, bool] = {}
+            lhs: set[Pair] = set()
             for (g1, i1), (g2, i2) in src.coproduct(g, i):
                 for j1 in bits_of(f.apply(g1, 1 << i1)):
                     for j2 in bits_of(f.apply(g2, 1 << i2)):
-                        _xor_key(lhs, ((g1, j1), (g2, j2)))
+                        lhs ^= {((g1, j1), (g2, j2))}
             rhs = tgt.coproduct_combo(g, f.apply(g, 1 << i))
             if lhs != rhs:
                 bad = (g, i)

@@ -65,10 +65,11 @@ def augmentation_depths(h: HopfAlgebra) -> dict[tuple[int, int], int]:
         for g in range(1, bound + 1):
             sp = nxt[g]
             for v in sp.basis:
-                assert v.bit_count() == 1, (
-                    "augmentation-power filtration is not spanned by basis "
-                    f"elements in grading {g}"
-                )
+                if v.bit_count() != 1:
+                    raise AssertionError(
+                        "augmentation-power filtration is not spanned by basis "
+                        f"elements in grading {g}"
+                    )
             for v in sp.basis:
                 depth[(g, v.bit_length() - 1)] = k
     return depth
@@ -196,9 +197,8 @@ class FilteredComplex:
                 for x in self.ztilde(g, s - 1, r - 1, p + r - 1).basis:
                     ech.add(self.complex.apply_boundary(g, s - 1, x), 0)
             reps = ech.add_reps(self.ztilde(g, s, r, p).basis)
-            assert len(reps) == self.page_dim(r, g, d, f), (
-                f"page bookkeeping off at r={r}, ({g},{d},{f})"
-            )
+            if len(reps) != self.page_dim(r, g, d, f):
+                raise AssertionError(f"page bookkeeping off at r={r}, ({g},{d},{f})")
             self._spot_cache[key] = (reps, ech)
         return self._spot_cache[key]
 
@@ -211,7 +211,8 @@ class FilteredComplex:
         for x in src_reps:
             dx = self.complex.apply_boundary(g, g - d, x)
             red, tag = tgt_ech.reduce(dx)
-            assert red == 0, "boundary leaves the target subquotient"
+            if red:
+                raise AssertionError("boundary leaves the target subquotient")
             rows.append(tag)
         return F2Matrix(len(src_reps), len(tgt_reps), rows)
 
@@ -316,9 +317,8 @@ def einfty_report(fc: FilteredComplex, g_max: int, d_max: int) -> list[EinftyRow
                 if dim
             }
             row = EinftyRow(g, d, f_dims, r0, fc.complex.homology_dim(g, d))
-            assert row.total == row.cotor_dim, (
-                f"convergence failure at ({g},{d}): "
-                f"{row.total} != {row.cotor_dim}"
-            )
+            if row.total != row.cotor_dim:
+                raise AssertionError(f"convergence failure at ({g},{d}): "
+                                     f"{row.total} != {row.cotor_dim}")
             out.append(row)
     return out

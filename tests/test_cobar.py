@@ -7,9 +7,15 @@ ring_chart_names enumeration.  The big-window chart and the heavy cone
 computations live in the acceptance suite.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from f2alg.cobar import (
+    CobarComplex,
     CotorClass,
     WindowError,
     build_cobar,
@@ -17,7 +23,7 @@ from f2alg.cobar import (
     induced_map,
     ring_chart_names,
 )
-from f2alg.hopf import build_a1_star, build_cgl_to_a1_map, build_delta_cgl
+from f2alg.hopf import HopfAlgebra, build_a1_star, build_cgl_to_a1_map, build_delta_cgl
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +323,33 @@ def test_chart_tsv_shape(table_lines):
     assert lines[0] == "g\td\tdim\tclass_names"
     assert f"1\t0\t1\th10" in lines
     assert len(lines) == 1 + 4 * 3
+
+
+# ---------------------------------------------------------------- invariants under -O
+
+def non_coassociative() -> HopfAlgebra:
+    """Letters a, b, c in gradings 1, 2, 3 with reduced coproducts b -> a|a
+    and c -> a|b; not coassociative: d[c] = [a|b], d[a|b] = [a|a|a]."""
+    def psi(g, *reduced):
+        return (((0, 0), (g, 0)),) + reduced + (((g, 0), (0, 0)),)
+
+    comult = {(0, 0): (((0, 0), (0, 0)),), (1, 0): psi(1),
+              (2, 0): psi(2, ((1, 0), (1, 0))), (3, 0): psi(3, ((1, 0), (2, 0)))}
+    return HopfAlgebra([["1"], ["a"], ["b"], ["c"]], {}, comult)
+
+
+def test_d_squared_check_raises():
+    with pytest.raises(AssertionError, match=r"d\*d != 0 on \[c\]"):
+        CobarComplex(non_coassociative(), 3, 3).boundary_matrix(3, 1)
+
+
+def test_d_squared_check_survives_optimize_flag():
+    """The test above, run again in a python -O subprocess."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
+    code = (f"import sys; sys.path.insert(0, {str(here)!r}); import test_cobar; "
+            "test_cobar.test_d_squared_check_raises()")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ from f2alg.grouphom import (
     abelianization_f2_dim,
     assert_resolution,
     builtin_group,
+    compose,
     homology_dims,
     induced_map,
     parse_group,
@@ -125,6 +126,14 @@ def abelianization_reference(group):
 def test_abelianization_squares_suffice(name):
     g = builtin_group(name)
     assert abelianization_f2_dim(g) == abelianization_reference(g)
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["S4", "UT(4,2)"])
+def test_mult_table_matches_composition(name):
+    g = builtin_group(name)
+    for i, p in enumerate(g.elements):
+        for j, q in enumerate(g.elements):
+            assert g.mult(i, j) == g.index[compose(p, q)], (name, i, j)
 
 
 def test_h0_and_h1_against_abelianization():
