@@ -231,6 +231,10 @@ def delta_of_cells(spec: CellSpec, bound: int) -> DeltaPresentation:
                 exps = [hopf_monomial(m) for m in xbar]
                 if len(exps) == 1 and sum(exps[0].values()) == 1:
                     (dead,) = exps[0]
+                    if dead not in reduced:
+                        raise ValueError(
+                            f"rel {cell.name}: generator {dead} is already removed"
+                        )
                     gens[:] = [gn for gn in gens if gn[0] != dead]
                     reduced.pop(dead)
                     log.append(f"rel {cell.name}: removed generator {dead}")

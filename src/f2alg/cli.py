@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
 from . import cellfilt, cellhopf, dyer_lashof as dl, grouphom, mayss
 from .cobar import WindowError, build_cobar, build_cone, chart_rows, ring_chart_names
+from .dyer_lashof import ALPHABET, eval_expr
 from .hopf import build_a1_star, build_delta_cgl
 
 EXIT_OK = 0
@@ -29,8 +29,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 SCHEMA_PREFIX = "f2alg"
-
-ALPHABET = {"s": dl.SIGMA, "b": dl.BETA, "n1": dl.NU1, "n2": dl.NU2}
 
 # relations presenting the stability quotient of the free algebra on
 # sigma, nu1, nu2
@@ -47,101 +45,6 @@ MAX_CHART_G = 20
 def _check_chart_budget(gmax: int) -> None:
     if gmax > MAX_CHART_G:
         raise WindowError(f"chart window g <= {MAX_CHART_G}, requested {gmax}")
-
-
-# ---------------------------------------------------------------- expressions
-
-_TOKEN = re.compile(r"\s*([Qq]\[[\d,]+\]|\^?\d+|[A-Za-z]\w*|[()*+])")
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ValueError(f"bad expression near {text[pos:]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-def eval_expr(text: str, gens: dict = ALPHABET) -> "dl.Poly":
-    """Evaluate a class expression with nested operations, e.g.
-    Q[2](s*Q[1](s)); the result is fully Adem-normalized."""
-    toks = _tokenize(text)
-    i = 0
-
-    def peek():
-        return toks[i] if i < len(toks) else None
-
-    def expect(t):
-        nonlocal i
-        if peek() != t:
-            raise ValueError(f"expected {t!r} in expression {text!r}")
-        i += 1
-
-    def atom():
-        nonlocal i
-        t = peek()
-        if t is None:
-            raise ValueError(f"truncated expression {text!r}")
-        if t == "(":
-            i += 1
-            p = expr()
-            expect(")")
-            return p
-        if t[0] in "Qq" and "[" in t:
-            op, seq = t[0], tuple(int(k) for k in t[2:-1].split(","))
-            i += 1
-            expect("(")
-            inner = expr()
-            expect(")")
-            for s in reversed(seq):
-                if op == "q":
-                    # lower index: offset by the current degree
-                    _, d = dl.poly_bidegree(inner)
-                    s += d
-                inner = dl.apply_q(s, inner)
-            return inner
-        if t in gens:
-            i += 1
-            return dl.poly(((gens[t], ()),))
-        raise ValueError(f"unknown name {t!r} in expression")
-
-    def power():
-        nonlocal i
-        p = atom()
-        t = peek()
-        if t is not None and t.startswith("^"):
-            i += 1
-            e = int(t[1:])
-            out = dl.ONE
-            for _ in range(e):
-                out = dl.poly_mul(out, p)
-            return out
-        return p
-
-    def term():
-        nonlocal i
-        p = power()
-        while peek() == "*":
-            i += 1
-            p = dl.poly_mul(p, power())
-        return p
-
-    def expr():
-        nonlocal i
-        p = term()
-        while peek() == "+":
-            i += 1
-            p = dl.poly_add(p, term())
-        return p
-
-    out = expr()
-    if i != len(toks):
-        raise ValueError(f"trailing tokens in expression {text!r}")
-    return out
 
 
 # ---------------------------------------------------------------- output plumbing
@@ -455,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="stability Hopf algebra from a cell spec")
     p.add_argument("--cells", default="cgl.cells")
-    p.add_argument("--bound", type=int, default=5)
+    p.add_argument("--bound", type=_window, default=5)
     common(p, ("json",))
     p.set_defaults(fn=cmd_delta)
 

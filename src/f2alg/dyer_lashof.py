@@ -22,6 +22,10 @@ Both operations act on single towers first; the Cartan formula that
 carries an operation across the factors of a monomial is written once
 (``_cartan``), as is its linear extension over a polynomial (``_linear``).
 Sums are built in a mutable set toggled by ``^=`` and frozen on return.
+
+Classes are written in one text syntax, ``Q[2,1](s) + s^2*q[1](s)``:
+``render`` writes it and ``_read`` reads it, as a literal class
+(``parse``) or as an expression with nested operations (``eval_expr``).
 """
 
 from __future__ import annotations
@@ -318,6 +322,7 @@ def ideal_quotient_dims(
 
     The ideal is the span of the relations closed under multiplication by
     all monomials and all Q^s, discarding anything landing outside the box.
+    Every relation must be a class on ``gens``; ValueError otherwise.
     """
     bases: dict[tuple[int, int], list[Monomial]] = {}
     index: dict[tuple[int, int], dict[Monomial, int]] = {}
@@ -350,6 +355,8 @@ def ideal_quotient_dims(
             work.append((bd, r))
 
     for p in relations:
+        if any(gen not in gens for m in p for gen, _ in m):
+            raise ValueError(f"relation {render(p)} is not a class on the given generators")
         if not p:
             continue
         bd = poly_bidegree(p)
@@ -410,46 +417,116 @@ def slope(m: Monomial) -> Fraction:
     return Fraction(d, g)
 
 
+# ---------------------------------------------------------------- standard generators
+
+SIGMA = Generator("s", 1, 0)
+NU1 = Generator("n1", 3, 3)
+NU2 = Generator("n2", 3, 3)
+BETA = Generator("b", 3, 2)
+ALPHABET = {"s": SIGMA, "b": BETA, "n1": NU1, "n2": NU2}
+
+
 # ---------------------------------------------------------------- text syntax
 
-_ATOM = re.compile(
-    r"^(?:(?P<op>[Qq])\[(?P<seq>\d+(?:,\d+)*)\]\((?P<arg>\w+)\)|(?P<gen>\w+))"
-    r"(?:\^(?P<pow>\d+))?$"
-)
+_TOKEN = re.compile(r"[Qq]\[\d+(?:,\d+)*\]|\^\d+|\w+|\S")
+
+
+def _read(text: str, gens: dict[str, Generator], literal: bool) -> Poly:
+    """The one reader of the class syntax that ``render`` writes: terms
+    joined by '+', factors by '*', `s^2` powers, `0` the zero class,
+    `Q[2,1](s)` upper and `q[1,1](s)` lower towers.
+
+    A literal class has towers only on bare generators, each a normal
+    sequence, and no parentheses.  Otherwise towers nest over any
+    expression, are applied with ``apply_q`` and Adem-normalized."""
+    toks = _TOKEN.findall(text)
+    pos = 0
+
+    def peek() -> str:
+        return toks[pos] if pos < len(toks) else ""
+
+    def take(expected: Optional[str] = None) -> str:
+        nonlocal pos
+        tok = peek()
+        if not tok or expected not in (None, tok):
+            want = repr(expected) if expected else "a factor"
+            raise ValueError(f"expected {want} in class {text!r}")
+        pos += 1
+        return tok
+
+    def atom() -> Poly:
+        tok = take()
+        if tok == "0":
+            return ZERO
+        if tok in gens:
+            return poly(gen_mono(gens[tok]))
+        if tok == "(" and not literal:
+            p = expr()
+            take(")")
+            return p
+        if tok[0] in "Qq" and tok[1:2] == "[":
+            seq = tuple(int(k) for k in tok[2:-1].split(","))
+            take("(")
+            if literal:
+                name = take()
+                if name not in gens:
+                    raise ValueError(f"unknown generator {name!r} in class {text!r}")
+                take(")")
+                x = gens[name]
+                if tok[0] == "q":
+                    seq = upper_form(seq, x)
+                if not is_normal(seq, x):
+                    raise ValueError(f"non-normal sequence {tok} in class {text!r}")
+                return poly(q_mono_of(x, seq))
+            p = expr()
+            take(")")
+            for s in reversed(seq):
+                if tok[0] == "q":
+                    # lower index: offset by the current degree
+                    s += poly_bidegree(p)[1]
+                p = apply_q(s, p)
+            return p
+        raise ValueError(f"unexpected {tok!r} in class {text!r}")
+
+    def power() -> Poly:
+        p = atom()
+        if peek().startswith("^") and peek() != "^":
+            out = ONE
+            for _ in range(int(take()[1:])):
+                out = poly_mul(out, p)
+            return out
+        return p
+
+    def term() -> Poly:
+        p = power()
+        while peek() == "*":
+            take()
+            p = poly_mul(p, power())
+        return p
+
+    def expr() -> Poly:
+        p = term()
+        while peek() == "+":
+            take()
+            p = poly_add(p, term())
+        return p
+
+    out = expr()
+    if peek():
+        raise ValueError(f"unexpected {peek()!r} in class {text!r}")
+    return out
 
 
 def parse(text: str, gens: dict[str, Generator]) -> Poly:
-    """Parse the class syntax: terms joined by '+', factors by '*';
-    `Q[2,1](s)` upper towers, `q[1,1](s)` lower towers, `s^2` powers."""
-    text = text.strip()
-    if text == "0":
-        return ZERO
-    out: set = set()
-    for term in text.split("+"):
-        factors: list[Factor] = []
-        for atom in term.strip().split("*"):
-            m = _ATOM.match(atom.strip())
-            if not m:
-                raise ValueError(f"bad factor syntax: {atom!r}")
-            power = int(m.group("pow") or 1)
-            if m.group("gen"):
-                name = m.group("gen")
-                if name not in gens:
-                    raise ValueError(f"unknown generator {name!r}")
-                f: Factor = (gens[name], ())
-            else:
-                name = m.group("arg")
-                if name not in gens:
-                    raise ValueError(f"unknown generator {name!r}")
-                seq = tuple(int(k) for k in m.group("seq").split(","))
-                if m.group("op") == "q":
-                    seq = upper_form(seq, gens[name])
-                if not is_normal(seq, gens[name]):
-                    raise ValueError(f"non-normal sequence in {atom!r}")
-                f = (gens[name], seq)
-            factors.extend([f] * power)
-        out ^= {mono_sorted(factors)}
-    return frozenset(out)
+    """Read a literal class: a tower sits on a bare generator and must
+    be normal; parentheses are refused."""
+    return _read(text, gens, literal=True)
+
+
+def eval_expr(text: str, gens: dict[str, Generator] = ALPHABET) -> Poly:
+    """Evaluate a class expression with nested operations, e.g.
+    Q[2](s*Q[1](s)); the result is fully Adem-normalized."""
+    return _read(text, gens, literal=False)
 
 
 def render_factor(f: Factor, power: int) -> str:
@@ -482,11 +559,3 @@ def render(p: Poly) -> str:
         return "0"
     monos = sorted(p, key=lambda m: tuple(factor_key(f) for f in m), reverse=True)
     return " + ".join(render_mono(m) for m in monos)
-
-
-# ---------------------------------------------------------------- standard generators
-
-SIGMA = Generator("s", 1, 0)
-NU1 = Generator("n1", 3, 3)
-NU2 = Generator("n2", 3, 3)
-BETA = Generator("b", 3, 2)

@@ -149,11 +149,13 @@ def builtin_group(name: str) -> PermGroup:
 
 
 _CYCLE = re.compile(r"\(([\d\s,]*)\)")
+_CYCLES = re.compile(r"(?:\s*\([\d\s,]*\))+\s*")
 
 
 def parse_group(text: str) -> PermGroup:
     """Permutation generators in cycle notation, one per line, or a
-    built-in name."""
+    built-in name.  A line is a run of cycles in which each point
+    occurs at most once."""
     text = text.strip()
     if "(" not in text or re.fullmatch(r"\w+\(\d+,\d+\)", text):
         return builtin_group(text)
@@ -163,11 +165,14 @@ def parse_group(text: str) -> PermGroup:
         line = line.partition("#")[0].strip()
         if not line:
             continue
-        cycles = []
-        for m in _CYCLE.finditer(line):
-            pts = [int(t) for t in re.split(r"[\s,]+", m.group(1).strip()) if t]
-            cycles.append(pts)
-            degree = max(degree, max(pts, default=-1) + 1)
+        if not _CYCLES.fullmatch(line):
+            raise ValueError(f"bad cycle notation: {line!r}")
+        cycles = [[int(t) for t in re.split(r"[\s,]+", body.strip()) if t]
+                  for body in _CYCLE.findall(line)]
+        pts = [a for c in cycles for a in c]
+        if len(pts) != len(set(pts)):
+            raise ValueError(f"a point occurs twice in cycles {line!r}")
+        degree = max(degree, max(pts, default=-1) + 1)
         perms.append(cycles)
     out = []
     for cycles in perms:

@@ -161,6 +161,16 @@ def test_bracket_referencing_removed_generator_rejected():
         delta_of_cells(parse_cells(text), 4)
 
 
+def test_second_quotient_by_removed_generator_rejected():
+    text = (
+        "gen s (1,0)\n"
+        "rel r1 (1,0) attach=s\n"
+        "rel r2 (1,0) attach=s\n"
+    )
+    with pytest.raises(ValueError, match="r2"):
+        delta_of_cells(parse_cells(text), 4)
+
+
 def test_off_hypothesis_pair_with_nonzero_bars_rejected():
     al = {"s": SIGMA}
     a, b = parse("q[2](s)", al), parse("q[1](s)", al)

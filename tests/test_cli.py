@@ -4,13 +4,17 @@ checked-in argument file."""
 
 import io
 import json
-from contextlib import redirect_stdout
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from f2alg.cli import eval_expr, main
-from f2alg.dyer_lashof import render
+from f2alg.dyer_lashof import ZERO, render
 
 ROOT = Path(__file__).resolve().parent.parent
 REPRO = ROOT / "repro"
@@ -39,6 +43,11 @@ def test_eval_lower_indices_match_upper():
 def test_eval_powers_and_sums():
     assert render(eval_expr("s^2*Q[2](s)+s^2*Q[2](s)")) == "0"
     assert eval_expr("(s+b)^2") == eval_expr("s^2+b^2")
+
+
+def test_zero_reads_as_zero_class():
+    assert eval_expr("0") is ZERO
+    assert run(["adem", "0"]) == (0, "0\n")
 
 
 def test_eval_rejects_garbage():
@@ -112,6 +121,8 @@ def test_exit_invalid_input():
     assert run(["cotor", "--algebra", "nope"])[0] == 2
     assert run(["nonsense-subcommand"])[0] == 2
     assert run(["wbasis", "--gens", "x"])[0] == 2
+    # the stability relations need n1 and n2 among the generators
+    assert run(["wbasis", "--gens", "s", "--quotient", "--gmax", "4"])[0] == 2
     assert run(["grouphom", "C0"])[0] == 2
     # invalid names that happen to contain the word "budget"
     assert run(["wbasis", "--gens", "budget"])[0] == 2
@@ -139,8 +150,12 @@ def test_may_json_columns_match_tsv():
     assert [[str(c) for c in r] for r in doc["rows"]] == [r.split("\t") for r in rows]
 
 
-def test_invalid_input_reports_one_error_line(capsys):
-    for argv in (["wbasis", "--gens", "x"], ["grouphom", "C0"]):
+def test_invalid_input_reports_one_error_line(capsys, tmp_path):
+    # the second relation quotients by a generator the first one removed
+    cells = tmp_path / "twice.cells"
+    cells.write_text("gen s (1,0)\nrel r1 (1,0) attach=s\nrel r2 (1,0) attach=s\n")
+    for argv in (["wbasis", "--gens", "x"], ["grouphom", "C0"],
+                 ["delta", "--cells", str(cells)]):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid input:")
@@ -153,6 +168,7 @@ def test_invalid_input_reports_one_error_line(capsys):
     ["may", "--gmax", "-1"],
     ["wbasis", "--g", "-1"],
     ["grouphom", "C2", "--dmax", "-1"],
+    ["delta", "--bound", "-1"],
 ])
 def test_exit_meaningless_window(argv, capsys):
     assert run(argv) == (2, "")
@@ -170,6 +186,68 @@ def test_exit_budget_exceeded():
     assert run(["cotor", "--gmax", "40"])[0] == 3
 
 
+def _joined(tokens, max_size):
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map("".join)
+
+
+_window = st.integers(-1, 4).map(str)
+_format = st.sampled_from([[], [], ["--format", "json"], ["--format", "x"]])
+_ops = ["Q[1]", "Q[3]", "q[2]", "Q[2,1]"]
+_class = st.recursive(st.sampled_from(["s", "b", "n1", "0"]), lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("*+"), inner).map("".join),
+    st.tuples(st.sampled_from(_ops), inner).map(lambda t: f"{t[0]}({t[1]})"),
+    inner.map(lambda e: f"({e})^2"),
+), max_leaves=3)
+_expr = st.one_of(_class, _joined(["s", "b", "n1", "0", "1", "x", *_ops,
+                                   "(", ")", "*", "+", "^2", "^", " "], 8))
+_group = st.one_of(
+    st.sampled_from(["C2", "S3", "D8", "UT(3,2)", "GL(2,2)", "C0", "S0", "E8", "C2000"]),
+    _joined(["(", ")", "0", "1", "2", "3", " ", ",", "a", "\n"], 12),
+    st.lists(st.lists(st.integers(0, 3).map(str), max_size=3).map(lambda c: f"({' '.join(c)})"),
+             min_size=1, max_size=3).map("".join),
+)
+_spot = st.tuples(_window, _window, st.integers(-5, 1).map(str)).map(",".join)
+_spots = st.one_of(st.lists(_spot, min_size=1, max_size=2).map(";".join),
+                   _joined(["1", ",", ";", "-", "x"], 6))
+
+
+def _argv_of(*parts):
+    """argv drawn part by part (one token or a list of tokens), then a format."""
+    return st.tuples(*parts, _format).map(
+        lambda t: [a for p in t for a in ([p] if isinstance(p, str) else p)])
+
+
+_argv = st.one_of(
+    _argv_of(st.just("adem"), _expr),
+    _argv_of(st.just(["nishida", "--a"]), st.integers(-1, 3).map(str), _expr),
+    _argv_of(st.just("grouphom"), _group, st.just("--dmax"), _window),
+    _argv_of(st.just(["wbasis", "--gens"]), st.sampled_from(["s", "b", "n1", "s,b", "s,s", "x", ""]),
+             st.sampled_from([["--g"], ["--d"], ["--quotient", "--gmax"], ["--quotient", "--dmax"]]),
+             _window),
+    _argv_of(st.just(["cellss", "--spots"]), _spots),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_argv)
+@example(["grouphom", "(0 1)(0 2)"])
+@example(["grouphom", "(0 1)(1 2 2)"])
+@example(["grouphom", "(a b)"])
+@example(["grouphom", "(0 1)(2"])
+@example(["delta", "--bound", "-1"])
+def test_argv_fuzz_keeps_exit_contract(argv):
+    """Every argv exits 0, 2 or 3 without a traceback; a failure prints
+    exactly one error line."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), (argv, lines)
+    assert not any("Traceback" in ln for ln in lines)
+    if code:
+        assert sum("error:" in ln for ln in lines) == 1, (argv, lines)
+
+
 # ---------------------------------------------------------------- golden files
 
 @pytest.mark.parametrize(
@@ -182,6 +260,24 @@ def test_golden_regenerates(stem, tmp_path, monkeypatch):
     code, _ = run([f"@repro/{stem}.args", "--output", str(out_path)])
     assert code == 0
     assert out_path.read_bytes() == golden.read_bytes()
+
+
+# goldens whose rows come out of sets and frozensets of symbolic terms
+SET_BUILT = ("adem", "nishida", "cellss", "delta_cgl", "wbasis_quotient", "grouphom_gl2")
+
+
+@pytest.mark.parametrize("seed", ["1", "12345"])
+def test_set_built_goldens_ignore_hash_seed(seed, tmp_path):
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys; from f2alg.cli import main; out, *stems = sys.argv[1:]; "
+            "sys.exit(max([main([f'@repro/{s}.args', '--output', f'{out}/{s}']) for s in stems]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), *SET_BUILT], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for stem in SET_BUILT:
+        golden = next(REPRO.glob(f"golden/{stem}.*"))
+        assert (tmp_path / stem).read_bytes() == golden.read_bytes(), stem
 
 
 def test_survivor_report_deterministic():

@@ -21,6 +21,7 @@ from f2alg.dyer_lashof import (
     bar_class,
     barred,
     dual_steenrod,
+    eval_expr,
     factor_bidegree,
     free_basis,
     gen_mono,
@@ -313,6 +314,13 @@ def test_parse_rejects_non_normal():
         P("Q[3,1](s)")
 
 
+@pytest.mark.parametrize("text", ["Q[1](s*s)", "(s)", "Q[1](Q[1](s))"])
+def test_parse_refuses_nesting(text):
+    # a literal class puts towers on bare generators only
+    with pytest.raises(ValueError):
+        P(text)
+
+
 def test_render_zero_and_unit():
     assert render(ZERO) == "0"
     assert render(poly(())) == "1"
@@ -325,3 +333,4 @@ def test_parse_render_roundtrip(monos):
     for m in monos:
         p = frozenset(p ^ poly(m))
     assert parse(render(p), GENS) == p
+    assert eval_expr(render(p), GENS) == p

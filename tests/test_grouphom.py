@@ -5,6 +5,8 @@ ring monomial count, the abelianization subgroup closure for H_1, and
 reversed greedy tie-breaking for choice independence.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,6 +237,12 @@ def test_parse_cycle_notation():
     g = parse_group("(0 1)\n(0 1 2)\n")
     assert g.order == 6
     assert homology_dims(resolve(g, 3)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("text", ["(0 1)(0 2)", "(0 1)(1 2 2)", "(a b)", "(0 1)(2"])
+def test_parse_refuses_bad_cycles(text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        parse_group(f"(0 1 2)\n{text}\n")
 
 
 def test_parse_builtin_names():
