@@ -152,7 +152,10 @@ def cmd_wbasis(args) -> str:
 def _parse_spots(text: str):
     out = []
     for part in text.split(";"):
-        g, d, f = (int(x) for x in part.split(","))
+        try:
+            g, d, f = (int(x) for x in part.split(","))
+        except ValueError:
+            raise ValueError(f"--spots: bad spot {part!r}, expected g,d,f") from None
         out.append((g, d, f))
     return out
 
@@ -206,7 +209,7 @@ def cmd_delta(args) -> str:
 
 def cmd_grouphom(args) -> str:
     path = Path(args.group)
-    text = path.read_text() if path.exists() else args.group
+    text = path.read_text() if path.is_file() else args.group
     g = grouphom.parse_group(text)
     # through H_1 at least, for the abelianization cross-check
     res = grouphom.resolve(g, max(args.dmax, 1) + 1)

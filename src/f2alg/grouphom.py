@@ -20,7 +20,7 @@ the cobar complexes.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .cobar import BigradedComplex, WindowError
 from .f2linalg import Echelon, F2Matrix, bits_of
@@ -125,21 +125,41 @@ def _ut_gens(g: int) -> tuple[int, list[Perm]]:
     return (1 << g) - 1, gens
 
 
+def _check_order(factors: Iterable[int]) -> None:
+    """Refuse a group whose order, the product of ``factors``, exceeds
+    MAX_ORDER.  The product stops at the first partial product past the
+    budget, so a built-in name costs nothing to refuse however large its
+    n, and no generator is built for it."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > MAX_ORDER:
+            raise WindowError("group order exceeds budget")
+
+
 def builtin_group(name: str) -> PermGroup:
+    # closed-form orders: |GL(n,2)| = prod_{i<n} (2^n - 2^i)
+    # = prod_{k=1..n} 2^(k-1) (2^k - 1), |UT(n,2)| = 2^(n(n-1)/2), |S_n| = n!
     if (m := re.fullmatch(r"GL\((\d+),2\)", name)) is not None:
-        deg, gens = _gl_gens(int(m.group(1)))
+        n = int(m.group(1))
+        _check_order((1 << (k - 1)) * ((1 << k) - 1) for k in range(1, n + 1))
+        deg, gens = _gl_gens(n)
         return PermGroup(deg, gens, name)
     if (m := re.fullmatch(r"UT\((\d+),2\)", name)) is not None:
-        deg, gens = _ut_gens(int(m.group(1)))
+        n = int(m.group(1))
+        _check_order(1 << (k - 1) for k in range(1, n + 1))
+        deg, gens = _ut_gens(n)
         return PermGroup(deg, gens, name)
     if (m := re.fullmatch(r"S(\d+)", name)) is not None:
         n = int(m.group(1))
+        _check_order(range(1, n + 1))
         gens = [] if n < 2 else [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
         return PermGroup(max(n, 1), gens, name)
     if (m := re.fullmatch(r"C(\d+)", name)) is not None:
         n = int(m.group(1))
         if n < 1:
             raise ValueError(f"cyclic group {name!r} needs order >= 1")
+        _check_order([n])
         return PermGroup(n, [tuple(range(1, n)) + (0,)], name)
     if name == "D8":
         return PermGroup(4, [(1, 2, 3, 0), (0, 3, 2, 1)], name)

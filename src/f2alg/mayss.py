@@ -12,10 +12,13 @@ where z_s(r, p) = dim { x in fil_p : dx in fil_{p-r} }.  Every z is read
 off one rank profile per (g, s): rows sorted by ascending filtration,
 columns by descending filtration, online elimination pivoting on each
 row's first column; the pivot (row_filt, col_filt) pairs then give every
-submatrix rank at once.  Columns are stored mirrored (column position j
-at bit n-1-j), so that first column is the top bit the ``f2linalg``
-reduction pivots on.  Pages are computed from these first principles,
-never by propagating declared differentials.
+submatrix rank at once.  Each profile's pairs and each layer's
+filtrations are counted once (a handful of distinct values against
+thousands of chains), and every z is read from those counts.  Columns
+are stored mirrored (column position j at bit n-1-j), so that first
+column is the top bit the ``f2linalg`` reduction pivots on.  Pages are
+computed from these first principles, never by propagating declared
+differentials.
 
 Explicit subquotient representatives and d^r matrices are built by tagged
 elimination only at requested spots: the representatives are reduced-
@@ -25,6 +28,7 @@ neither depends on pivot order.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, NamedTuple, Optional
 
 from .cobar import BigradedComplex, CobarComplex, ConeComplex, CotorClass
@@ -80,6 +84,7 @@ class Layer(NamedTuple):
     row_order: list[int]  # canonical indices, ascending filtration
     col_order: list[int]  # canonical indices, descending filtration
     col_bit: dict[int, int]  # canonical index -> n-1-(position in col_order)
+    filt_counts: Counter  # filtration -> number of chains
 
 
 class FilteredComplex:
@@ -90,6 +95,7 @@ class FilteredComplex:
         self.filt_of = filt_of
         self._layer_cache: dict[tuple[int, int], Layer] = {}
         self._pivot_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._pivot_counts: dict[tuple[int, int], Counter] = {}
         self._spot_cache: dict = {}
 
     def layer(self, g: int, s: int) -> Layer:
@@ -100,7 +106,8 @@ class FilteredComplex:
             row_order = sorted(range(n), key=lambda i: (filts[i], i))
             col_order = sorted(range(n), key=lambda i: (-filts[i], i))
             self._layer_cache[key] = Layer(
-                filts, row_order, col_order, {c: n - 1 - j for j, c in enumerate(col_order)}
+                filts, row_order, col_order,
+                {c: n - 1 - j for j, c in enumerate(col_order)}, Counter(filts),
             )
         return self._layer_cache[key]
 
@@ -129,11 +136,14 @@ class FilteredComplex:
 
     # -- rank bookkeeping
     def fil_dim(self, g: int, s: int, p: int) -> int:
-        return sum(1 for f in self.layer(g, s).filts if f <= p)
+        return sum(c for f, c in self.layer(g, s).filt_counts.items() if f <= p)
 
     def restricted_rank(self, g: int, s: int, p: int, q: int) -> int:
         """rank of fil_p(g, s) -> (g, s+1)/fil_q."""
-        return sum(1 for rf, cf in self.pivots(g, s) if rf <= p and cf > q)
+        key = (g, s)
+        if key not in self._pivot_counts:
+            self._pivot_counts[key] = Counter(self.pivots(g, s))
+        return sum(c for (rf, cf), c in self._pivot_counts[key].items() if rf <= p and cf > q)
 
     def z(self, g: int, s: int, r: int, p: int) -> int:
         if s < 0 or g < 0:

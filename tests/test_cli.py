@@ -161,6 +161,21 @@ def test_invalid_input_reports_one_error_line(capsys, tmp_path):
         assert len(err) == 1 and err[0].startswith("error: invalid input:")
 
 
+@pytest.mark.parametrize("spots", ["", "1", "1,2,x"])
+def test_bad_spots_error_names_the_option(spots, capsys):
+    assert run(["cellss", "--spots", spots]) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "--spots" in err[0] and repr(spots) in err[0]
+
+
+def test_grouphom_empty_name_is_not_a_path(capsys):
+    # "" is the path "." (a directory), so it must be read as a group name
+    assert run(["grouphom", ""]) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid input: unknown built-in group ''"]
+
+
 @pytest.mark.parametrize("argv", [
     ["cotor", "--gmax", "-1"],
     ["families", "--max-i", "-3"],

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f2alg import grouphom
+from f2alg.cobar import WindowError
 from f2alg.grouphom import (
     GroupHom,
     PermGroup,
@@ -255,6 +257,25 @@ def test_parse_builtin_names():
 def test_order_budget_enforced():
     with pytest.raises(ValueError):
         builtin_group("C2000")
+
+
+@pytest.mark.parametrize("name", ["GL(12,2)", "UT(12,2)", "S12", "GL(4,2)", "UT(5,2)", "S7"])
+def test_order_budget_checked_before_generators(name, monkeypatch):
+    # the order is known in closed form, so no generator may be built
+    def refuse(g):
+        raise AssertionError("generators built for an over-budget group")
+    monkeypatch.setattr(grouphom, "_gl_gens", refuse)
+    monkeypatch.setattr(grouphom, "_ut_gens", refuse)
+    monkeypatch.setattr(grouphom, "PermGroup", refuse)
+    with pytest.raises(WindowError, match="group order exceeds budget"):
+        builtin_group(name)
+
+
+@pytest.mark.parametrize("name, order", [
+    ("GL(3,2)", 168), ("UT(4,2)", 64), ("S6", 720), ("C1000", 1000), ("GL(0,2)", 1), ("S0", 1),
+])
+def test_closed_form_order_matches_enumeration(name, order):
+    assert builtin_group(name).order == order
 
 
 # ---------------------------------------------------------------- properties

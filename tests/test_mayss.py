@@ -93,6 +93,23 @@ def test_rank_profile_matches_bruteforce(fc):
                     ), (g, s, p, q)
 
 
+def test_cone_rank_profile_matches_bruteforce(fc):
+    # the y-part of the cone carries the shifted filtration filt(y) - 1
+    fcc = filtered_cone(fc, fc.complex.unique_class(1, 0))
+    for g in range(1, 7):
+        for s in range(0, g + 1):
+            rng = fcc.filt_range(g, s)
+            if rng is None:
+                continue
+            filts = fcc.layer(g, s).filts
+            for p in range(rng[0] - 1, rng[1] + 2):
+                assert fcc.fil_dim(g, s, p) == sum(1 for f in filts if f <= p), (g, s, p)
+                for q in range(p - 5, p + 2):
+                    assert fcc.restricted_rank(g, s, p, q) == oracle_restricted_rank(
+                        fcc, g, s, p, q
+                    ), (g, s, p, q)
+
+
 def reference_pivots(fc, g, s):
     """The rank profile with unmirrored columns: position j of the
     descending-filtration column order at bit j, lowest-set-bit pivots."""
