@@ -18,10 +18,10 @@ for g, d, dim, names in chart_rows(cx, G, D, names=ring_chart_names(G, D)):
         print(f"  ({g},{d})  dim {dim}  {names}")
 print()
 
-h10 = cx.unique_class(1, 0, "h10")
-h11 = cx.unique_class(2, 1, "h11")
-y74 = cx.unique_class(7, 4, "y74")
-y128 = cx.unique_class(12, 8, "y128")
+h10 = cx.unique_class(1, 0)
+h11 = cx.unique_class(2, 1)
+y74 = cx.unique_class(7, 4)
+y128 = cx.unique_class(12, 8)
 
 print("ring relations, checked on chains, not just dimensions:")
 print("  h10*h11 = 0   :", not cx.class_nonzero(3, 1, cx.product_chain(h10, h11)))
@@ -38,8 +38,8 @@ print("\ncone on h10, g <= 7, d <= 4 (the lightning flash):")
 flash = [(g, d) for g in range(8) for d in range(5) if cone.homology_dim(g, d)]
 print(" ", sorted(flash))
 
-z00 = cone.unique_class(0, 0, "z00")
-z32 = cone.unique_class(3, 2, "z32")
+z00 = cone.unique_class(0, 0)
+z32 = cone.unique_class(3, 2)
 g1, d1, c1 = cone.module_action(h10, 3, 2, z32.chain)
 g2, d2, c2 = cone.module_action(h11sq, 0, 0, z00.chain)
 print("hidden extension h10.z32 = h11^2.z00 at (4,2):",

@@ -66,19 +66,17 @@ class TriMonomial(NamedTuple):
     f: int
 
 
-def tri(expr: str, overrides: Optional[Overrides] = None) -> TriMonomial:
+def tri(expr: str) -> TriMonomial:
     (m,) = parse(expr, GENS)
-    return TriMonomial(m, filtration(m, overrides))
+    return TriMonomial(m, filtration(m))
 
 
-def enumerate_mod_sigma(
-    g: int, d: int, overrides: Optional[Overrides] = None
-) -> list[TriMonomial]:
+def enumerate_mod_sigma(g: int, d: int) -> list[TriMonomial]:
     """Every normal monomial on {sigma, beta} at (g, d) with no bare
-    sigma factor, each with its filtration, in canonical order."""
+    sigma factor, each with its rule filtration, in canonical order."""
     bare_sigma = (SIGMA, ())
     return [
-        TriMonomial(m, filtration(m, overrides))
+        TriMonomial(m, filtration(m))
         for m in free_basis([SIGMA, BETA], g, d)
         if bare_sigma not in m
     ]
@@ -102,13 +100,11 @@ def excluded_monomials(g: int, d: int) -> frozenset:
     return frozenset(out)
 
 
-def e1_basis_mod_sigma(
-    g: int, d: int, overrides: Optional[Overrides] = None
-) -> list[TriMonomial]:
+def e1_basis_mod_sigma(g: int, d: int) -> list[TriMonomial]:
     """The recorded chart at (g, d): the mod-sigma enumeration minus the
     explicit exclusion record."""
     dropped = excluded_monomials(g, d)
-    return [t for t in enumerate_mod_sigma(g, d, overrides) if t.m not in dropped]
+    return [t for t in enumerate_mod_sigma(g, d) if t.m not in dropped]
 
 
 def q1_divisibility(m: Monomial) -> int:
@@ -148,18 +144,15 @@ def parse_interval(text: str) -> Interval:
 
 
 def slope_filter(
-    gens: list,
-    g_max: int,
-    d_max: int,
-    window: Interval | str,
-    exclude: tuple = ((SIGMA, ()), (SIGMA, (1,))),
+    gens: list, g_max: int, d_max: int, window: Interval | str
 ) -> list[TriMonomial]:
     """Single towers Q_I(x) inside the box whose slope d/g lies in the
-    window.  The bare bottom generator and its first operation are
-    excluded by default; they are handled separately in divisibility
-    arguments."""
+    window.  The bare bottom generator sigma and its first operation
+    Q^1(sigma) are excluded; they are handled separately in
+    divisibility arguments."""
     if isinstance(window, str):
         window = parse_interval(window)
+    exclude = ((SIGMA, ()), (SIGMA, (1,)))
     out = []
     for x in gens:
         for fac in normal_factors(x, g_max, d_max):
@@ -180,7 +173,6 @@ class DeclaredDifferential(NamedTuple):
     j: int  # tau power on the source
     target: Monomial
     k: int  # tau power on the target
-    note: str
 
     def describe(self) -> str:
         return (
@@ -203,8 +195,7 @@ _DECL = re.compile(
 def parse_declarations(text: str) -> list[DeclaredDifferential]:
     out = []
     for raw in text.splitlines():
-        line, _, comment = raw.partition("#")
-        line = line.strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         m = _DECL.match(line)
@@ -219,14 +210,14 @@ def parse_declarations(text: str) -> list[DeclaredDifferential]:
                 int(m.group("r")),
                 next(iter(src)), int(m.group("j") or 0),
                 next(iter(tgt)), int(m.group("k") or 0),
-                comment.strip(),
             )
         )
     return out
 
 
-def load_declarations(name: str = "bockstein.decls") -> list[DeclaredDifferential]:
-    text = resources.files("f2alg.data").joinpath(name).read_text()
+def load_declarations() -> list[DeclaredDifferential]:
+    """The packaged declarations, ``data/bockstein.decls``."""
+    text = resources.files("f2alg.data").joinpath("bockstein.decls").read_text()
     return parse_declarations(text)
 
 
@@ -301,8 +292,8 @@ def build_chart(
     g: int, d: int, f: int, overrides: Optional[Overrides] = None
 ) -> BocksteinChart:
     entries = []
-    for t in e1_basis_mod_sigma(g, d, overrides):
-        j = f - t.f
+    for t in e1_basis_mod_sigma(g, d):
+        j = f - filtration(t.m, overrides)
         if j >= 0:
             entries.append(TaggedClass(g, d, f, -j, t.m))
     return BocksteinChart(g, d, f, tuple(entries), overrides, {})
@@ -422,23 +413,21 @@ def chart_reconciliation(g: int, d: int, table) -> dict:
 
 
 def reading_report(
-    spots: list[tuple[int, int, int]],
-    decls: list[DeclaredDifferential],
-    table=TABLE_12_8,
+    spots: list[tuple[int, int, int]], decls: list[DeclaredDifferential]
 ) -> dict:
     """Survivor analysis under the rule filtrations and again under the
-    recorded table values, for each (g, d, f) spot.
+    recorded (12, 8) table values, for each (g, d, f) spot.
 
     Returns per-reading survivor label lists and whether they agree, so
     the unresolved filtration of the flagged row is demonstrably
     immaterial to the survivor sets.
     """
     overrides: Overrides = {}
-    for name, m, listed in table_monomials(table):
+    for name, m, listed in table_monomials(TABLE_12_8):
         if filtration(m) != listed:
             overrides[m] = listed
     readings = {"rule": None, "table": overrides}
-    out = {"discrepancies": filtration_discrepancies(table), "spots": {}}
+    out = {"discrepancies": filtration_discrepancies(TABLE_12_8), "spots": {}}
     agree = True
     for spot in spots:
         per = {}

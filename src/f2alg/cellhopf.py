@@ -56,7 +56,6 @@ class Cell(NamedTuple):
 
 class CellSpec(NamedTuple):
     cells: tuple
-    alphabet: dict  # name -> Generator, for generator cells
 
 
 # ---------------------------------------------------------------- spec files
@@ -109,12 +108,16 @@ def parse_cells(text: str) -> CellSpec:
             cells.append(Cell(name, g, d, "rel", attach, q))
         else:
             raise ValueError(f"bad cell line: {raw!r}")
-    return CellSpec(tuple(cells), alphabet)
+    return CellSpec(tuple(cells))
 
 
 def load_cells(name: str) -> CellSpec:
-    text = resources.files("f2alg.data").joinpath(name).read_text()
-    return parse_cells(text)
+    """A spec packaged in ``f2alg.data``, by file name."""
+    data = resources.files("f2alg.data")
+    known = sorted(p.name for p in data.iterdir() if p.name.endswith(".cells"))
+    if name not in known:
+        raise ValueError(f"unknown cell spec {name!r}; choose from {','.join(known)}")
+    return parse_cells(data.joinpath(name).read_text())
 
 
 # ---------------------------------------------------------------- bracket coproducts

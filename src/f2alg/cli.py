@@ -95,14 +95,14 @@ def cmd_cotor(args) -> str:
 def cmd_cone(args) -> str:
     _check_chart_budget(args.gmax)
     cx = build_cobar(build_a1_star(), g_max=max(args.gmax, 6), s_max=max(args.gmax, 6))
-    h10 = cx.unique_class(1, 0, "h10")
+    h10 = cx.unique_class(1, 0)
     cone = build_cone(cx, h10)
     rows = chart_rows(cone, args.gmax, args.dmax)
     comments = []
     if args.gmax >= 4 and args.dmax >= 3:
-        z00 = cone.unique_class(0, 0, "z00")
-        z32 = cone.unique_class(3, 2, "z32")
-        h11 = cx.unique_class(2, 1, "h11")
+        z00 = cone.unique_class(0, 0)
+        z32 = cone.unique_class(3, 2)
+        h11 = cx.unique_class(2, 1)
         g1, d1, c1 = cone.module_action(h10, 3, 2, z32.chain)
         h11sq = cx.cotor_product(h11, h11)
         g2, d2, c2 = cone.module_action(h11sq, 0, 0, z00.chain)
@@ -137,6 +137,8 @@ def cmd_wbasis(args) -> str:
     if unknown:
         raise ValueError(f"unknown generator {unknown[0]!r}; "
                          f"choose from {','.join(ALPHABET)}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"--gens: repeated generator in {args.gens!r}")
     gens = [ALPHABET[n] for n in names]
     if args.quotient:
         rels = [dl.parse(r, ALPHABET) for r in STABILITY_RELATIONS]
@@ -161,11 +163,12 @@ def _parse_spots(text: str):
 
 
 def cmd_cellss(args) -> str:
-    decls = (
-        cellfilt.parse_declarations(Path(args.decls).read_text())
-        if args.decls
-        else cellfilt.load_declarations()
-    )
+    if args.decls is None:
+        decls = cellfilt.load_declarations()
+    elif Path(args.decls).is_file():
+        decls = cellfilt.parse_declarations(Path(args.decls).read_text())
+    else:
+        raise ValueError(f"--decls: not a file: {args.decls!r}")
     spots = _parse_spots(args.spots)
     charts = [
         cellfilt.propagate(cellfilt.build_chart(g, d, f), decls) for g, d, f in spots
@@ -194,10 +197,8 @@ def cmd_cellss(args) -> str:
 
 def cmd_delta(args) -> str:
     path = Path(args.cells)
-    if path.exists():
-        spec = cellhopf.parse_cells(path.read_text())
-    else:
-        spec = cellhopf.load_cells(args.cells)
+    spec = (cellhopf.parse_cells(path.read_text()) if path.is_file()
+            else cellhopf.load_cells(args.cells))
     pres = cellhopf.delta_of_cells(spec, args.bound)
     return _json("delta", {
         "generators": [list(g) for g in pres.generators],
@@ -266,9 +267,9 @@ def cmd_families(args) -> str:
         if cone is None:
             w = FAMILY_WINDOW[0]
             cx = build_cobar(build_a1_star(), g_max=w + 1, s_max=w + 1)
-            cone = build_cone(cx, cx.unique_class(1, 0, "h10"))
-            cache["h11"] = cx.unique_class(2, 1, "h11")
-            cache["y128"] = cx.unique_class(12, 8, "y128")
+            cone = build_cone(cx, cx.unique_class(1, 0))
+            cache["h11"] = cx.unique_class(2, 1)
+            cache["y128"] = cx.unique_class(12, 8)
         key = (di, dj, base)
         if key not in cache:
             cg, cd = zg, zd

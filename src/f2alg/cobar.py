@@ -46,7 +46,6 @@ class CotorClass(NamedTuple):
     d: int
     chain: int
     index: Optional[int] = None
-    name: Optional[str] = None
 
     @property
     def s(self) -> int:
@@ -179,11 +178,11 @@ class BigradedComplex:
         h = self.homology(g, d)
         return [CotorClass(g, d, c, index=k) for k, c in enumerate(h.reps)]
 
-    def unique_class(self, g: int, d: int, name: Optional[str] = None) -> CotorClass:
+    def unique_class(self, g: int, d: int) -> CotorClass:
         h = self.homology(g, d)
         if h.dim != 1:
             raise ValueError(f"({g},{d}) is {h.dim}-dimensional, not 1")
-        return CotorClass(g, d, h.reps[0], index=0, name=name)
+        return CotorClass(g, d, h.reps[0], index=0)
 
     # -- chain-level class queries (image-side only; avoid kernel work)
     def is_cycle(self, g: int, d: int, chain: int) -> bool:

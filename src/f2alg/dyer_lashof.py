@@ -523,10 +523,10 @@ def parse(text: str, gens: dict[str, Generator]) -> Poly:
     return _read(text, gens, literal=True)
 
 
-def eval_expr(text: str, gens: dict[str, Generator] = ALPHABET) -> Poly:
-    """Evaluate a class expression with nested operations, e.g.
-    Q[2](s*Q[1](s)); the result is fully Adem-normalized."""
-    return _read(text, gens, literal=False)
+def eval_expr(text: str) -> Poly:
+    """Evaluate a class expression over ``ALPHABET`` with nested
+    operations, e.g. Q[2](s*Q[1](s)); the result is fully Adem-normalized."""
+    return _read(text, ALPHABET, literal=False)
 
 
 def render_factor(f: Factor, power: int) -> str:

@@ -186,19 +186,13 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: Optional[list[int]] = None):
-        if basis is None:
-            basis = []
+    def __init__(self, ambient_dim: int, basis: list[int]):
         self.ambient_dim = ambient_dim
         self.basis = basis
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[int]) -> "Subspace":
         return cls(ambient_dim, _echelonize(list(vectors)))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [1 << i for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -269,9 +263,9 @@ class Echelon:
         """
         return _reduce(self.pivots, v, tag, True)
 
-    def reduce(self, v: int, tag: int = 0) -> tuple[int, int]:
-        """Reduce without inserting."""
-        return _reduce(self.pivots, v, tag, False)
+    def reduce(self, v: int) -> tuple[int, int]:
+        """Reduce v, tagged 0, without inserting; returns (residue, tag)."""
+        return _reduce(self.pivots, v, 0, False)
 
     def add_reps(self, vectors: Iterable[int]) -> list[int]:
         """Add each vector tagged with the next unused unit vector; return

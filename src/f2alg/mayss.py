@@ -1,7 +1,9 @@
 """Spectral sequence of the augmentation-power filtration on cobar complexes.
 
-Letters are filtered by their depth in powers of the augmentation ideal;
-a word gets filtration -(sum of letter depths), and fil_p is the span of
+The coalgebra is a truncated polynomial Hopf algebra (``PolyHopf``).
+Letters are filtered by their depth in powers of the augmentation ideal,
+which for a basis monomial is its number of generator factors; a word
+gets filtration -(sum of letter depths), and fil_p is the span of
 words of filtration <= p.  The differential never raises filtration, and
 the page E^r at (g, d, f) with s = g - d, p = f has
 
@@ -33,50 +35,16 @@ from typing import Callable, NamedTuple, Optional
 
 from .cobar import BigradedComplex, CobarComplex, ConeComplex, CotorClass
 from .f2linalg import Echelon, F2Matrix, Subspace, bits_of, row_pivots
-from .hopf import HopfAlgebra
+from .hopf import PolyHopf
 
 
-def augmentation_depths(h: HopfAlgebra) -> dict[tuple[int, int], int]:
+def augmentation_depths(h: PolyHopf) -> dict[tuple[int, int], int]:
     """depth(a) = max k with a in (positive-grading ideal)^k, per basis
-    element.  Requires every ideal power to be spanned by basis elements
-    (true for monomial bases), asserted exactly."""
-    bound = h.known_bound
-    # P[k][g] = subspace of grading g spanned by k-fold products
-    P: list[list[Subspace]] = []
-    first = [Subspace.full(h.dim(g)) if g >= 1 else Subspace(h.dim(g), [])
-             for g in range(bound + 1)]
-    P.append(first)
-    depth = {(g, i): 1 for g in range(1, bound + 1) for i in range(h.dim(g))}
-    k = 1
-    while True:
-        prev = P[-1]
-        nxt = []
-        nonzero = False
-        for g in range(bound + 1):
-            vecs = []
-            for g1 in range(1, g):
-                for i in range(h.dim(g1)):
-                    for v in prev[g - g1].basis:
-                        vecs.append(h.product(g1, 1 << i, g - g1, v))
-            sp = Subspace.span(h.dim(g), vecs)
-            nxt.append(sp)
-            if sp.dim:
-                nonzero = True
-        if not nonzero:
-            break
-        k += 1
-        P.append(nxt)
-        for g in range(1, bound + 1):
-            sp = nxt[g]
-            for v in sp.basis:
-                if v.bit_count() != 1:
-                    raise AssertionError(
-                        "augmentation-power filtration is not spanned by basis "
-                        f"elements in grading {g}"
-                    )
-            for v in sp.basis:
-                depth[(g, v.bit_length() - 1)] = k
-    return depth
+    monomial of positive grading.  In a truncated polynomial algebra I^k
+    is spanned by the monomials with at least k generator factors, so a
+    monomial's depth is its number of factors."""
+    return {(g, i): sum(m) for g in range(1, h.known_bound + 1)
+            for i, m in enumerate(h.monomials[g])}
 
 
 class Layer(NamedTuple):
@@ -227,7 +195,7 @@ class FilteredComplex:
         return F2Matrix(len(src_reps), len(tgt_reps), rows)
 
 
-def build_filtered(h: HopfAlgebra, g_max: int = 20, s_max: int = 20) -> FilteredComplex:
+def build_filtered(h: PolyHopf, g_max: int = 20, s_max: int = 20) -> FilteredComplex:
     base = CobarComplex(h, g_max, s_max)
     depth = augmentation_depths(h)
     letter_depth = [depth[gi] for gi in base.letters]

@@ -75,16 +75,16 @@ def cx(a1):
 
 @pytest.fixture(scope="session")
 def cone(cx):
-    return build_cone(cx, cx.unique_class(1, 0, "h10"))
+    return build_cone(cx, cx.unique_class(1, 0))
 
 
 @pytest.fixture(scope="session")
 def named(cx):
     return {
-        "h10": cx.unique_class(1, 0, "h10"),
-        "h11": cx.unique_class(2, 1, "h11"),
-        "y74": cx.unique_class(7, 4, "y74"),
-        "y128": cx.unique_class(12, 8, "y128"),
+        "h10": cx.unique_class(1, 0),
+        "h11": cx.unique_class(2, 1),
+        "y74": cx.unique_class(7, 4),
+        "y128": cx.unique_class(12, 8),
     }
 
 
@@ -168,8 +168,8 @@ def test_criterion_04_lightning_flash(cx, cone, named):
         for d in range(0, 5):
             want = 1 if (g, d) in FLASH else 0
             assert cone.homology_dim(g, d) == want, (g, d)
-    z00 = cone.unique_class(0, 0, "z00")
-    z32 = cone.unique_class(3, 2, "z32")
+    z00 = cone.unique_class(0, 0)
+    z32 = cone.unique_class(3, 2)
     g1, d1, c1 = cone.module_action(named["h10"], 3, 2, z32.chain)
     h11sq = cx.cotor_product(named["h11"], named["h11"])
     g2, d2, c2 = cone.module_action(h11sq, 0, 0, z00.chain)
@@ -415,7 +415,7 @@ def test_criterion_12_families(cone, named):
         want = "nonzero" if int(cols[1]) <= 1 else "unverified (outside window)"
         assert cols[6] == want, line
 
-    z00 = cone.unique_class(0, 0, "z00")
+    z00 = cone.unique_class(0, 0)
     g, d, c = cone.module_action(named["y128"], 0, 0, z00.chain)
     assert (g, d) == (12, 8) and cone.class_nonzero(g, d, c)
     print("PASS criterion 12: family bidegrees match for i<=3 and every "

@@ -177,6 +177,34 @@ def test_grouphom_empty_name_is_not_a_path(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["delta", "--cells", ""],
+    ["delta", "--cells", "."],
+    ["delta", "--cells", "src"],
+    ["delta", "--cells", "nosuch"],
+    ["cellss", "--decls", ""],
+    ["cellss", "--decls", "."],
+    ["cellss", "--decls", "nosuch"],
+])
+def test_file_arguments_that_are_not_files(argv, capsys, monkeypatch):
+    # "" and "." are the current directory and "src" a directory of the
+    # repository root; none is a file, so none may be opened
+    monkeypatch.chdir(ROOT)
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "Errno" not in err[0] and repr(argv[2]) in err[0]
+    if argv[0] == "cellss":
+        assert "--decls" in err[0]
+
+
+def test_wbasis_refuses_a_repeated_generator(capsys):
+    # s,s would list s^2 once per split between the two copies of s
+    assert run(["wbasis", "--gens", "s,s", "--g", "2", "--d", "0"]) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--gens" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
     ["cotor", "--gmax", "-1"],
     ["families", "--max-i", "-3"],
     ["cone", "--dmax", "-2"],

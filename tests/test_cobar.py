@@ -38,7 +38,7 @@ def cx(a1):
 
 @pytest.fixture(scope="module")
 def cone(cx):
-    return build_cone(cx, cx.unique_class(1, 0, "h10"))
+    return build_cone(cx, cx.unique_class(1, 0))
 
 
 # ---------------------------------------------------------------- oracle
@@ -123,7 +123,7 @@ def test_cone_rank_d_matches_matrix_rank(a1):
     cones = []
     for _ in range(2):
         base = build_cobar(a1, g_max=8)
-        cones.append(build_cone(base, base.unique_class(1, 0, "h10")))
+        cones.append(build_cone(base, base.unique_class(1, 0)))
     _assert_streamed_ranks(cones[0], cones[1], 8)
 
 
@@ -162,10 +162,10 @@ def test_representatives_are_cycles_off_boundaries(cx):
 @pytest.fixture(scope="module")
 def named(cx):
     return {
-        "h10": cx.unique_class(1, 0, "h10"),
-        "h11": cx.unique_class(2, 1, "h11"),
-        "y74": cx.unique_class(7, 4, "y74"),
-        "y128": cx.unique_class(12, 8, "y128"),
+        "h10": cx.unique_class(1, 0),
+        "h11": cx.unique_class(2, 1),
+        "y74": cx.unique_class(7, 4),
+        "y128": cx.unique_class(12, 8),
     }
 
 
@@ -235,8 +235,8 @@ def test_cone_d_squared_zero_window(cone):
 
 
 def test_hidden_extension(cx, cone, named):
-    z00 = cone.unique_class(0, 0, "z00")
-    z32 = cone.unique_class(3, 2, "z32")
+    z00 = cone.unique_class(0, 0)
+    z32 = cone.unique_class(3, 2)
     g1, d1, c1 = cone.module_action(named["h10"], 3, 2, z32.chain)
     h11sq = cx.cotor_product(named["h11"], named["h11"])
     g2, d2, c2 = cone.module_action(h11sq, 0, 0, z00.chain)

@@ -9,7 +9,7 @@ the rank-profile formula.
 import pytest
 
 from f2alg.f2linalg import F2Matrix, bits_of
-from f2alg.hopf import build_a1_star
+from f2alg.hopf import build_a1_star, build_delta_cgl
 from f2alg.mayss import (
     augmentation_depths,
     build_filtered,
@@ -38,6 +38,28 @@ def test_depths(a1):
         "x1": 1, "x1^2": 2, "x1^3": 3,
         "x2": 1, "x1*x2": 2, "x1^2*x2": 3, "x1^3*x2": 4,
     }
+
+
+@pytest.mark.parametrize("build", [build_a1_star, build_delta_cgl])
+def test_depths_match_ideal_powers(build):
+    # oracle: I^k in grading g is spanned by the basis elements hit by
+    # products of k basis elements of positive grading (monomial bases),
+    # built through h.product alone
+    h = build()
+    bound = h.known_bound
+    power = {(g, i) for g in range(1, bound + 1) for i in range(h.dim(g))}  # I^1
+    want, k = {}, 1
+    while power:
+        want.update((gi, k) for gi in power)
+        nxt = set()
+        for g1 in range(1, bound + 1):
+            for i in range(h.dim(g1)):
+                for g2, j in power:
+                    if g1 + g2 <= bound:
+                        v = h.product(g1, 1 << i, g2, 1 << j)
+                        nxt.update((g1 + g2, b) for b in bits_of(v))
+        power, k = nxt, k + 1
+    assert augmentation_depths(h) == want
 
 
 def test_word_filtrations(fc, a1):
