@@ -5,13 +5,16 @@ values; the enumeration is cross-checked against a brute-force
 generate-then-filter oracle that shares no code with free_basis.
 """
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from f2alg.cellfilt import (
     TABLE_12_8,
     TABLE_13_8,
+    DeclaredDifferential,
     build_chart,
     chart_reconciliation,
     e1_basis_mod_sigma,
@@ -25,6 +28,7 @@ from f2alg.cellfilt import (
     q1_divisibility,
     reading_report,
     slope_filter,
+    table_monomials,
     tri,
     validate_declarations,
 )
@@ -33,6 +37,7 @@ from f2alg.dyer_lashof import (
     SIGMA,
     factor_bidegree,
     is_normal,
+    mono_bidegree,
     mono_mul,
     mono_sorted,
     render_mono,
@@ -249,6 +254,86 @@ def test_reading_report(decls):
     per = rep["spots"][(12, 8, -4)]
     assert per["rule"] == per["table"] == ["Q[1](s)^2*Q[2,1](s)^2", "b^4"]
     assert rep["spots"][(13, 8, -5)] == {"rule": [], "table": []}
+
+
+def _reference_report(spots, decls):
+    """The reading report as a plain rerun: the survivor analysis done
+    once with the rule filtrations and again with the recorded (12, 8)
+    values, each declared tag rebalanced to the reading in use."""
+    recorded = {m: listed for _, m, listed in table_monomials(TABLE_12_8)}
+    readings = {"rule": filtration,
+                "table": lambda m: recorded.get(m, filtration(m))}
+    basis = functools.cache(e1_basis_mod_sigma)
+    out = {}
+    for g, d, f in spots:
+        per = {}
+        for label, fil in readings.items():
+            dead = {}  # m -> (threshold, page)
+            for decl in sorted(decls, key=lambda dd: dd.r):
+                sg, sd = mono_bidegree(decl.source)
+                j = decl.j + filtration(decl.source) - fil(decl.source)
+                k = decl.k + filtration(decl.target) - fil(decl.target)
+                if (mono_bidegree(decl.target) != (sg, sd - 1) or j < 0 or k < 0
+                        or fil(decl.source) + j != fil(decl.target) + k):
+                    raise ValueError(decl.describe())
+                prior = dead.get(decl.source)
+                if prior is not None and prior[1] < decl.r and prior[0] <= j:
+                    raise ValueError(decl.describe())
+                for m, tag in ((decl.source, j), (decl.target, k)):
+                    if m not in dead or tag < dead[m][0]:
+                        dead[m] = (tag, decl.r)
+            per[label] = sorted(
+                render_mono(t.m) for t in basis(g, d)
+                if f - fil(t.m) >= 0
+                and not (t.m in dead and f - fil(t.m) >= dead[t.m][0])
+            )
+        out[(g, d, f)] = per
+    return {
+        "discrepancies": filtration_discrepancies(TABLE_12_8),
+        "spots": out,
+        "agree": all(per["rule"] == per["table"] for per in out.values()),
+    }
+
+
+CHI2 = tri("q[1](s)^2*b^2*q[2](s)").m
+SOURCES = [CHI2] + [t.m for gd in [(12, 8), (12, 9), (13, 8), (13, 9)]
+                    for t in enumerate_mod_sigma(*gd)]
+
+
+@st.composite
+def balanced_declaration(draw):
+    """A declaration with its target one degree below its source and
+    tags balanced under the rule: f(source) + j = f(target) + k."""
+    src = draw(st.one_of(st.just(CHI2), st.sampled_from(SOURCES)))
+    sg, sd = mono_bidegree(src)
+    tgt = draw(st.sampled_from([t.m for t in enumerate_mod_sigma(sg, sd - 1)]))
+    j = max(0, filtration(tgt) - filtration(src)) + draw(st.integers(0, 6))
+    k = filtration(src) + j - filtration(tgt)
+    return DeclaredDifferential(draw(st.sampled_from([2, 4])), src, j, tgt, k)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.lists(balanced_declaration(), max_size=4),
+    st.lists(st.tuples(st.sampled_from([12, 13]), st.just(8), st.integers(-14, 1)),
+             min_size=1, max_size=2),
+)
+# the readings disagree: chi2 sits at tag 1 under the rule, off the table chart
+@example([], [(12, 8, -7)])
+# valid under the rule, a negative tag on chi2 under the recorded filtration
+@example(parse_declarations("d2 q[1](s)^2*b^2*q[2](s) -> tau^4 q[1](s)^5*q[2](s)"),
+         [(12, 8, -4)])
+# the same with chi2 as the target
+@example(parse_declarations("d4 b^2*q[1](s)*q[2](s)^2 -> q[1](s)^2*b^2*q[2](s)"),
+         [(12, 8, -4)])
+def test_reading_report_matches_rerun(decls, spots):
+    try:
+        want = _reference_report(spots, decls)
+    except ValueError:
+        with pytest.raises(ValueError):
+            reading_report(spots, decls)
+        return
+    assert reading_report(spots, decls) == want
 
 
 def test_filtration_discrepancies_clean_table():
