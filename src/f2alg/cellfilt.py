@@ -20,9 +20,10 @@ as strong as the declared list.
 The recorded chart tables this module reproduces have two anomalies,
 both surfaced rather than silently resolved.  One monomial carries a
 recorded filtration that disagrees with the doubling rule;
-``reading_report`` reruns the survivor analysis under both values and
-shows the outcome does not depend on the choice.  And one normal
-monomial of the (12, 8) enumeration is absent from the recorded chart
+``reading_report`` lists the survivors under both values.  A reading
+moves only which classes sit at a spot and whether a declared tag stays
+nonnegative, so the report shows whether the choice matters.  And one
+normal monomial of the (12, 8) enumeration is absent from the recorded chart
 (its slope-based case analysis closes a branch too early); it is kept
 out of the working chart via an explicit exclusion record so that
 survivor conclusions are exactly those of the recorded chart, and
@@ -34,7 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from importlib import resources
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .dyer_lashof import (
     BETA,
@@ -51,13 +52,9 @@ from .dyer_lashof import (
 
 GENS = {"s": SIGMA, "b": BETA}
 
-Overrides = dict  # Monomial -> int, replacing the rule filtration
 
-
-def filtration(m: Monomial, overrides: Optional[Overrides] = None) -> int:
+def filtration(m: Monomial) -> int:
     """Multiplicative filtration of a monomial by the doubling rule."""
-    if overrides and m in overrides:
-        return overrides[m]
     return -sum(1 << len(seq) for _, seq in m)
 
 
@@ -221,23 +218,7 @@ def load_declarations() -> list[DeclaredDifferential]:
     return parse_declarations(text)
 
 
-def _effective_tags(
-    decl: DeclaredDifferential, overrides: Optional[Overrides]
-) -> tuple[int, int]:
-    """Tau powers rebalanced to the given filtration reading.
-
-    The file tags are balanced against rule filtrations; replacing the
-    filtration of an overridden monomial shifts its tag by the same
-    amount so the source and target keep equal tagged filtrations.
-    """
-    j = decl.j + filtration(decl.source) - filtration(decl.source, overrides)
-    k = decl.k + filtration(decl.target) - filtration(decl.target, overrides)
-    return j, k
-
-
-def validate_declarations(
-    decls: list[DeclaredDifferential], overrides: Optional[Overrides] = None
-) -> None:
+def validate_declarations(decls: list[DeclaredDifferential]) -> None:
     """Bidegree and tag bookkeeping: target one homological degree below
     the source, nonnegative tau powers, and equal tagged filtrations
     f(source) + j = f(target) + k (a d^r drops filtration by r and the
@@ -247,11 +228,10 @@ def validate_declarations(
         tg, td = mono_bidegree(decl.target)
         if (tg, td) != (sg, sd - 1):
             raise ValueError(f"bad target bidegree in {decl.describe()}")
-        j, k = _effective_tags(decl, overrides)
-        if j < 0 or k < 0:
+        if decl.j < 0 or decl.k < 0:
             raise ValueError(f"negative tau power in {decl.describe()}")
-        fs = filtration(decl.source, overrides) + j
-        ft = filtration(decl.target, overrides) + k
+        fs = filtration(decl.source) + decl.j
+        ft = filtration(decl.target) + decl.k
         if fs != ft:
             raise ValueError(
                 f"unbalanced tagged filtrations {fs} vs {ft} in {decl.describe()}"
@@ -281,22 +261,19 @@ class BocksteinChart(NamedTuple):
     d: int
     f: int
     entries: tuple
-    overrides: Optional[Overrides]
     status: dict  # TaggedClass -> (status, killed_by)
 
     def survivors(self) -> list[TaggedClass]:
         return [c for c in self.entries if self.status.get(c, ("survives",))[0] == "survives"]
 
 
-def build_chart(
-    g: int, d: int, f: int, overrides: Optional[Overrides] = None
-) -> BocksteinChart:
+def build_chart(g: int, d: int, f: int) -> BocksteinChart:
     entries = []
     for t in e1_basis_mod_sigma(g, d):
-        j = f - filtration(t.m, overrides)
+        j = f - t.f
         if j >= 0:
             entries.append(TaggedClass(g, d, f, -j, t.m))
-    return BocksteinChart(g, d, f, tuple(entries), overrides, {})
+    return BocksteinChart(g, d, f, tuple(entries), {})
 
 
 def propagate(
@@ -309,7 +286,7 @@ def propagate(
     the declared tag up.  A declaration whose source tower was already
     dead on an earlier page is an error; everything untouched survives.
     """
-    validate_declarations(decls, chart.overrides)
+    validate_declarations(decls)
     dead: dict[Monomial, tuple[int, int, str]] = {}  # m -> (threshold, page, by)
 
     def kill(m: Monomial, threshold: int, r: int, by: str) -> None:
@@ -318,15 +295,14 @@ def propagate(
             dead[m] = (threshold, r, by)
 
     for decl in sorted(decls, key=lambda dd: dd.r):
-        j, k = _effective_tags(decl, chart.overrides)
         prior = dead.get(decl.source)
-        if prior is not None and prior[1] < decl.r and prior[0] <= j:
+        if prior is not None and prior[1] < decl.r and prior[0] <= decl.j:
             raise ValueError(
                 f"source of {decl.describe()} already killed on page "
                 f"{prior[1]} by {prior[2]}"
             )
-        kill(decl.source, j, decl.r, f"source of {decl.describe()}")
-        kill(decl.target, k, decl.r, f"target of {decl.describe()}")
+        kill(decl.source, decl.j, decl.r, f"source of {decl.describe()}")
+        kill(decl.target, decl.k, decl.r, f"target of {decl.describe()}")
 
     status = {}
     for c in chart.entries:
@@ -415,26 +391,33 @@ def chart_reconciliation(g: int, d: int, table) -> dict:
 def reading_report(
     spots: list[tuple[int, int, int]], decls: list[DeclaredDifferential]
 ) -> dict:
-    """Survivor analysis under the rule filtrations and again under the
+    """Survivor analysis under the rule filtrations and under the
     recorded (12, 8) table values, for each (g, d, f) spot.
 
     Returns per-reading survivor label lists and whether they agree, so
-    the unresolved filtration of the flagged row is demonstrably
-    immaterial to the survivor sets.
+    the report shows whether the unresolved filtration of the flagged
+    row matters to the survivor sets.
     """
-    overrides: Overrides = {}
-    for name, m, listed in table_monomials(TABLE_12_8):
-        if filtration(m) != listed:
-            overrides[m] = listed
-    readings = {"rule": None, "table": overrides}
+    # Reading m's filtration as recorded moves its tau tag, at the spot
+    # and in every declaration alike, by shift[m] = rule - recorded.  So
+    # the kill thresholds, the earlier-page check and the balance check
+    # answer as under the rule: only which classes sit at the spot
+    # (tag >= 0) and whether a declared tag stays >= 0 change.
+    shift = {m: filtration(m) - listed
+             for _, m, listed in table_monomials(TABLE_12_8) if filtration(m) != listed}
     out = {"discrepancies": filtration_discrepancies(TABLE_12_8), "spots": {}}
     agree = True
-    for spot in spots:
-        per = {}
-        for label, ov in readings.items():
-            chart = propagate(build_chart(*spot, overrides=ov), decls)
-            per[label] = sorted(render_mono(c.m) for c in chart.survivors())
-        out["spots"][spot] = per
+    for g, d, f in spots:
+        chart = propagate(build_chart(g, d, f), decls)
+        for decl in decls:
+            if min(decl.j + shift.get(decl.source, 0), decl.k + shift.get(decl.target, 0)) < 0:
+                raise ValueError(
+                    f"negative tau power under recorded filtrations in {decl.describe()}")
+        killed = {c.m for c in chart.entries if chart.status[c][0] == "killed"}
+        per = {"rule": sorted(render_mono(c.m) for c in chart.survivors()),
+               "table": sorted(render_mono(t.m) for t in e1_basis_mod_sigma(g, d)
+                               if f - t.f + shift.get(t.m, 0) >= 0 and t.m not in killed)}
+        out["spots"][(g, d, f)] = per
         agree = agree and per["rule"] == per["table"]
     out["agree"] = agree
     return out

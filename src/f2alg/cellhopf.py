@@ -173,7 +173,8 @@ class DeltaPresentation(NamedTuple):
 
 def delta_of_cells(spec: CellSpec, bound: int) -> DeltaPresentation:
     """Process the cells in order and assemble the resulting polynomial
-    Hopf algebra up to the grading bound (Hopf axioms asserted)."""
+    Hopf algebra up to the grading bound (Hopf axioms asserted); only the
+    generators within the bound are listed."""
     gens: list[tuple[str, int]] = []
     # reduced coproducts as lists of (left, right) exponent dicts by name
     reduced: dict[str, list] = {}
@@ -311,7 +312,8 @@ def delta_of_cells(spec: CellSpec, bound: int) -> DeltaPresentation:
         truncated=True,
     )
     h.assert_axioms()
-    return DeltaPresentation(h, tuple(gens), tuple(flags), tuple(log))
+    within = tuple(gn for gn in gens if gn[1] <= bound)
+    return DeltaPresentation(h, within, tuple(flags), tuple(log))
 
 
 # ---------------------------------------------------------------- slope transfer

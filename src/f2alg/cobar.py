@@ -26,7 +26,7 @@ import itertools
 from typing import NamedTuple, Optional
 
 from .f2linalg import Echelon, F2Matrix, bits_of, row_rank
-from .hopf import CoalgebraMap, HopfAlgebra
+from .hopf import CoalgebraMap, HopfAlgebra, check_hopf_map
 
 # symbolic d*d verification is skipped above this many words in a bidegree;
 # coassociativity of the coalgebra (asserted at construction) implies d*d = 0
@@ -412,8 +412,6 @@ class CobarMap:
     """Chain map of cobar complexes induced letterwise by a coalgebra map."""
 
     def __init__(self, f: CoalgebraMap, source: CobarComplex, target: CobarComplex):
-        from .hopf import check_hopf_map
-
         if not all(ok for _, ok, _ in check_hopf_map(f)):
             raise ValueError("inducing map fails the coalgebra-map check")
         self.f = f

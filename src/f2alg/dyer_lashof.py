@@ -34,6 +34,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
+from .f2linalg import Echelon
+
 
 class Generator(NamedTuple):
     name: str
@@ -341,8 +343,6 @@ def ideal_quotient_dims(
     def to_poly(v: int, bd) -> Poly:
         b = bases[bd]
         return frozenset(b[i] for i in range(v.bit_length()) if v >> i & 1)
-
-    from .f2linalg import Echelon
 
     ech: dict[tuple[int, int], Echelon] = {bd: Echelon() for bd in bases}
     work: list[tuple[tuple[int, int], int]] = []

@@ -378,20 +378,20 @@ def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):
 
 
 def induced_map(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d: int) -> F2Matrix:
-    """Matrix of H_d(source) -> H_d(target): column j gives the image of
-    the j-th source homology basis vector in target coordinates."""
+    """Matrix of H_d(source) -> H_d(target): row i is the image of the
+    i-th source homology basis vector in target coordinates."""
     src, tgt = TensoredComplex(r_src), TensoredComplex(r_tgt)
     if not 0 <= d < min(src.top, tgt.top):
         raise ValueError(f"H_{d} needs resolutions built beyond degree {d}")
     lifts = chain_lift(hom, r_src, r_tgt, d)
     reps = src.homology(src.top, d).reps
-    cols = []
+    images = []
     for v in reps:
         w = 0
         for k in bits_of(v):
             w ^= _collapse(hom.target, lifts[d][k], r_tgt.ranks[d])
-        cols.append(tgt.coords(tgt.top, d, w))
-    return F2Matrix(len(reps), tgt.homology_dim(tgt.top, d), cols).transpose()
+        images.append(tgt.coords(tgt.top, d, w))
+    return F2Matrix(len(reps), tgt.homology_dim(tgt.top, d), images)
 
 
 # ---------------------------------------------------------------- oracles

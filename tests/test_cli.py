@@ -96,11 +96,27 @@ def test_delta_json_roundtrip():
     assert doc["hopf"]["max_grading"] == 3
 
 
+@pytest.mark.parametrize("bound, gens", [(0, []), (2, [["sb", 1]])])
+def test_delta_lists_only_generators_within_the_bound(bound, gens):
+    code, out = run(["delta", "--cells", "x1.cells", "--bound", str(bound)])
+    assert code == 0
+    assert json.loads(out)["generators"] == gens
+
+
 def test_cellss_notes_are_surfaced():
     code, out = run(["cellss"])
     assert code == 0
     assert "# enumerated but not charted at (12,8): b^2*Q[1](s)*Q[2,1](s)" in out
     assert "# survivors agree under both filtration readings: yes" in out
+
+
+def test_cellss_reports_a_disagreement(capsys):
+    # at f = -7 chi2 has tag 1 under the rule (-8) and none under the
+    # recorded -6, so the readings differ: an answer, not a fault
+    code, out = run(["cellss", "--spots", "12,8,-7"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert "# survivors agree under both filtration readings: NO" in out
+    assert "12\t8\t-7\t-1\ttau^1*b^2*Q[1](s)^2*Q[2](s)\tsurvives\t" in out.splitlines()
 
 
 def test_json_format_is_canonical():
