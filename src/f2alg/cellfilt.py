@@ -389,10 +389,11 @@ def chart_reconciliation(g: int, d: int, table) -> dict:
 
 
 def reading_report(
-    spots: list[tuple[int, int, int]], decls: list[DeclaredDifferential]
+    charts: list[BocksteinChart], decls: list[DeclaredDifferential]
 ) -> dict:
     """Survivor analysis under the rule filtrations and under the
-    recorded (12, 8) table values, for each (g, d, f) spot.
+    recorded (12, 8) table values, for each chart built at its (g, d, f)
+    spot and propagated with decls.
 
     Returns per-reading survivor label lists and whether they agree, so
     the report shows whether the unresolved filtration of the flagged
@@ -402,22 +403,20 @@ def reading_report(
     # and in every declaration alike, by shift[m] = rule - recorded.  So
     # the kill thresholds, the earlier-page check and the balance check
     # answer as under the rule: only which classes sit at the spot
-    # (tag >= 0) and whether a declared tag stays >= 0 change.
+    # (tag >= 0) and whether a declared tag stays >= 0 change.  The one
+    # recorded value that disagrees lies above the rule (shift < 0), so
+    # the table reading only drops classes from the rule chart.
     shift = {m: filtration(m) - listed
              for _, m, listed in table_monomials(TABLE_12_8) if filtration(m) != listed}
+    for decl in decls:
+        if min(decl.j + shift.get(decl.source, 0), decl.k + shift.get(decl.target, 0)) < 0:
+            raise ValueError(
+                f"negative tau power under recorded filtrations in {decl.describe()}")
     out = {"discrepancies": filtration_discrepancies(TABLE_12_8), "spots": {}}
-    agree = True
-    for g, d, f in spots:
-        chart = propagate(build_chart(g, d, f), decls)
-        for decl in decls:
-            if min(decl.j + shift.get(decl.source, 0), decl.k + shift.get(decl.target, 0)) < 0:
-                raise ValueError(
-                    f"negative tau power under recorded filtrations in {decl.describe()}")
-        killed = {c.m for c in chart.entries if chart.status[c][0] == "killed"}
-        per = {"rule": sorted(render_mono(c.m) for c in chart.survivors()),
-               "table": sorted(render_mono(t.m) for t in e1_basis_mod_sigma(g, d)
-                               if f - t.f + shift.get(t.m, 0) >= 0 and t.m not in killed)}
-        out["spots"][(g, d, f)] = per
-        agree = agree and per["rule"] == per["table"]
-    out["agree"] = agree
+    for chart in charts:
+        alive = chart.survivors()
+        out["spots"][(chart.g, chart.d, chart.f)] = {
+            "rule": sorted(render_mono(c.m) for c in alive),
+            "table": sorted(render_mono(c.m) for c in alive if c.j + shift.get(c.m, 0) >= 0)}
+    out["agree"] = all(per["rule"] == per["table"] for per in out["spots"].values())
     return out

@@ -22,6 +22,7 @@ from . import cellfilt, cellhopf, dyer_lashof as dl, grouphom, mayss
 from .cobar import WindowError, build_cobar, build_cone, chart_rows, ring_chart_names
 from .dyer_lashof import ALPHABET, eval_expr
 from .hopf import build_a1_star, build_delta_cgl
+from .minres import MinimalResolution
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -38,13 +39,17 @@ STABILITY_RELATIONS = ("s*Q[1](s)", "s*Q[3](s)", "s^2*Q[2](s)", "s*n1", "s*n2")
 # in-window bidegree is (19, 12))
 FAMILY_WINDOW = (19, 12)
 
-# desk-scale ceiling for cobar-backed charts
+# desk-scale ceilings (2 vCPUs, Python 3.11): a cellss spot's free basis
+# takes 4.8 s at (g, d) = (20, 20), over 80 s at (24, 24) or (20, 40);
+# delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26
 MAX_CHART_G = 20
+MAX_SPOT_GD = 20
+MAX_DELTA_BOUND = 20
 
 
-def _check_chart_budget(gmax: int) -> None:
-    if gmax > MAX_CHART_G:
-        raise WindowError(f"chart window g <= {MAX_CHART_G}, requested {gmax}")
+def _check_budget(what: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise WindowError(f"{what} <= {ceiling}, requested {value}")
 
 
 # ---------------------------------------------------------------- output plumbing
@@ -84,22 +89,24 @@ def _algebra(name: str):
 
 
 def cmd_cotor(args) -> str:
-    _check_chart_budget(args.gmax)
-    h = _algebra(args.algebra)
-    cx = build_cobar(h, g_max=max(args.gmax, 1), s_max=max(args.gmax, 1))
+    _check_budget("chart window g", args.gmax, MAX_CHART_G)
+    res = MinimalResolution(_algebra(args.algebra).dualize(), 0, args.gmax)
     names = ring_chart_names(args.gmax, args.dmax) if args.algebra == "a1" else None
-    rows = chart_rows(cx, args.gmax, args.dmax, names)
+    rows = chart_rows(res, args.gmax, args.dmax, names)
     return _table(args, "chart", ["g", "d", "dim", "class_names"], rows)
 
 
 def cmd_cone(args) -> str:
-    _check_chart_budget(args.gmax)
-    cx = build_cobar(build_a1_star(), g_max=max(args.gmax, 6), s_max=max(args.gmax, 6))
-    h10 = cx.unique_class(1, 0)
-    cone = build_cone(cx, h10)
-    rows = chart_rows(cone, args.gmax, args.dmax)
+    # Ext over A(1) of its two-cell module is the homology of the h10 cone;
+    # the module action is checked on the cobar cone, whose classes sit in g <= 4
+    _check_budget("chart window g", args.gmax, MAX_CHART_G)
+    a1 = build_a1_star()
+    rows = chart_rows(MinimalResolution(a1.dualize(), 1, args.gmax), args.gmax, args.dmax)
     comments = []
     if args.gmax >= 4 and args.dmax >= 3:
+        cx = build_cobar(a1, g_max=4, s_max=4)
+        h10 = cx.unique_class(1, 0)
+        cone = build_cone(cx, h10)
         z00 = cone.unique_class(0, 0)
         z32 = cone.unique_class(3, 2)
         h11 = cx.unique_class(2, 1)
@@ -114,7 +121,7 @@ def cmd_cone(args) -> str:
 
 
 def cmd_may(args) -> str:
-    _check_chart_budget(args.gmax)
+    _check_budget("chart window g", args.gmax, MAX_CHART_G)
     fc = mayss.build_filtered(build_a1_star(), g_max=args.gmax, s_max=args.gmax)
     if args.cone:
         fc = mayss.filtered_cone(fc, fc.complex.unique_class(1, 0))
@@ -170,6 +177,8 @@ def cmd_cellss(args) -> str:
     else:
         raise ValueError(f"--decls: not a file: {args.decls!r}")
     spots = _parse_spots(args.spots)
+    for g, d, _ in spots:
+        _check_budget("spot g and d", max(g, d), MAX_SPOT_GD)
     charts = [
         cellfilt.propagate(cellfilt.build_chart(g, d, f), decls) for g, d, f in spots
     ]
@@ -179,7 +188,7 @@ def cmd_cellss(args) -> str:
         comments.append(f"enumerated but not charted at (12,8): {m}")
     for m in rec["recorded_only"]:
         comments.append(f"charted but not enumerated at (12,8): {m}")
-    rep = cellfilt.reading_report(spots, decls)
+    rep = cellfilt.reading_report(charts, decls)
     for name, expr, listed, computed in rep["discrepancies"]:
         comments.append(
             f"filtration discrepancy {name}: {expr} recorded {listed} rule {computed}"
@@ -194,6 +203,7 @@ def cmd_cellss(args) -> str:
 
 
 def cmd_delta(args) -> str:
+    _check_budget("delta bound", args.bound, MAX_DELTA_BOUND)
     path = Path(args.cells)
     spec = (cellhopf.parse_cells(path.read_text()) if path.is_file()
             else cellhopf.load_cells(args.cells))

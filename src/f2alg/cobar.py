@@ -8,10 +8,11 @@ included, and a boundary row is the XOR of the terms' index bits, so
 terms of even multiplicity cancel there.  Homology in cohomological
 degree s at grading g is Cotor, reindexed by (g, d) with d = g - s.
 
-Everything is computed lazily per bidegree and cached.  Full homology
-(kernel mod image with representatives) is only materialized where asked;
-dimension-only queries stream boundary rows through an online elimination
-without storing matrices, which is what makes large-grading charts cheap.
+This is the chain-level model, for products, module actions, induced
+maps and ``mayss``; the charts come from the far smaller resolutions of
+``minres``.  Everything is computed lazily per bidegree and cached: full
+homology (kernel mod image with representatives) only where asked, and
+dimension-only queries stream boundary rows without storing matrices.
 Every elimination here runs through the top-bit reduction of
 ``f2linalg`` and no output depends on its pivot order: ranks and boundary
 membership are invariants of spans, homology coordinates are tags over
@@ -450,15 +451,13 @@ def induced_map(f: CoalgebraMap, source: CobarComplex, target: CobarComplex) -> 
 
 # ---------------------------------------------------------------- chart rows
 
-def chart_rows(c: BigradedComplex, g_max: int, d_max: int,
+def chart_rows(c, g_max: int, d_max: int,
                names: Optional[dict] = None) -> list[tuple[int, int, int, str]]:
-    out = []
-    for g in range(g_max + 1):
-        for d in range(d_max + 1):
-            dim = c.homology_dim(g, d)
-            label = ",".join((names or {}).get((g, d), [])) if names else ""
-            out.append((g, d, dim, label))
-    return out
+    """(g, d, dim, class names) per spot of a chart model c, a
+    ``BigradedComplex`` or a ``minres.MinimalResolution``."""
+    names = names or {}
+    return [(g, d, c.homology_dim(g, d), ",".join(names.get((g, d), [])))
+            for g in range(g_max + 1) for d in range(d_max + 1)]
 
 
 # ---------------------------------------------------------------- known chart names

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .cobar import BigradedComplex, WindowError
 from .f2linalg import Echelon, F2Matrix, bits_of
+from .minres import complement
 
 MAX_ORDER = 1000
 MAX_DEGREE = 6
@@ -244,20 +245,10 @@ def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Reso
     for d in range(1, d_max + 1):
         prev = boundaries[-1]
         kernel = prev.left_kernel()
-        basis = list(kernel.basis)
-        if reverse_ties:
-            basis.reverse()
-        span = Echelon()
-        rows: list[int] = []  # the n translates of each new generator
-        for v in basis:
-            if span.rank == kernel.dim:
-                break
-            if span.reduce(v)[0] == 0:
-                continue
-            translates = [_act(group, e, v) for e in range(n)]
-            for t in translates:
-                span.add(t)
-            rows.extend(translates)
+        basis = kernel.basis[::-1] if reverse_ties else kernel.basis
+        # the n translates of each new generator
+        rows = complement(Echelon(), basis, kernel.dim,
+                          lambda v: [_act(group, e, v) for e in range(n)])
         ranks.append(len(rows) // n)
         boundaries.append(F2Matrix(len(rows), prev.rows, rows))
     return Resolution(group, tuple(ranks), tuple(boundaries))

@@ -56,6 +56,7 @@ from f2alg.hopf import (
     dualize,
 )
 from f2alg.mayss import build_filtered, einfty_report, page
+from f2alg.minres import MinimalResolution
 
 FLASH = {(0, 0), (2, 1), (4, 2), (3, 2), (5, 3), (7, 4)}
 
@@ -131,6 +132,15 @@ def test_criterion_01_cotor_chart(cx):
           f"four-generator ring oracle ({elapsed:.1f}s)")
 
 
+def test_criterion_01_resolution_matches_cobar(cx):
+    """The chart the cotor command prints, from a minimal resolution,
+    against the cobar chart of criterion 1 (cached ranks, no rebuild)."""
+    res = MinimalResolution(cx.h.dualize(), 0, 17)
+    for g in range(18):
+        for d in range(11):
+            assert res.homology_dim(g, d) == cx.homology_dim(g, d), (g, d)
+
+
 # ---------------------------------------------------------------- 2: relations
 
 def test_criterion_02_ring_relations(cx, named):
@@ -186,6 +196,15 @@ def test_criterion_04_lightning_flash(cx, cone, named):
                 assert cone.homology_dim(g + 12, d + 8) == 0, (g + 12, d + 8)
     print("PASS criterion  4: cone flash pattern exact in g<=7 d<=4, "
           "hidden extension h10.z32 = h11^2.z00 != 0, 12-shifted flash present")
+
+
+def test_criterion_04_resolution_matches_cone(cone):
+    """The two-cell module's Ext, as the cone command prints it, against
+    the homology of the cobar cone on h10."""
+    res = MinimalResolution(cone.base.h.dualize(), 1, 8)
+    for g in range(9):
+        for d in range(g + 2):
+            assert res.homology_dim(g, d) == cone.homology_dim(g, d), (g, d)
 
 
 # ---------------------------------------------------------------- 5: spectral sequence
@@ -314,8 +333,9 @@ def test_criterion_09_survivor_tables():
         "b^4",
         "tau^8*Q[1](s)^2*Q[2,1](s)^2",
     ]
-    assert propagate(build_chart(13, 8, -5), decls).survivors() == []
-    rep = reading_report([(12, 8, -4), (13, 8, -5)], decls)
+    chart_13_8 = propagate(build_chart(13, 8, -5), decls)
+    assert chart_13_8.survivors() == []
+    rep = reading_report([chart, chart_13_8], decls)
     assert rep["agree"]
     assert rep["discrepancies"] == [("chi2", "b^2*Q[1](s)^2*Q[2](s)", -6, -8)]
     print("PASS criterion  9: tri-graded tables at (12,8) and (13,8) match, "

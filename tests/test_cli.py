@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from f2alg import cellfilt
 from f2alg.cli import eval_expr, main
-from f2alg.dyer_lashof import ZERO, render
+from f2alg.dyer_lashof import ZERO, free_basis, render
 
 ROOT = Path(__file__).resolve().parent.parent
 REPRO = ROOT / "repro"
@@ -243,6 +244,23 @@ def test_grouphom_dmax_zero():
 def test_exit_budget_exceeded():
     assert run(["grouphom", "C2000"])[0] == 3
     assert run(["cotor", "--gmax", "40"])[0] == 3
+    assert run(["cotor", "--algebra", "cgl", "--gmax", "6"])[0] == 3  # its truncation is 5
+    for argv in (["cellss", "--spots", "99,60,0"], ["cellss", "--spots", "12,8,-4;60,40,0"],
+                 ["cellss", "--spots", "12,21,0"], ["delta", "--bound", "45"]):
+        assert run(argv)[0] == 3, argv
+
+
+def test_cellss_enumerates_each_spot_once(monkeypatch):
+    calls = []
+
+    def counted(gens, g, d):
+        calls.append((g, d))
+        return free_basis(gens, g, d)
+
+    monkeypatch.setattr(cellfilt, "free_basis", counted)
+    assert run(["cellss"])[0] == 0
+    # the two default spots, and (12, 8) once more for the reconciliation
+    assert sorted(calls) == [(12, 8), (12, 8), (13, 8)]
 
 
 def _joined(tokens, max_size):
@@ -284,16 +302,28 @@ _argv = st.one_of(
              st.sampled_from([["--g"], ["--d"], ["--quotient", "--gmax"], ["--quotient", "--dmax"]]),
              _window),
     _argv_of(st.just(["cellss", "--spots"]), _spots),
+    _argv_of(st.just(["cotor", "--algebra"]), st.sampled_from(["a1", "cgl", "x"]),
+             st.just("--gmax"), _window, st.just("--dmax"), _window),
+    _argv_of(st.just(["cone", "--gmax"]), _window, st.just("--dmax"), _window),
+    _argv_of(st.just(["may", "--page"]), _window, st.just("--gmax"), _window,
+             st.just("--dmax"), _window, st.sampled_from([[], ["--cone"]])),
+    _argv_of(st.just(["families", "--max-i"]), _window, st.sampled_from([[], ["--no-verify"]])),
+    _argv_of(st.just(["delta", "--cells"]), st.sampled_from(["cgl.cells", "x1.cells", "y1", ""]),
+             st.just("--bound"), _window),
 )
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=120, derandomize=True, deadline=None)
 @given(_argv)
 @example(["grouphom", "(0 1)(0 2)"])
 @example(["grouphom", "(0 1)(1 2 2)"])
 @example(["grouphom", "(a b)"])
 @example(["grouphom", "(0 1)(2"])
 @example(["delta", "--bound", "-1"])
+@example(["cellss", "--spots", "99,60,0"])
+@example(["cellss", "--spots", "60,40,0"])
+@example(["delta", "--bound", "45"])
+@example(["cotor", "--algebra", "cgl", "--gmax", "6"])
 def test_argv_fuzz_keeps_exit_contract(argv):
     """Every argv exits 0, 2 or 3 without a traceback; a failure prints
     exactly one error line."""

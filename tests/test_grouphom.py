@@ -110,6 +110,25 @@ def test_dims_independent_of_greedy_ties(name):
     )
 
 
+# greedy ranks under both tie orders, recorded before the kernel-complement
+# step was shared with the minimal-resolution engine; the greedy choice
+# must not move
+GREEDY_RANKS = {
+    ("D8", 6): ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 6, 7, 8)),
+    ("S3", 7): ((1, 2, 4, 5, 4, 5, 6, 5), (1, 2, 3, 3, 2, 2, 2, 2)),
+    ("S4", 5): ((1, 3, 5, 6, 6, 9), (1, 3, 6, 7, 7, 8)),
+    ("UT(3,2)", 6): ((1, 2, 4, 7, 10, 13, 16), (1, 3, 4, 6, 9, 13, 16)),
+    ("GL(3,2)", 3): ((1, 2, 3, 6), (1, 4, 9, 19)),
+}
+
+
+@pytest.mark.parametrize("name,d_max", sorted(GREEDY_RANKS))
+def test_greedy_ranks_pinned(name, d_max):
+    g = builtin_group(name)
+    got = tuple(resolve(g, d_max, reverse_ties=rev).ranks for rev in (False, True))
+    assert got == GREEDY_RANKS[(name, d_max)]
+
+
 def abelianization_reference(group):
     """log2 of the index of the subgroup generated by all squares and
     all pairwise commutators, by closure under multiplication."""
