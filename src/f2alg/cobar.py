@@ -8,8 +8,10 @@ included, and a boundary row is the XOR of the terms' index bits, so
 terms of even multiplicity cancel there.  Homology in cohomological
 degree s at grading g is Cotor, reindexed by (g, d) with d = g - s.
 
-This is the chain-level model, for products, module actions, induced
-maps and ``mayss``; the charts come from the far smaller resolutions of
+This is the chain-level model.  Its users are ``mayss``, which filters
+it, and the chain-level checks of products, cone module actions and
+induced maps; the ``cotor`` and ``cone`` charts and the products that
+``cone`` and ``families`` check come from the far smaller resolutions of
 ``minres``.  Everything is computed lazily per bidegree and cached: full
 homology (kernel mod image with representatives) only where asked, and
 dimension-only queries stream boundary rows without storing matrices.

@@ -63,7 +63,7 @@ class HopfAlgebra:
     def dim(self, g: int) -> int:
         if 0 <= g <= self.max_grading:
             return len(self.basis[g])
-        if self.truncation is None:
+        if g < 0 or self.truncation is None:
             return 0
         raise TruncationError(f"grading {g} beyond truncation {self.truncation}")
 

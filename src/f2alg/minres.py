@@ -1,4 +1,5 @@
-"""Ext charts from minimal free resolutions over a connected graded algebra.
+"""Ext charts and products from minimal free resolutions over a connected
+graded algebra.
 
 The algebra A is given by its product tables (``HopfAlgebra.product``;
 ``h.dualize()`` for the dual of a coalgebra h), and the module resolved is
@@ -19,16 +20,36 @@ new image, lies in A_{>0}.F_{s-1}: the resolution is minimal, F_s vanishes
 below degree s, and Ext^{s,t}_A(M, F2) is the number of generators of F_s
 in degree t.  It sits at chart spot (g, d) = (t, t - s), where the cobar
 complexes put Cotor.
+
+Minimality also gives the classes without any elimination.  A cochain
+in Hom_A(F_s, F2) of degree t is a functional on the generators of F_s
+in degree t, and its coboundary is zero: d_{s+1} lands in A_{>0}.F_s,
+which every A-map to F2 kills.  So each functional is a cocycle, only 0
+is a coboundary, and a class (``ExtClass``) is nonzero exactly when its
+functional is.  The Yoneda action of Ext_A(F2, F2) on Ext_A(M, F2)
+(``MinimalResolution.yoneda``) lifts a class z to a chain map from the
+resolution of M to the resolution of F2, one generator at a time, each
+step an ``F2Matrix.solve`` against d of the resolution of F2, and
+composes it with y.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .cobar import WindowError
-from .f2linalg import Echelon, F2Matrix
+from .f2linalg import Echelon, F2Matrix, bits_of
 from .hopf import HopfAlgebra
+
+
+class ExtClass(NamedTuple):
+    """A class of Ext^{s,t}: a functional on the generators of F_s in
+    degree t, as a bitset over their indices in F_s."""
+
+    s: int
+    t: int
+    bits: int
 
 
 def complement(span: Echelon, vectors: Iterable[int], dim: int,
@@ -73,19 +94,34 @@ class MinimalResolution:
             return [0]
         return [self.algebra.dim(t - tj) for tj in self.degrees[level]]
 
+    def _offsets(self, level: int, t: int) -> list[int]:
+        """Where the blocks of the level's generators start in degree t."""
+        return list(accumulate(self._sizes(level, t), initial=0))
+
+    def _times(self, level: int, g: int, a: int, u: int,
+               blocks: list[tuple[int, int]], offsets: list[int]) -> int:
+        """a (a bitset over A_g) times the element of the level's module in
+        degree u with the given (k, bitset over A_{u - t_k}) blocks, over
+        the basis in degree u + g whose blocks start at ``offsets``."""
+        degrees, prod = self.degrees[level], self.algebra.product
+        out = 0
+        for k, b in blocks:
+            if offsets[k + 1] > offsets[k]:  # not M above degree c
+                out ^= prod(g, a, u - degrees[k], b) << offsets[k]
+        return out
+
     def _rows(self, level: int, t: int, offsets: list[int]) -> list[int]:
         """d on the basis of the level's module in degree t, over the basis
         of the level below, whose blocks start at ``offsets``."""
-        below, prod = self.degrees[level - 1], self.algebra.product
-        rows = []
-        for tj, image in zip(self.degrees[level], self.images[level]):
-            for a in range(self.algebra.dim(t - tj)):
-                row = 0
-                for k, v in image:
-                    if offsets[k + 1] > offsets[k]:  # not M above degree c
-                        row ^= prod(t - tj, 1 << a, tj - below[k], v) << offsets[k]
-                rows.append(row)
-        return rows
+        return [self._times(level - 1, t - tj, 1 << a, tj, image, offsets)
+                for tj, image in zip(self.degrees[level], self.images[level])
+                for a in range(self.algebra.dim(t - tj))]
+
+    def _blocks(self, level: int, t: int, v: int) -> list[tuple[int, int]]:
+        """The nonzero (k, block) pieces of v in the level's degree-t basis."""
+        offsets = self._offsets(level, t)
+        return [(k, b) for k in range(len(offsets) - 1)
+                if (b := (v >> offsets[k]) & ((1 << (offsets[k + 1] - offsets[k])) - 1))]
 
     def _extend(self, t: int) -> None:
         """Add the generators of degree t, level by level; F_s is zero in
@@ -110,9 +146,8 @@ class MinimalResolution:
             if span.rank != kernel.dim or any(span.reduce(v)[0] for v in kernel.basis):
                 raise AssertionError(f"im d_{s} != ker d_{s - 1} in degree {t}")
             for v in new:
-                blocks = [(k, (v >> offsets[k]) & ((1 << n) - 1)) for k, n in enumerate(sizes)]
                 self.degrees[level].append(t)
-                self.images[level].append([(k, b) for k, b in blocks if b])
+                self.images[level].append(self._blocks(level - 1, t, v))
             self.ext[(s, t)] = len(new)
             rows_below, cols = rows + new, offsets[-1]
             sizes = self._sizes(level, t)
@@ -122,3 +157,62 @@ class MinimalResolution:
         if not 0 <= g <= self.t_max:
             raise WindowError(f"degree {g} outside resolution window {self.t_max}")
         return self.ext.get((g - d, g), 0)
+
+    def ext_basis(self, g: int, d: int) -> list[ExtClass]:
+        """The classes dual to the generators of F_s in degree t, at chart
+        spot (g, d) = (t, t - s)."""
+        if not self.homology_dim(g, d):
+            return []
+        s = g - d
+        return [ExtClass(s, g, 1 << j) for j, t in enumerate(self.degrees[s + 1]) if t == g]
+
+    def unique_class(self, g: int, d: int) -> ExtClass:
+        basis = self.ext_basis(g, d)
+        if len(basis) != 1:
+            raise ValueError(f"({g},{d}) is {len(basis)}-dimensional, not 1")
+        return basis[0]
+
+    def yoneda(self, ring: MinimalResolution, y: ExtClass, z: ExtClass) -> ExtClass:
+        """y.z for y in Ext(F2, F2), read on ``ring``, a resolution of F2
+        over the same algebra, and z in Ext(M, F2), read on this one.
+
+        z lifts to a chain map f_k : F_{z.s + k} -> (ring's F_k) of degree
+        -z.t, and y.z = y o f_{y.s}.  f_0 sends the generators z is 1 on to
+        the generator of ring's F_0 and every other generator to 0; f_k on
+        a generator e is a solution x of d_k(x) = f_{k-1}(d e).  Only
+        generators of degree at most z.t + y.t - (y.s - k) are lifted, as
+        d raises degree.  A lift with no solution means the resolutions
+        are not exact, and raises AssertionError."""
+        t_top = z.t + y.t
+        if t_top > self.t_max or y.t > ring.t_max:
+            raise WindowError(f"product in degree {t_top} outside resolution "
+                              f"windows {self.t_max} and {ring.t_max}")
+        # generator index -> its image under f_k, as blocks of ring's F_k
+        f = {j: [(0, 1)] for j in bits_of(z.bits)}
+        for k in range(1, y.s + 1):
+            level, below = z.s + k + 1, self.degrees[z.s + k]
+            lifted = {}
+            for j, tj in enumerate(self.degrees[level]):
+                w = tj - z.t
+                if w > y.t - (y.s - k):
+                    continue
+                offsets = ring._offsets(k, w)
+                rhs = 0
+                for i, a in self.images[level][j]:
+                    if i in f:
+                        rhs ^= ring._times(k, tj - below[i], a, below[i] - z.t, f[i], offsets)
+                if not rhs:
+                    continue
+                rows = ring._rows(k + 1, w, offsets)
+                x = F2Matrix(len(rows), offsets[-1], rows).solve(rhs)
+                if x is None:
+                    raise AssertionError(f"no lift of {z} to F_{k} in degree {w}")
+                lifted[j] = ring._blocks(k + 1, w, x)
+            f = lifted
+        # y is A-linear into F2, so it reads only the unit coordinates of
+        # f_{y.s}, on the generators of degree y.t it is 1 on
+        bits = 0
+        for j, blocks in f.items():
+            if self.degrees[z.s + y.s + 1][j] == t_top:
+                bits |= (sum(b for k, b in blocks if y.bits >> k & 1) & 1) << j
+        return ExtClass(z.s + y.s, t_top, bits)

@@ -410,7 +410,7 @@ def test_criterion_11_group_homology():
 
 # ---------------------------------------------------------------- 12: families
 
-def test_criterion_12_families(cone, named):
+def test_criterion_12_families():
     code, out = run_cli(["families", "--max-i", "4", "--no-verify"])
     assert code == 0
     spots = set()
@@ -424,19 +424,47 @@ def test_criterion_12_families(cone, named):
                      (12 * i + 6, 8 * i + 3), (12 * i + 11, 8 * i + 7)]:
             assert spot in spots, spot
 
-    # chain-level verification of every detector that fits the window;
-    # rows beyond it are marked, never silently dropped
-    code, out = run_cli(["families", "--max-i", "2"])
+    # every detector that fits the window is checked; rows beyond it are
+    # marked, never silently dropped
+    code, out = run_cli(["families", "--max-i", "4"])
     assert code == 0
+    statuses = set()
     for line in out.splitlines()[1:]:
         if line.startswith("#"):
             continue
         cols = line.split("\t")
-        want = "nonzero" if int(cols[1]) <= 1 else "unverified (outside window)"
+        want = "nonzero" if int(cols[1]) <= 3 else "unverified (outside window)"
         assert cols[6] == want, line
-
-    z00 = cone.unique_class(0, 0)
-    g, d, c = cone.module_action(named["y128"], 0, 0, z00.chain)
-    assert (g, d) == (12, 8) and cone.class_nonzero(g, d, c)
+        statuses.add(cols[6])
+    assert statuses == {"nonzero", "unverified (outside window)"}
     print("PASS criterion 12: family bidegrees match for i<=3 and every "
-          "in-window detecting class acts nonzero on the cone")
+          "detecting class with i<=3 is nonzero; i=4 is marked unverified")
+
+
+def test_criterion_12_detectors_match_cobar(cone, named):
+    """Every i <= 1 family detector y128^i*h11^j.z, as ``families`` checks
+    it (Yoneda products on minimal resolutions), against the cobar cone's
+    module action and class_nonzero; likewise its h10 multiple where that
+    lands in g <= 19, which vanishes for 9 of the 11 (h10.z00 = 0 and
+    h10*h11 = 0)."""
+    a1 = cone.base.h.dualize()
+    ring, res = MinimalResolution(a1, 0, 12), MinimalResolution(a1, 1, 20)
+    engine = {name: ring.unique_class(named[name].g, named[name].d)
+              for name in ("h10", "h11", "y128")}
+    zeros = 0
+    for spot in [(0, 0), (3, 2)]:
+        for i in (0, 1):
+            for j in (0, 1, 2):
+                z = res.unique_class(*spot)
+                g, d, c = *spot, cone.unique_class(*spot).chain
+                for name in ["h11"] * j + ["y128"] * i:
+                    z = res.yoneda(ring, engine[name], z)
+                    g, d, c = cone.module_action(named[name], g, d, c)
+                assert (z.t, z.t - z.s) == (g, d)
+                assert bool(z.bits) == cone.class_nonzero(g, d, c), (spot, i, j)
+                if g < 19:
+                    x = res.yoneda(ring, engine["h10"], z)
+                    g, d, c = cone.module_action(named["h10"], g, d, c)
+                    assert bool(x.bits) == cone.class_nonzero(g, d, c), (spot, i, j)
+                    zeros += not x.bits
+    assert zeros == 9

@@ -66,12 +66,13 @@ def test_adem_fixture():
 
 
 def test_families_includes_spec_rows():
-    code, out = run(["families", "--max-i", "1"])
+    code, out = run(["families", "--max-i", "3"])
     assert code == 0
     lines = out.splitlines()
     assert "u\t0\t0\t2\t1\tz32\tnonzero" in lines
     assert "s\t1\t\t11\t7\ty128.z00\tnonzero" in lines
-    assert all(line.endswith("nonzero") for line in lines[1:])
+    assert "gamma\t3\t2\t43\t28\ty128^3*h11^2.z32\tnonzero" in lines
+    assert len(lines) == 40 and all(line.endswith("\tnonzero") for line in lines[1:])
 
 
 def test_families_out_of_window_marked():

@@ -1,11 +1,14 @@
 """Tests for the minimal-resolution Ext engine.
 
-Its charts are checked against the cobar complexes, the other model of
-the same Ext groups: here for the truncated cgl Hopf algebra, and in the
-acceptance suite for A(1) at g <= 17 and the h10 cone at g <= 8, where
-the cobar complexes are already built.
+Its charts and products are checked against the cobar complexes, the
+other model of the same Ext groups: here for the truncated cgl Hopf
+algebra, and in the acceptance suite for A(1) at g <= 17, the h10 cone at
+g <= 8 and the family detectors, where the cobar complexes are already
+built.  Products are also checked against the known ring structure of
+Ext over A(1).
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -14,9 +17,9 @@ from pathlib import Path
 import pytest
 
 from f2alg.cobar import WindowError, build_cobar
-from f2alg.f2linalg import Echelon
+from f2alg.f2linalg import Echelon, row_rank
 from f2alg.hopf import HopfAlgebra, build_a1_star, build_delta_cgl
-from f2alg.minres import MinimalResolution, complement
+from f2alg.minres import ExtClass, MinimalResolution, complement
 
 
 def test_cgl_matches_cobar():
@@ -35,6 +38,69 @@ def test_window_errors():
     with pytest.raises(WindowError):
         res.homology_dim(5, 0)
     assert res.homology_dim(4, 5) == 0  # s < 0
+
+
+# ---------------------------------------------------------------- products
+
+@pytest.fixture(scope="module")
+def a1_ext():
+    """Resolutions of F2 and of the two-cell module over A(1), and the
+    ring generators h10, h11, y74, y128 of Ext(F2, F2)."""
+    a1 = build_a1_star().dualize()
+    ring = MinimalResolution(a1, 0, 14)
+    gens = {name: ring.unique_class(*spot) for name, spot in
+            (("h10", (1, 0)), ("h11", (2, 1)), ("y74", (7, 4)), ("y128", (12, 8)))}
+    return ring, MinimalResolution(a1, 1, 4), gens
+
+
+def test_ring_relations(a1_ext):
+    ring, _, x = a1_ext
+
+    def times(*factors):
+        z = factors[-1]
+        for y in reversed(factors[:-1]):
+            z = ring.yoneda(ring, y, z)
+        return z
+
+    assert times(x["h10"], x["h11"]) == ExtClass(2, 3, 0)
+    assert times(x["h11"], x["h11"], x["h11"]) == ExtClass(3, 6, 0)
+    assert times(x["h11"], x["y74"]) == ExtClass(4, 9, 0)
+    y74sq = times(x["y74"], x["y74"])
+    assert y74sq.bits and y74sq == times(x["h10"], x["h10"], x["y128"])
+    assert (y74sq.s, y74sq.t) == (6, 14)
+    power = x["h10"]
+    for k in range(2, 5):
+        power = ring.yoneda(ring, x["h10"], power)
+        assert power == ring.unique_class(k, 0), k
+
+
+def test_cone_action(a1_ext):
+    ring, cone, x = a1_ext
+    z00, z32 = cone.unique_class(0, 0), cone.unique_class(3, 2)
+    assert cone.yoneda(ring, x["h10"], z00) == ExtClass(1, 1, 0)
+    lhs = cone.yoneda(ring, x["h10"], z32)
+    assert lhs.bits and lhs == cone.yoneda(ring, x["h11"], cone.yoneda(ring, x["h11"], z00))
+
+
+def test_cgl_product_ranks_match_cobar():
+    """For every two groups of positive s with t1 + t2 <= 5, the span of
+    all products of their basis classes has the same rank in both models
+    (a basis-free invariant).  Ext^{1,4} and Ext^{2,5} are 2-dimensional,
+    so a product right only up to being nonzero would not pass."""
+    cgl = build_delta_cgl()
+    res, cx = MinimalResolution(cgl.dualize(), 0, 5), build_cobar(cgl, 5, 5)
+    spots = [(g, d) for g in range(1, 5) for d in range(g) if res.homology_dim(g, d)]
+    ranks = []
+    for (g1, d1), (g2, d2) in itertools.product(spots, repeat=2):
+        if g1 + g2 > 5:
+            continue
+        pairs = list(itertools.product(res.ext_basis(g1, d1), res.ext_basis(g2, d2)))
+        got = row_rank(res.yoneda(res, y, z).bits for y, z in pairs)
+        chains = [cx.product_chain(y, z)
+                  for y, z in itertools.product(cx.cotor_basis(g1, d1), cx.cotor_basis(g2, d2))]
+        assert got == cx.map_rank_mod_boundaries(g1 + g2, d1 + d2, chains), (g1, d1, g2, d2)
+        ranks.append(got)
+    assert 2 in ranks and 0 in ranks
 
 
 def test_complement_adds_translates_of_new_generators():
@@ -71,13 +137,34 @@ def test_exactness_check_raises(a_times_c):
         MinimalResolution(non_associative(a_times_c), 0, 4)
 
 
-def test_exactness_check_survives_optimize_flag():
-    """The test above, run again in a python -O subprocess."""
+def run_optimized(statement: str) -> None:
+    """Run a statement over this module in a python -O subprocess and
+    require it to succeed."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
-    code = (f"import sys; sys.path.insert(0, {str(here)!r}); import test_minres; "
-            "[test_minres.test_exactness_check_raises(x) for x in (0, 0b10)]")
+    code = f"import sys; sys.path.insert(0, {str(here)!r}); import test_minres; {statement}"
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exactness_check_survives_optimize_flag():
+    """The test above, run again in a python -O subprocess."""
+    run_optimized("[test_minres.test_exactness_check_raises(x) for x in (0, 0b10)]")
+
+
+def test_lift_check_raises():
+    """With the image of the h10 generator of F_1 erased, d_1 misses
+    x.e0 in degree 1, so h10 cannot lift past F_1 and h10.h10 fails."""
+    ring = MinimalResolution(build_a1_star().dualize(), 0, 2)
+    h10 = ring.unique_class(1, 0)
+    assert ring.yoneda(ring, h10, h10).bits
+    ring.images[2][ring.degrees[2].index(1)] = []
+    with pytest.raises(AssertionError, match=r"no lift of .* to F_1 in degree 1"):
+        ring.yoneda(ring, h10, h10)
+
+
+def test_lift_check_survives_optimize_flag():
+    """The test above, run again in a python -O subprocess."""
+    run_optimized("test_minres.test_lift_check_raises()")
