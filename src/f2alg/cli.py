@@ -43,8 +43,11 @@ FAMILY_WINDOW = (43, 28)
 
 # desk-scale ceilings (2 vCPUs, Python 3.11): a cellss spot's free basis
 # takes 4.8 s at (g, d) = (20, 20), over 80 s at (24, 24) or (20, 40);
-# delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26
+# delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26; may --page 5
+# --dmax 10 takes 4.3 s and 77 MB at g <= 16, 9-12 s and 167 MB at 17
+# (16-20 s and 276 MB with --cone), 31 s and 429 MB at 18
 MAX_CHART_G = 20
+MAX_MAY_G = 17
 MAX_SPOT_GD = 20
 MAX_DELTA_BOUND = 20
 
@@ -118,7 +121,9 @@ def cmd_cone(args) -> str:
 
 
 def cmd_may(args) -> str:
-    _check_budget("chart window g", args.gmax, MAX_CHART_G)
+    _check_budget("may window g", args.gmax, MAX_MAY_G)
+    if args.cone and args.gmax < 1:
+        raise ValueError("--cone needs --gmax >= 1")  # the cone cycle h10 sits at g = 1
     fc = mayss.build_filtered(build_a1_star(), g_max=args.gmax, s_max=args.gmax)
     if args.cone:
         fc = mayss.filtered_cone(fc, fc.complex.unique_class(1, 0))

@@ -16,11 +16,22 @@ columns by descending filtration, online elimination pivoting on each
 row's first column; the pivot (row_filt, col_filt) pairs then give every
 submatrix rank at once.  Each profile's pairs and each layer's
 filtrations are counted once (a handful of distinct values against
-thousands of chains), and every z is read from those counts.  Columns
-are stored mirrored (column position j at bit n-1-j), so that first
-column is the top bit the ``f2linalg`` reduction pivots on.  Pages are
+thousands of chains), and every z is read from those counts.  Pages are
 computed from these first principles, never by propagating declared
 differentials.
+
+Columns are stored mirrored (column position j at bit n-1-j), so that
+first column is the top bit the ``f2linalg`` reduction pivots on.  Ties
+inside one filtration are broken by ascending canonical index for rows
+and descending for columns: the column order is the row order reversed,
+and a column's bit is its position in the row order.  That tie order is
+free, since the number of pivot pairs with row_filt <= p and col_filt > q
+is the rank of that submatrix, which no order inside a filtration
+changes (the persistence pairing of Edelsbrunner-Letscher-Zomorodian).
+It is chosen for speed: inside each filtration block the pivot is the
+highest word index, the orientation of the unfiltered ``rank_d``, and a
+page at g <= 14 takes 346k XOR steps (961k if column ties ascend too),
+at g <= 17 6.5M (34.6M).
 
 Explicit subquotient representatives and d^r matrices are built by tagged
 elimination only at requested spots: the representatives are reduced-
@@ -49,18 +60,22 @@ def augmentation_depths(h: PolyHopf) -> dict[tuple[int, int], int]:
 
 class Layer(NamedTuple):
     filts: list[int]  # canonical index -> filtration
-    row_order: list[int]  # canonical indices, ascending filtration
-    col_order: list[int]  # canonical indices, descending filtration
-    col_bit: dict[int, int]  # canonical index -> n-1-(position in col_order)
+    row_order: list[int]  # canonical indices, ascending (filtration, index)
+    col_bit: list[int]  # canonical index -> its position in row_order
     filt_counts: Counter  # filtration -> number of chains
 
 
 class FilteredComplex:
-    """A bigraded word complex together with a per-chain filtration."""
+    """A bigraded word complex together with a per-chain filtration.
 
-    def __init__(self, complex: BigradedComplex, filt_of: Callable[[int, int, int], int]):
+    ``filts(g, s)`` returns the filtrations of the whole layer (g, s),
+    indexed by canonical chain index; it is called once per layer, and
+    ``layer(g, s).filts`` is the cached copy every reader uses.
+    """
+
+    def __init__(self, complex: BigradedComplex, filts: Callable[[int, int], list[int]]):
         self.complex = complex
-        self.filt_of = filt_of
+        self.filts = filts
         self._layer_cache: dict[tuple[int, int], Layer] = {}
         self._pivot_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._pivot_counts: dict[tuple[int, int], Counter] = {}
@@ -69,35 +84,34 @@ class FilteredComplex:
     def layer(self, g: int, s: int) -> Layer:
         key = (g, s)
         if key not in self._layer_cache:
-            n = self.complex._dim(g, s)
-            filts = [self.filt_of(g, s, i) for i in range(n)]
-            row_order = sorted(range(n), key=lambda i: (filts[i], i))
-            col_order = sorted(range(n), key=lambda i: (-filts[i], i))
-            self._layer_cache[key] = Layer(
-                filts, row_order, col_order,
-                {c: n - 1 - j for j, c in enumerate(col_order)}, Counter(filts),
-            )
+            filts = self.filts(g, s) if self.complex._dim(g, s) else []
+            row_order = sorted(range(len(filts)), key=lambda i: (filts[i], i))
+            col_bit = [0] * len(filts)
+            for j, c in enumerate(row_order):
+                col_bit[c] = j
+            self._layer_cache[key] = Layer(filts, row_order, col_bit, Counter(filts))
         return self._layer_cache[key]
 
-    def _permuted_row(self, g: int, s: int, i: int) -> int:
-        tgt = self.layer(g, s + 1)
-        out = 0
-        for b in bits_of(self.complex.boundary_bits(g, s, i)):
-            out |= 1 << tgt.col_bit[b]
-        return out
+    def _permuted_rows(self, g: int, s: int):
+        """Boundary rows of (g, s) in row_order, column c at bit col_bit[c]."""
+        bit, boundary = self.layer(g, s + 1).col_bit, self.complex.boundary_bits
+        for i in self.layer(g, s).row_order:
+            out = 0
+            for b in bits_of(boundary(g, s, i)):
+                out |= 1 << bit[b]
+            yield out
 
     def pivots(self, g: int, s: int) -> list[tuple[int, int]]:
         """(row_filt, col_filt) of each elimination pivot; rows processed
-        in ascending filtration, each pivot the first column in descending
-        filtration order (the top bit of the mirrored row)."""
+        in row_order, so each pivot, the top bit of its mirrored row, is
+        its first column in descending (filtration, index) order."""
         key = (g, s)
         if key not in self._pivot_cache:
             src = self.layer(g, s)
             tgt = self.layer(g, s + 1)
-            n = len(tgt.col_order)
-            tops = row_pivots(self._permuted_row(g, s, i) for i in src.row_order)
+            tops = row_pivots(self._permuted_rows(g, s))
             self._pivot_cache[key] = [
-                (src.filts[i], tgt.filts[tgt.col_order[n - top]])
+                (src.filts[i], tgt.filts[tgt.row_order[top - 1]])
                 for i, top in zip(src.row_order, tops) if top
             ]
         return self._pivot_cache[key]
@@ -200,10 +214,10 @@ def build_filtered(h: PolyHopf, g_max: int = 20, s_max: int = 20) -> FilteredCom
     depth = augmentation_depths(h)
     letter_depth = [depth[gi] for gi in base.letters]
 
-    def filt_of(g: int, s: int, i: int) -> int:
-        return -sum(letter_depth[l] for l in base.words(g, s)[i])
+    def filts(g: int, s: int) -> list[int]:
+        return [-sum(letter_depth[l] for l in w) for w in base.words(g, s)]
 
-    return FilteredComplex(base, filt_of)
+    return FilteredComplex(base, filts)
 
 
 def filtered_cone(fc: FilteredComplex, z: CotorClass) -> FilteredComplex:
@@ -214,13 +228,10 @@ def filtered_cone(fc: FilteredComplex, z: CotorClass) -> FilteredComplex:
         raise TypeError("filtered cone needs a filtered cobar complex")
     cone = ConeComplex(base, z)
 
-    def filt_of(g: int, s: int, i: int) -> int:
-        nx = base._dim(g, s)
-        if i < nx:
-            return fc.filt_of(g, s, i)
-        return fc.filt_of(g - 1, s, i - nx) - 1
+    def filts(g: int, s: int) -> list[int]:
+        return fc.layer(g, s).filts + [f - 1 for f in fc.layer(g - 1, s).filts]
 
-    return FilteredComplex(cone, filt_of)
+    return FilteredComplex(cone, filts)
 
 
 # ---------------------------------------------------------------- pages and reports

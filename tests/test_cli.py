@@ -215,6 +215,12 @@ def test_file_arguments_that_are_not_files(argv, capsys, monkeypatch):
         assert "--decls" in err[0]
 
 
+def test_cone_needs_room_for_its_cycle(capsys):
+    assert run(["may", "--cone", "--gmax", "0"]) == (2, "")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid input: --cone needs --gmax >= 1"]
+
+
 def test_wbasis_refuses_a_repeated_generator(capsys):
     # s,s would list s^2 once per split between the two copies of s
     assert run(["wbasis", "--gens", "s,s", "--g", "2", "--d", "0"]) == (2, "")
@@ -247,7 +253,8 @@ def test_exit_budget_exceeded():
     assert run(["cotor", "--gmax", "40"])[0] == 3
     assert run(["cotor", "--algebra", "cgl", "--gmax", "6"])[0] == 3  # its truncation is 5
     for argv in (["cellss", "--spots", "99,60,0"], ["cellss", "--spots", "12,8,-4;60,40,0"],
-                 ["cellss", "--spots", "12,21,0"], ["delta", "--bound", "45"]):
+                 ["cellss", "--spots", "12,21,0"], ["delta", "--bound", "45"],
+                 ["may", "--gmax", "18"]):
         assert run(argv)[0] == 3, argv
 
 
@@ -325,6 +332,7 @@ _argv = st.one_of(
 @example(["cellss", "--spots", "60,40,0"])
 @example(["delta", "--bound", "45"])
 @example(["cotor", "--algebra", "cgl", "--gmax", "6"])
+@example(["may", "--gmax", "20"])
 def test_argv_fuzz_keeps_exit_contract(argv):
     """Every argv exits 0, 2 or 3 without a traceback; a failure prints
     exactly one error line."""

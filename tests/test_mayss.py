@@ -6,7 +6,10 @@ explicit subquotient path (ztilde/left-kernel), which shares no code with
 the rank-profile formula.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f2alg.f2linalg import F2Matrix, bits_of
 from f2alg.hopf import build_a1_star, build_delta_cgl
@@ -27,6 +30,11 @@ def a1():
 @pytest.fixture(scope="module")
 def fc(a1):
     return build_filtered(a1, g_max=13, s_max=13)
+
+
+@pytest.fixture(scope="module")
+def fcc(fc):
+    return filtered_cone(fc, fc.complex.unique_class(1, 0))
 
 
 # ---------------------------------------------------------------- depths / filtration
@@ -66,12 +74,12 @@ def test_word_filtrations(fc, a1):
     base = fc.complex
     lid = {base.letter_label(k): k for k in range(len(base.letters))}
     wi = base.word_index(3, 1)
-    assert fc.filt_of(3, 1, wi[(lid["x2"],)]) == -1
+    assert fc.layer(3, 1).filts[wi[(lid["x2"],)]] == -1
     wi2 = base.word_index(3, 2)
-    assert fc.filt_of(3, 2, wi2[(lid["x1^2"], lid["x1"])]) == -3
+    assert fc.layer(3, 2).filts[wi2[(lid["x1^2"], lid["x1"])]] == -3
     wi3 = base.word_index(3, 3)
-    assert fc.filt_of(3, 3, wi3[(lid["x1"],) * 3]) == -3
-    assert fc.filt_of(0, 0, 0) == 0
+    assert fc.layer(3, 3).filts[wi3[(lid["x1"],) * 3]] == -3
+    assert fc.layer(0, 0).filts[0] == 0
 
 
 def test_differential_never_raises_filtration(fc):
@@ -79,10 +87,10 @@ def test_differential_never_raises_filtration(fc):
     for g in range(0, 7):
         for s in range(0, g + 1):
             for i in range(base.chain_dim(g, s)):
-                fi = fc.filt_of(g, s, i)
+                fi = fc.layer(g, s).filts[i]
                 for w in base.boundary_words(base.words(g, s)[i]):
                     j = base.word_index(g, s + 1)[w]
-                    assert fc.filt_of(g, s + 1, j) <= fi
+                    assert fc.layer(g, s + 1).filts[j] <= fi
 
 
 # ---------------------------------------------------------------- rank oracle
@@ -92,12 +100,12 @@ def oracle_restricted_rank(fc, g, s, p, q):
     n = base._dim(g, s)
     keep = 0
     for j in range(base._dim(g, s + 1)):
-        if fc.filt_of(g, s + 1, j) > q:
+        if fc.layer(g, s + 1).filts[j] > q:
             keep |= 1 << j
     rows = [
         base.boundary_bits(g, s, i) & keep
         for i in range(n)
-        if fc.filt_of(g, s, i) <= p
+        if fc.layer(g, s).filts[i] <= p
     ]
     return F2Matrix(len(rows), base._dim(g, s + 1), rows).rank()
 
@@ -115,9 +123,8 @@ def test_rank_profile_matches_bruteforce(fc):
                     ), (g, s, p, q)
 
 
-def test_cone_rank_profile_matches_bruteforce(fc):
+def test_cone_rank_profile_matches_bruteforce(fcc):
     # the y-part of the cone carries the shifted filtration filt(y) - 1
-    fcc = filtered_cone(fc, fc.complex.unique_class(1, 0))
     for g in range(1, 7):
         for s in range(0, g + 1):
             rng = fcc.filt_range(g, s)
@@ -132,14 +139,14 @@ def test_cone_rank_profile_matches_bruteforce(fc):
                     ), (g, s, p, q)
 
 
-def reference_pivots(fc, g, s):
-    """The rank profile with unmirrored columns: position j of the
-    descending-filtration column order at bit j, lowest-set-bit pivots."""
+def reference_pivots(fc, g, s, row_order, col_order):
+    """The rank profile with unmirrored columns: rows in row_order, column
+    col_order[j] at bit j, lowest-set-bit pivots."""
     base = fc.complex
     src, tgt = fc.layer(g, s), fc.layer(g, s + 1)
-    pos = {c: j for j, c in enumerate(tgt.col_order)}
+    pos = {c: j for j, c in enumerate(col_order)}
     table, out = {}, []
-    for i in src.row_order:
+    for i in row_order:
         v = 0
         for b in bits_of(base.boundary_bits(g, s, i)):
             v |= 1 << pos[b]
@@ -147,7 +154,7 @@ def reference_pivots(fc, g, s):
             low = v & -v
             if low not in table:
                 table[low] = v
-                col = tgt.col_order[low.bit_length() - 1]
+                col = col_order[low.bit_length() - 1]
                 out.append((src.filts[i], tgt.filts[col]))
                 break
             v ^= table[low]
@@ -158,7 +165,25 @@ def test_mirrored_pivots_match_unmirrored_reference(a1):
     small = build_filtered(a1, g_max=8, s_max=8)
     for g in range(9):
         for s in range(g + 1):
-            assert small.pivots(g, s) == reference_pivots(small, g, s), (g, s)
+            src, tgt = small.layer(g, s), small.layer(g, s + 1)
+            assert small.pivots(g, s) == reference_pivots(
+                small, g, s, src.row_order, tgt.row_order[::-1]), (g, s)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(cone=st.booleans(), rnd=st.randoms(use_true_random=False))
+def test_pivot_filtrations_ignore_tie_order(fc, fcc, cone, rnd):
+    # the rank profile depends on the filtration order of rows and columns
+    # only, so any order inside one filtration pairs the same filtrations
+    c = fcc if cone else fc
+    for g in range(8):
+        for s in range(g + 1):
+            row_f, col_f = c.layer(g, s).filts, c.layer(g, s + 1).filts
+            row_key = [rnd.random() for _ in row_f]
+            col_key = [rnd.random() for _ in col_f]
+            rows = sorted(range(len(row_f)), key=lambda i: (row_f[i], row_key[i]))
+            cols = sorted(range(len(col_f)), key=lambda j: (-col_f[j], col_key[j]))
+            assert Counter(c.pivots(g, s)) == Counter(reference_pivots(c, g, s, rows, cols)), (g, s)
 
 
 def test_page_dims_match_subquotient_path(fc):
@@ -247,9 +272,7 @@ def test_einfty_convergence_and_representative_filtrations(fc):
 
 # ---------------------------------------------------------------- filtered cone
 
-def test_cone_d4_pattern(fc):
-    base = fc.complex
-    fcc = filtered_cone(fc, base.unique_class(1, 0))
+def test_cone_d4_pattern(fcc):
     m = fcc.differential_matrix(4, 6, 4, -2)
     assert (m.rows, m.cols, m.data) == (1, 1, [1])
 
