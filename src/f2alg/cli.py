@@ -221,10 +221,12 @@ def cmd_delta(args) -> str:
 def cmd_grouphom(args) -> str:
     path = Path(args.group)
     text = path.read_text() if path.is_file() else args.group
+    _check_budget("grouphom --dmax", args.dmax, grouphom.MAX_DEGREE)
     g = grouphom.parse_group(text)
-    # through H_1 at least, for the abelianization cross-check
-    res = grouphom.resolve(g, max(args.dmax, 1) + 1)
-    dims = grouphom.homology_dims(res)
+    # through H_1 at least, for the abelianization cross-check; the top
+    # degree is read off ker d_top, so F_{dmax+1} is never built
+    res = grouphom.resolve(g, max(args.dmax, 1))
+    dims = grouphom.homology_dims(res) + (grouphom.top_homology_dim(res),)
     name = g.name or args.group
     ok = dims[1] == grouphom.abelianization_f2_dim(g)
     comments = [f"H_1 abelianization cross-check: {'ok' if ok else 'FAILED'}"]

@@ -257,10 +257,10 @@ class CobarComplex(BigradedComplex):
     def words(self, g: int, s: int) -> list[tuple[int, ...]]:
         key = (g, s)
         if key not in self._words_cache:
-            if s == 0:
-                out = [()] if g == 0 else []
-            elif g < s:  # letters have grading >= 1
+            if s < 0 or g < s:  # letters have grading >= 1
                 out = []
+            elif s == 0:
+                out = [()] if g == 0 else []
             else:
                 out = []
                 for lid, lg in enumerate(self.letter_grading):

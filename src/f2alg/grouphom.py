@@ -15,6 +15,13 @@ acting by left translation on the element coordinate.  Boundaries are
 vector.  The tensored-down complex is a ``BigradedComplex``, so its
 kernels, homology representatives and coordinates are computed as for
 the cobar complexes.
+
+The top built degree is read without resolving one degree further
+(``top_homology_dim``).  The collapse pi: F_d -> F2 (x)_{F2[G]} F_d is
+onto and commutes with d, and the resolution is exact, so the image of
+1 (x) d_{top+1} is pi(im d_{top+1}) = pi(ker d_top), and
+H_top = dim ker(1 (x) d_top) - rank pi(ker d_top).  That saves F_{top+1},
+by far the largest free module of the resolution.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import re
 from typing import Callable, Iterable, NamedTuple
 
 from .cobar import BigradedComplex, WindowError
-from .f2linalg import Echelon, F2Matrix, bits_of
+from .f2linalg import Echelon, F2Matrix, bits_of, row_rank
 from .minres import complement
 
 MAX_ORDER = 1000
@@ -215,16 +222,21 @@ class Resolution(NamedTuple):
     boundaries: tuple
 
 
-def _act(group: PermGroup, e: int, v: int) -> int:
-    """Left translation by element e on a free-module vector."""
+def _translates(group: PermGroup, v: int, elements: Iterable[int]) -> list[int]:
+    """Left translates of a free-module vector, one per given element.
+
+    Translation permutes element coordinates within each generator block,
+    so v is split once into, per element coordinate x, the mask of the
+    blocks that hold x; its translate by e is the sum of the masks, each
+    shifted by the index of e*x (distinct x land on distinct bits)."""
     n = group.order
-    row = group.table[e]
-    # translation permutes element coordinates within each generator block
-    out = 0
+    masks: dict[int, int] = {}
     for bit in bits_of(v):
         k, x = divmod(bit, n)
-        out |= 1 << (k * n + row[x])
-    return out
+        masks[x] = masks.get(x, 0) | 1 << (k * n)
+    parts = list(masks.items())
+    rows = map(group.table.__getitem__, elements)
+    return [sum(m << row[x] for x, m in parts) for row in rows]
 
 
 def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Resolution:
@@ -236,8 +248,10 @@ def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Reso
     if group.order > MAX_ORDER:
         raise WindowError("group order exceeds budget")
     if d_max > MAX_DEGREE + 1:
-        # one above the homology-degree budget: the top degree is consumed
-        # by the incoming boundary when tensoring down
+        # one above the homology-degree budget: TensoredComplex,
+        # homology_dims and induced_map read H_d off the boundary out of
+        # degree d + 1, so a library caller resolves to MAX_DEGREE + 1 to
+        # reach H_MAX_DEGREE that way
         raise WindowError("degree exceeds budget")
     n = group.order
     ranks = [1]
@@ -248,7 +262,7 @@ def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Reso
         basis = kernel.basis[::-1] if reverse_ties else kernel.basis
         # the n translates of each new generator
         rows = complement(Echelon(), basis, kernel.dim,
-                          lambda v: [_act(group, e, v) for e in range(n)])
+                          lambda v: _translates(group, v, range(n)))
         ranks.append(len(rows) // n)
         boundaries.append(F2Matrix(len(rows), prev.rows, rows))
     return Resolution(group, tuple(ranks), tuple(boundaries))
@@ -264,12 +278,10 @@ def assert_resolution(res: Resolution) -> None:
                 raise AssertionError(f"boundary square nonzero at degree {d}")
         if prev.left_kernel().dim != cur.rank():
             raise AssertionError(f"resolution not exact at degree {d - 1}")
-        for e in range(n):
-            for k in range(res.ranks[d]):
-                moved = cur.apply_rowspace(_act(res.group, e, 1 << (k * n)))
-                direct = _act(res.group, e, cur.data[k * n])
-                if moved != direct:
-                    raise AssertionError(f"boundary not equivariant at degree {d}")
+        for k in range(res.ranks[d]):
+            moved = map(cur.apply_rowspace, _translates(res.group, 1 << (k * n), range(n)))
+            if list(moved) != _translates(res.group, cur.data[k * n], range(n)):
+                raise AssertionError(f"boundary not equivariant at degree {d}")
 
 
 def _collapse(group: PermGroup, v: int, rank: int) -> int:
@@ -284,7 +296,10 @@ def _collapse(group: PermGroup, v: int, rank: int) -> int:
 
 
 def tensored_boundary(res: Resolution, d: int) -> F2Matrix:
-    """The boundary F_d -> F_{d-1} after applying F2 (x)_{F2[G]} -."""
+    """The boundary F_d -> F_{d-1} after applying F2 (x)_{F2[G]} -; out
+    of degree 0 it is zero (the augmentation is not in the complex)."""
+    if d == 0:
+        return F2Matrix(res.ranks[0], 0, [0] * res.ranks[0])
     n = res.group.order
     rows = [_collapse(res.group, res.boundaries[d].data[k * n], res.ranks[d - 1])
             for k in range(res.ranks[d])]
@@ -296,15 +311,13 @@ class TensoredComplex(BigradedComplex):
     built degree) with degree d at s = top - d.  So d: (top, s) ->
     (top, s+1) is the tensored boundary of degree d, the rows of C_0 are
     zero, and homology_dim(top, d) is H_d for d < top (the top degree is
-    consumed by the incoming boundary)."""
+    consumed by the incoming boundary; ``top_homology_dim`` reads it)."""
 
     def __init__(self, res: Resolution):
         self.top = len(res.ranks) - 1
         super().__init__(self.top, self.top)
         # bars[d] is the tensored boundary of degree d
-        self.bars = [F2Matrix(res.ranks[0], 0, [0] * res.ranks[0])] + [
-            tensored_boundary(res, d) for d in range(1, self.top + 1)
-        ]
+        self.bars = [tensored_boundary(res, d) for d in range(self.top + 1)]
 
     def chain_dim(self, g: int, s: int) -> int:
         return self.bars[g - s].rows if g == self.top else 0
@@ -317,6 +330,23 @@ def homology_dims(res: Resolution) -> tuple:
     """dim H_d for d = 0 .. d_max - 1."""
     c = TensoredComplex(res)
     return tuple(c.homology_dim(c.top, d) for d in range(c.top))
+
+
+def top_homology_dim(res: Resolution) -> int:
+    """dim H_top for the top built degree, without F_{top+1}: the cycles
+    of 1 (x) d_top less the rank of pi(ker d_top) (see the module
+    docstring).  One tagged pass over the rows of d_top tags row i with
+    pi(e_i), its generator block, so each zero residue's tag is pi of a
+    kernel vector, and these span pi(ker d_top)."""
+    top = len(res.ranks) - 1
+    n = res.group.order
+    span = Echelon()
+    images = []
+    for i, row in enumerate(res.boundaries[top].data):
+        r, tag = span.add(row, 1 << (i // n))
+        if not r:
+            images.append(tag)
+    return res.ranks[top] - tensored_boundary(res, top).rank() - row_rank(images)
 
 
 # ---------------------------------------------------------------- induced maps
@@ -347,19 +377,17 @@ def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):
     over a free resolution)."""
     n_s = hom.source.order
 
-    def push(lift: list[int], v: int) -> int:
-        """Apply the equivariant extension of the current degree's lift."""
-        out = 0
-        for bit in bits_of(v):
-            k, e = divmod(bit, n_s)
-            out ^= _act(hom.target, hom.images[e], lift[k])
-        return out
-
     lifts = [[1 << hom.target.identity]]
     for d in range(1, d_max + 1):
+        # moved[k][e]: the previous lift of generator k translated by the
+        # image of source element e, so the equivariant extension of that
+        # lift sends bit k*n_s + e to moved[k][e]
+        moved = [_translates(hom.target, w, hom.images) for w in lifts[d - 1]]
         cur = []
         for k in range(r_src.ranks[d]):
-            b = push(lifts[d - 1], r_src.boundaries[d].data[k * n_s])
+            b = 0
+            for bit in bits_of(r_src.boundaries[d].data[k * n_s]):
+                b ^= moved[bit // n_s][bit % n_s]
             x = r_tgt.boundaries[d].solve(b)
             if x is None:
                 raise AssertionError("chain lift failed; resolution inexact")

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from f2alg import cellfilt
+from f2alg import cellfilt, grouphom
 from f2alg.cli import eval_expr, main
 from f2alg.dyer_lashof import ZERO, free_basis, render
 
@@ -248,8 +248,30 @@ def test_grouphom_dmax_zero():
     assert out.splitlines()[1:] == ["C2\t0\t1", "# H_1 abelianization cross-check: ok"]
 
 
+def test_grouphom_dmax_at_degree_budget():
+    code, out = run(["grouphom", "C2", "--dmax", "6"])
+    assert code == 0
+    assert out.splitlines()[1:-1] == [f"C2\t{d}\t1" for d in range(7)]
+
+
+def test_grouphom_resolves_only_to_dmax(monkeypatch):
+    # H_dmax is read off ker d_dmax, so F_{dmax+1} is never built
+    seen = []
+    resolve = grouphom.resolve
+
+    def spy(g, d):
+        seen.append(d)
+        return resolve(g, d)
+
+    monkeypatch.setattr(grouphom, "resolve", spy)
+    for dmax in (3, 0):
+        assert run(["grouphom", "S3", "--dmax", str(dmax)])[0] == 0
+    assert seen == [3, 1]
+
+
 def test_exit_budget_exceeded():
     assert run(["grouphom", "C2000"])[0] == 3
+    assert run(["grouphom", "C2", "--dmax", "7"])[0] == 3
     assert run(["cotor", "--gmax", "40"])[0] == 3
     assert run(["cotor", "--algebra", "cgl", "--gmax", "6"])[0] == 3  # its truncation is 5
     for argv in (["cellss", "--spots", "99,60,0"], ["cellss", "--spots", "12,8,-4;60,40,0"],

@@ -74,6 +74,12 @@ def test_word_basis_0_0(cx):
     assert cx.boundary_bits(0, 0, 0) == 0
 
 
+@pytest.mark.parametrize("g,s", [(3, -1), (0, -1), (-1, -1), (5, -3)])
+def test_no_words_in_negative_length(cx, g, s):
+    assert cx.words(g, s) == []
+    assert cx.chain_dim(g, s) == 0
+
+
 def test_differential_of_x2(cx, a1):
     lid = cx._letter_index[(3, a1.index(3, "x2"))]
     i = cx.word_index(3, 1)[(lid,)]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from f2alg import grouphom
 from f2alg.cobar import WindowError
+from f2alg.f2linalg import bits_of
 from f2alg.grouphom import (
     GroupHom,
     PermGroup,
@@ -25,6 +26,7 @@ from f2alg.grouphom import (
     parse_group,
     resolve,
     stabilization_hom,
+    top_homology_dim,
 )
 
 BUILTINS = ["1", "C2", "C4", "S2", "S3", "D8", "GL(2,2)", "GL(3,2)", "UT(3,2)"]
@@ -108,6 +110,56 @@ def test_dims_independent_of_greedy_ties(name):
     assert homology_dims(resolve(g, 4)) == homology_dims(
         resolve(g, 4, reverse_ties=True)
     )
+
+
+# ---------------------------------------------------------------- top degree
+
+def truncated(res, d):
+    """The resolution through degree d; resolve builds degree by degree,
+    so this is what resolve(group, d) returns."""
+    return res._replace(ranks=res.ranks[:d + 1], boundaries=res.boundaries[:d + 1])
+
+
+@pytest.mark.parametrize("reverse_ties", [False, True])
+@pytest.mark.parametrize("name", BUILTINS + ["S4", "S5", "UT(4,2)"])
+def test_top_degree_matches_one_degree_further(name, reverse_ties):
+    g = builtin_group(name)
+    top = 5 if g.order <= 60 else 3
+    further = resolve(g, top + 1, reverse_ties=reverse_ties)
+    res = resolve(g, top, reverse_ties=reverse_ties)
+    assert (res.ranks, res.boundaries) == truncated(further, top)[1:]
+    dims = homology_dims(further)
+    assert tuple(top_homology_dim(truncated(further, d)) for d in range(top + 1)) == dims
+    assert top_homology_dim(res) == dims[top]
+
+
+def test_gl3_top_degree_reads_h4(gl3):
+    # the H_4 of test_gl3_dims, without F_5
+    assert top_homology_dim(resolve(gl3, 4)) == 1
+
+
+def act_reference(group, e, v):
+    """Left translation by e, one set bit at a time."""
+    n = group.order
+    out = 0
+    for bit in bits_of(v):
+        k, x = divmod(bit, n)
+        out |= 1 << (k * n + group.mult(e, x))
+    return out
+
+
+TRANSLATE_GROUPS = {name: builtin_group(name) for name in ["C2", "S3", "D8", "GL(3,2)", "S4"]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(TRANSLATE_GROUPS)), st.integers(1, 4), st.data())
+def test_batched_translates_match_one_element_at_a_time(name, rank, data):
+    g = TRANSLATE_GROUPS[name]
+    v = data.draw(st.integers(0, (1 << (rank * g.order)) - 1))
+    elements = data.draw(st.lists(st.integers(0, g.order - 1), max_size=8))
+    assert grouphom._translates(g, v, range(g.order)) == \
+        [act_reference(g, e, v) for e in range(g.order)]
+    assert grouphom._translates(g, v, elements) == [act_reference(g, e, v) for e in elements]
 
 
 # greedy ranks under both tie orders, recorded before the kernel-complement
