@@ -41,14 +41,27 @@ STABILITY_RELATIONS = ("s*Q[1](s)", "s*Q[3](s)", "s^2*Q[2](s)", "s*n1", "s*n2")
 # hundredths of a second
 FAMILY_WINDOW = (43, 28)
 
-# desk-scale ceilings (2 vCPUs, Python 3.11): a cellss spot's free basis
-# takes 4.8 s at (g, d) = (20, 20), over 80 s at (24, 24) or (20, 40);
-# delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26; may --page 5
-# --dmax 10 takes 4.3 s and 77 MB at g <= 16, 9-12 s and 167 MB at 17
-# (16-20 s and 276 MB with --cone), 31 s and 429 MB at 18
+# desk-scale ceilings (2 vCPUs, Python 3.11):
+# - a cellss spot's free basis takes 4.8 s at (g, d) = (20, 20), over 80 s
+#   at (24, 24) or (20, 40);
+# - wbasis --g --d takes 5.6 s at (18, 18) and 10.6 s at (20, 20) on all
+#   four generators, 8.7 s at (20, 20) and over 40 s at (30, 30) on s,b;
+# - wbasis --quotient on all four generators takes 3.4 s at --gmax 14
+#   --dmax 12, 7.5 s at (14, 14), 17 s at (14, 16), 27 s at (20, 12);
+# - nishida grows as a^2 per tower factor: --a 1000 takes 0.3 s on Q[1](s)
+#   and 0.7 s on Q[5](s)*Q[6](s)*Q[7](s), --a 8000 3.6 s on Q[1](s);
+# - families --no-verify takes 0.2 s and 23 MB at --max-i 1000, 1.0 s and
+#   91 MB at 10^4, 84 s and 7.6 GB at 10^6;
+# - delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26;
+# - may --page 5 --dmax 10 takes 4.3 s and 77 MB at g <= 16, 9-12 s and
+#   167 MB at 17 (16-20 s and 276 MB with --cone), 31 s and 429 MB at 18
 MAX_CHART_G = 20
 MAX_MAY_G = 17
 MAX_SPOT_GD = 20
+MAX_WBASIS_GD = 18
+MAX_QUOTIENT_GD = 14
+MAX_NISHIDA_A = 1000
+MAX_FAMILY_I = 1000
 MAX_DELTA_BOUND = 20
 
 
@@ -137,6 +150,7 @@ def cmd_adem(args) -> str:
 
 
 def cmd_nishida(args) -> str:
+    _check_budget("nishida --a", args.a, MAX_NISHIDA_A)
     return dl.render(dl.dual_steenrod(args.a, eval_expr(args.expr))) + "\n"
 
 
@@ -150,11 +164,14 @@ def cmd_wbasis(args) -> str:
         raise ValueError(f"--gens: repeated generator in {args.gens!r}")
     gens = [ALPHABET[n] for n in names]
     if args.quotient:
+        _check_budget("quotient --gmax and --dmax", max(args.gmax, args.dmax),
+                      MAX_QUOTIENT_GD)
         rels = [dl.parse(r, ALPHABET) for r in STABILITY_RELATIONS]
         dims = dl.ideal_quotient_dims(gens, rels, args.gmax, args.dmax)
         rows = [(g, d, dims.get((g, d), 0))
                 for g in range(args.gmax + 1) for d in range(args.dmax + 1)]
         return _table(args, "dims", ["g", "d", "dim"], rows)
+    _check_budget("basis --g and --d", max(args.g, args.d), MAX_WBASIS_GD)
     rows = [(args.g, args.d, dl.render_mono(m))
             for m in dl.free_basis(gens, args.g, args.d)]
     return _table(args, "basis", ["g", "d", "monomial"], rows)
@@ -221,12 +238,9 @@ def cmd_delta(args) -> str:
 def cmd_grouphom(args) -> str:
     path = Path(args.group)
     text = path.read_text() if path.is_file() else args.group
-    _check_budget("grouphom --dmax", args.dmax, grouphom.MAX_DEGREE)
     g = grouphom.parse_group(text)
-    # through H_1 at least, for the abelianization cross-check; the top
-    # degree is read off ker d_top, so F_{dmax+1} is never built
-    res = grouphom.resolve(g, max(args.dmax, 1))
-    dims = grouphom.homology_dims(res) + (grouphom.top_homology_dim(res),)
+    # through H_1 at least, for the abelianization cross-check
+    dims = grouphom.homology_dims(grouphom.resolve(g, max(args.dmax, 1)))
     name = g.name or args.group
     ok = dims[1] == grouphom.abelianization_f2_dim(g)
     comments = [f"H_1 abelianization cross-check: {'ok' if ok else 'FAILED'}"]
@@ -268,6 +282,7 @@ def _detector_spot(i: int, j: int, base: str) -> tuple[int, int]:
 
 
 def cmd_families(args) -> str:
+    _check_budget("families --max-i", args.max_i, MAX_FAMILY_I)
     rows = _family_rows(args.max_i)
     spots = [_detector_spot(*det) for *_, det in rows]
     checked = [not args.no_verify and g <= FAMILY_WINDOW[0] and d <= FAMILY_WINDOW[1]

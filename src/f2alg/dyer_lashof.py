@@ -324,8 +324,12 @@ def ideal_quotient_dims(
 
     The ideal is the span of the relations closed under multiplication by
     all monomials and all Q^s, discarding anything landing outside the box.
-    Every relation must be a class on ``gens``; ValueError otherwise.
+    Every relation must be a class on ``gens``; ValueError otherwise,
+    before the box is enumerated.
     """
+    for p in relations:
+        if any(gen not in gens for m in p for gen, _ in m):
+            raise ValueError(f"relation {render(p)} is not a class on the given generators")
     bases: dict[tuple[int, int], list[Monomial]] = {}
     index: dict[tuple[int, int], dict[Monomial, int]] = {}
     for g in range(g_max + 1):
@@ -355,8 +359,6 @@ def ideal_quotient_dims(
             work.append((bd, r))
 
     for p in relations:
-        if any(gen not in gens for m in p for gen, _ in m):
-            raise ValueError(f"relation {render(p)} is not a class on the given generators")
         if not p:
             continue
         bd = poly_bidegree(p)

@@ -16,21 +16,23 @@ vector.  The tensored-down complex is a ``BigradedComplex``, so its
 kernels, homology representatives and coordinates are computed as for
 the cobar complexes.
 
-The top built degree is read without resolving one degree further
-(``top_homology_dim``).  The collapse pi: F_d -> F2 (x)_{F2[G]} F_d is
-onto and commutes with d, and the resolution is exact, so the image of
-1 (x) d_{top+1} is pi(im d_{top+1}) = pi(ker d_top), and
-H_top = dim ker(1 (x) d_top) - rank pi(ker d_top).  That saves F_{top+1},
-by far the largest free module of the resolution.
+Every degree through the top built one is read off the resolution as
+built.  The collapse pi: F_d -> F2 (x)_{F2[G]} F_d is onto and commutes
+with d, and the resolution is exact, so the image of 1 (x) d_{top+1} is
+pi(im d_{top+1}) = pi(ker d_top): ``TensoredComplex`` takes pi(ker d_top)
+as the incoming boundaries of the top degree, and a caller resolves only
+to the degree it reads.  That saves F_{top+1}, by far the largest free
+module of the resolution.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 
 from .cobar import BigradedComplex, WindowError
-from .f2linalg import Echelon, F2Matrix, bits_of, row_rank
+from .f2linalg import Echelon, F2Matrix, bits_of
 from .minres import complement
 
 MAX_ORDER = 1000
@@ -247,11 +249,7 @@ def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Reso
     depend on this)."""
     if group.order > MAX_ORDER:
         raise WindowError("group order exceeds budget")
-    if d_max > MAX_DEGREE + 1:
-        # one above the homology-degree budget: TensoredComplex,
-        # homology_dims and induced_map read H_d off the boundary out of
-        # degree d + 1, so a library caller resolves to MAX_DEGREE + 1 to
-        # reach H_MAX_DEGREE that way
+    if d_max > MAX_DEGREE:
         raise WindowError("degree exceeds budget")
     n = group.order
     ranks = [1]
@@ -307,46 +305,47 @@ def tensored_boundary(res: Resolution, d: int) -> F2Matrix:
 
 
 class TensoredComplex(BigradedComplex):
-    """F2 (x)_{F2[G]} of a resolution, in the one grading g = top (the top
-    built degree) with degree d at s = top - d.  So d: (top, s) ->
-    (top, s+1) is the tensored boundary of degree d, the rows of C_0 are
-    zero, and homology_dim(top, d) is H_d for d < top (the top degree is
-    consumed by the incoming boundary; ``top_homology_dim`` reads it)."""
+    """F2 (x)_{F2[G]} of a resolution, in the one grading g = top + 1 (top
+    the top built degree) with degree d at s = top + 1 - d.  So
+    d: (g, s) -> (g, s+1) is the tensored boundary of degree d, the rows of
+    C_0 are zero, and s = 0 holds the incoming boundaries of the top
+    degree, pi(ker d_top) (see the module docstring); homology_dim(g, d)
+    is H_d for every d <= top."""
 
     def __init__(self, res: Resolution):
+        self.res = res
         self.top = len(res.ranks) - 1
-        super().__init__(self.top, self.top)
+        super().__init__(self.top + 1, self.top + 1)
         # bars[d] is the tensored boundary of degree d
         self.bars = [tensored_boundary(res, d) for d in range(self.top + 1)]
 
+    @cached_property
+    def incoming(self) -> list[int]:
+        """A spanning list of pi(ker d_top), built on first use (by H_top):
+        row i of d_top is tagged pi(e_i), its generator block, so each
+        zero residue's tag is pi of a kernel vector."""
+        n = self.res.group.order
+        span = Echelon()
+        out = []
+        for i, row in enumerate(self.res.boundaries[self.top].data):
+            r, tag = span.add(row, 1 << (i // n))
+            if not r:
+                out.append(tag)
+        return out
+
     def chain_dim(self, g: int, s: int) -> int:
-        return self.bars[g - s].rows if g == self.top else 0
+        if g != self.g_max:
+            return 0
+        return self.bars[g - s].rows if s else len(self.incoming)
 
     def boundary_bits(self, g: int, s: int, i: int) -> int:
-        return self.bars[g - s].data[i]
+        return self.bars[g - s].data[i] if s else self.incoming[i]
 
 
 def homology_dims(res: Resolution) -> tuple:
-    """dim H_d for d = 0 .. d_max - 1."""
+    """dim H_d for d = 0 .. d_max."""
     c = TensoredComplex(res)
-    return tuple(c.homology_dim(c.top, d) for d in range(c.top))
-
-
-def top_homology_dim(res: Resolution) -> int:
-    """dim H_top for the top built degree, without F_{top+1}: the cycles
-    of 1 (x) d_top less the rank of pi(ker d_top) (see the module
-    docstring).  One tagged pass over the rows of d_top tags row i with
-    pi(e_i), its generator block, so each zero residue's tag is pi of a
-    kernel vector, and these span pi(ker d_top)."""
-    top = len(res.ranks) - 1
-    n = res.group.order
-    span = Echelon()
-    images = []
-    for i, row in enumerate(res.boundaries[top].data):
-        r, tag = span.add(row, 1 << (i // n))
-        if not r:
-            images.append(tag)
-    return res.ranks[top] - tensored_boundary(res, top).rank() - row_rank(images)
+    return tuple(c.homology_dim(c.g_max, d) for d in range(c.top + 1))
 
 
 # ---------------------------------------------------------------- induced maps
@@ -400,17 +399,17 @@ def induced_map(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d: int) -> 
     """Matrix of H_d(source) -> H_d(target): row i is the image of the
     i-th source homology basis vector in target coordinates."""
     src, tgt = TensoredComplex(r_src), TensoredComplex(r_tgt)
-    if not 0 <= d < min(src.top, tgt.top):
-        raise ValueError(f"H_{d} needs resolutions built beyond degree {d}")
+    if not 0 <= d <= min(src.top, tgt.top):
+        raise ValueError(f"H_{d} needs resolutions built through degree {d}")
     lifts = chain_lift(hom, r_src, r_tgt, d)
-    reps = src.homology(src.top, d).reps
+    reps = src.homology(src.g_max, d).reps
     images = []
     for v in reps:
         w = 0
         for k in bits_of(v):
             w ^= _collapse(hom.target, lifts[d][k], r_tgt.ranks[d])
-        images.append(tgt.coords(tgt.top, d, w))
-    return F2Matrix(len(reps), tgt.homology_dim(tgt.top, d), images)
+        images.append(tgt.coords(tgt.g_max, d, w))
+    return F2Matrix(len(reps), tgt.homology_dim(tgt.g_max, d), images)
 
 
 # ---------------------------------------------------------------- oracles

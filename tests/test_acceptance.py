@@ -380,17 +380,17 @@ def test_criterion_10_stability_hopf_algebra(a1, cx):
 # ---------------------------------------------------------------- 11: group homology
 
 def test_criterion_11_group_homology():
-    assert homology_dims(resolve(builtin_group("GL(2,2)"), 7)) == \
+    assert homology_dims(resolve(builtin_group("GL(2,2)"), 6)) == \
         (1, 1, 1, 1, 1, 1, 1)
     gl3 = builtin_group("GL(3,2)")
     t0 = time.monotonic()
-    r_gl3 = resolve(gl3, 5)
+    r_gl3 = resolve(gl3, 4)
     assert homology_dims(r_gl3) == (1, 0, 1, 2, 1)
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"GL(3,2) took {elapsed:.1f}s"
 
     gl2 = builtin_group("GL(2,2)")
-    r_gl2 = resolve(gl2, 5)
+    r_gl2 = resolve(gl2, 4)
     stab = stabilization_hom(gl2, gl3, 2)
     for i in range(5):
         m = group_induced_map(stab, r_gl2, r_gl3, i)
@@ -402,7 +402,7 @@ def test_criterion_11_group_homology():
     for name in ["1", "C2", "C4", "S2", "S3", "D8",
                  "GL(2,2)", "GL(3,2)", "UT(3,2)"]:
         g = builtin_group(name)
-        assert homology_dims(resolve(g, 2))[1] == abelianization_f2_dim(g), name
+        assert homology_dims(resolve(g, 1))[1] == abelianization_f2_dim(g), name
     print(f"PASS criterion 11: GL2 and GL3 homology dims, even/odd "
           f"stabilization pattern, H_1 = abelianization for every built-in "
           f"group ({elapsed:.1f}s for GL3)")

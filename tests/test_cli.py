@@ -276,8 +276,23 @@ def test_exit_budget_exceeded():
     assert run(["cotor", "--algebra", "cgl", "--gmax", "6"])[0] == 3  # its truncation is 5
     for argv in (["cellss", "--spots", "99,60,0"], ["cellss", "--spots", "12,8,-4;60,40,0"],
                  ["cellss", "--spots", "12,21,0"], ["delta", "--bound", "45"],
-                 ["may", "--gmax", "18"]):
+                 ["may", "--gmax", "18"], ["wbasis", "--gens", "s,b", "--g", "20", "--d", "20"],
+                 ["wbasis", "--gens", "s,b", "--g", "30", "--d", "30"],
+                 ["wbasis", "--gens", "s,b", "--g", "1", "--d", "19"],
+                 ["wbasis", "--gens", "s,b,n1,n2", "--quotient", "--gmax", "24", "--dmax", "12"],
+                 ["wbasis", "--gens", "s,b,n1,n2", "--quotient", "--gmax", "14", "--dmax", "15"],
+                 ["nishida", "--a", "100000", "Q[1](s)"], ["nishida", "--a", "1001", "Q[1](s)"],
+                 ["families", "--max-i", "1000000", "--no-verify"],
+                 ["families", "--max-i", "1001"]):
         assert run(argv)[0] == 3, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["nishida", "--a", "1000", "Q[1](s)"],
+    ["families", "--max-i", "1000", "--no-verify"],
+])
+def test_ceiling_admits_its_bound(argv):
+    assert run(argv)[0] == 0
 
 
 def test_cellss_enumerates_each_spot_once(monkeypatch):

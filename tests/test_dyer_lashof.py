@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from f2alg import dyer_lashof as dl
 from f2alg.dyer_lashof import (
     BETA,
     NU1,
@@ -254,6 +255,15 @@ def test_quotient_dims_row3(quotient_table):
     assert quotient_table[(3, 3)] == 2  # n1, n2 survive; Q^{3}... killed
     assert quotient_table[(5, 3)] == 1
     assert quotient_table[(6, 3)] == 1
+
+
+def test_quotient_checks_relations_before_the_box(monkeypatch):
+    # s*n1 is not a class on s, b; the 20 x 12 box would take seconds
+    calls = []
+    monkeypatch.setattr(dl, "free_basis", lambda *a: calls.append(a) or [])
+    with pytest.raises(ValueError, match="not a class on the given generators"):
+        ideal_quotient_dims([SIGMA, BETA], [P("s*Q[1](s)"), P("s*n1")], 20, 12)
+    assert calls == []
 
 
 def test_quotient_free_when_no_relations():

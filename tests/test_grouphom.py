@@ -26,7 +26,6 @@ from f2alg.grouphom import (
     parse_group,
     resolve,
     stabilization_hom,
-    top_homology_dim,
 )
 
 BUILTINS = ["1", "C2", "C4", "S2", "S3", "D8", "GL(2,2)", "GL(3,2)", "UT(3,2)"]
@@ -44,12 +43,12 @@ def gl3():
 
 @pytest.fixture(scope="module")
 def r_gl2(gl2):
-    return resolve(gl2, 5)
+    return resolve(gl2, 4)
 
 
 @pytest.fixture(scope="module")
 def r_gl3(gl3):
-    return resolve(gl3, 5)
+    return resolve(gl3, 4)
 
 
 # ---------------------------------------------------------------- resolutions
@@ -57,14 +56,14 @@ def r_gl3(gl3):
 def test_trivial_group_resolution():
     res = resolve(builtin_group("1"), 4)
     assert res.ranks == (1, 0, 0, 0, 0)
-    assert homology_dims(res) == (1, 0, 0, 0)
+    assert homology_dims(res) == (1, 0, 0, 0, 0)
 
 
 def test_c2_periodic_resolution():
     res = resolve(builtin_group("C2"), 6)
     assert res.ranks == (1, 1, 1, 1, 1, 1, 1)
     assert_resolution(res)
-    assert homology_dims(res) == (1, 1, 1, 1, 1, 1)
+    assert homology_dims(res) == (1, 1, 1, 1, 1, 1, 1)
 
 
 @pytest.mark.parametrize("name", ["S3", "UT(3,2)", "D8", "C4"])
@@ -75,8 +74,13 @@ def test_resolutions_exact(name):
 # ---------------------------------------------------------------- dimensions
 
 def test_gl2_dims_all_one():
-    res = resolve(builtin_group("GL(2,2)"), 7)
+    res = resolve(builtin_group("GL(2,2)"), 6)
     assert homology_dims(res) == (1, 1, 1, 1, 1, 1, 1)
+
+
+def test_degree_budget_enforced():
+    with pytest.raises(WindowError, match="degree exceeds budget"):
+        resolve(builtin_group("C2"), grouphom.MAX_DEGREE + 1)
 
 
 def test_gl3_dims(r_gl3):
@@ -95,13 +99,13 @@ def ut3_ring_dims(d_max):
 
 
 def test_ut3_dims_match_ring_oracle():
-    res = resolve(builtin_group("UT(3,2)"), 5)
+    res = resolve(builtin_group("UT(3,2)"), 4)
     assert homology_dims(res) == ut3_ring_dims(4) == (1, 2, 3, 4, 5)
 
 
 def test_gl2_s3_isomorphic_dims(r_gl2):
     # the same group on 7 points (vector action) and 3 points
-    assert homology_dims(resolve(builtin_group("S3"), 5)) == homology_dims(r_gl2)
+    assert homology_dims(resolve(builtin_group("S3"), 4)) == homology_dims(r_gl2)
 
 
 @pytest.mark.parametrize("name", ["S3", "UT(3,2)", "D8"])
@@ -123,19 +127,31 @@ def truncated(res, d):
 @pytest.mark.parametrize("reverse_ties", [False, True])
 @pytest.mark.parametrize("name", BUILTINS + ["S4", "S5", "UT(4,2)"])
 def test_top_degree_matches_one_degree_further(name, reverse_ties):
+    # H_top is read off ker d_top; one degree further it is read off the
+    # tensored image of d_{top+1}
     g = builtin_group(name)
     top = 5 if g.order <= 60 else 3
     further = resolve(g, top + 1, reverse_ties=reverse_ties)
     res = resolve(g, top, reverse_ties=reverse_ties)
     assert (res.ranks, res.boundaries) == truncated(further, top)[1:]
     dims = homology_dims(further)
-    assert tuple(top_homology_dim(truncated(further, d)) for d in range(top + 1)) == dims
-    assert top_homology_dim(res) == dims[top]
+    for d in range(top + 1):
+        assert homology_dims(truncated(further, d)) == dims[:d + 1], d
 
 
-def test_gl3_top_degree_reads_h4(gl3):
-    # the H_4 of test_gl3_dims, without F_5
-    assert top_homology_dim(resolve(gl3, 4)) == 1
+def test_top_degree_induced_map_matches_one_degree_further(gl2, gl3):
+    ut3 = builtin_group("UT(3,2)")
+    c2, s3 = builtin_group("C2"), builtin_group("S3")
+    cases = [
+        (stabilization_hom(gl2, gl3, 2), resolve(gl2, 5), resolve(gl3, 5)),
+        (GroupHom(c2, s3, lambda p: tuple(p) + (2,)), resolve(c2, 5), resolve(s3, 5)),
+        # a change of homology basis, so the coordinates are not all unit
+        (GroupHom.identity(ut3), resolve(ut3, 5), resolve(ut3, 5, reverse_ties=True)),
+    ]
+    for hom, r_src, r_tgt in cases:
+        for d in range(5):
+            at_top = induced_map(hom, truncated(r_src, d), truncated(r_tgt, d), d)
+            assert at_top == induced_map(hom, r_src, r_tgt, d), (hom.source.name, d)
 
 
 def act_reference(group, e, v):
@@ -167,7 +183,7 @@ def test_batched_translates_match_one_element_at_a_time(name, rank, data):
 # must not move
 GREEDY_RANKS = {
     ("D8", 6): ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 6, 7, 8)),
-    ("S3", 7): ((1, 2, 4, 5, 4, 5, 6, 5), (1, 2, 3, 3, 2, 2, 2, 2)),
+    ("S3", 6): ((1, 2, 4, 5, 4, 5, 6), (1, 2, 3, 3, 2, 2, 2)),
     ("S4", 5): ((1, 3, 5, 6, 6, 9), (1, 3, 6, 7, 7, 8)),
     ("UT(3,2)", 6): ((1, 2, 4, 7, 10, 13, 16), (1, 3, 4, 6, 9, 13, 16)),
     ("GL(3,2)", 3): ((1, 2, 3, 6), (1, 4, 9, 19)),
@@ -214,7 +230,7 @@ def test_mult_table_matches_composition(name):
 def test_h0_and_h1_against_abelianization():
     for name in BUILTINS:
         g = builtin_group(name)
-        dims = homology_dims(resolve(g, 2))
+        dims = homology_dims(resolve(g, 1))
         assert dims[0] == 1, name
         assert dims[1] == abelianization_f2_dim(g), name
 
@@ -223,7 +239,7 @@ def test_h0_and_h1_against_abelianization():
 
 def test_identity_induces_identity(gl2, r_gl2):
     ih = GroupHom.identity(gl2)
-    for d in range(4):
+    for d in range(5):
         m = induced_map(ih, r_gl2, r_gl2, d)
         assert m.rows == m.cols == 1 and m.rank() == 1
 
@@ -238,7 +254,7 @@ def test_identity_induces_identity_matrix():
 
 
 def test_identity_across_tie_breaks(gl2, r_gl2):
-    other = resolve(gl2, 5, reverse_ties=True)
+    other = resolve(gl2, 4, reverse_ties=True)
     m = induced_map(GroupHom.identity(gl2), r_gl2, other, 3)
     assert m.rank() == 1
 
@@ -265,14 +281,14 @@ def test_stabilization_gl2_gl3_entries(gl2, gl3, r_gl2, r_gl3):
 def test_sylow_c2_into_s3_entries():
     c2, s3 = builtin_group("C2"), builtin_group("S3")
     incl = GroupHom(c2, s3, lambda p: tuple(p) + (2,))
-    r2, r3 = resolve(c2, 5), resolve(s3, 5)
+    r2, r3 = resolve(c2, 4), resolve(s3, 4)
     for d in range(5):
         assert induced_map(incl, r2, r3, d).data == [1]
 
 
 @pytest.mark.parametrize("d", [5, 6])
 def test_induced_map_needs_a_higher_degree(gl2, r_gl2, d):
-    # H_d needs the boundary out of degree d + 1; resolve(_, 5) stops at 5
+    # H_d needs resolutions built through degree d; resolve(_, 4) stops at 4
     with pytest.raises(ValueError):
         induced_map(GroupHom.identity(gl2), r_gl2, r_gl2, d)
 
@@ -291,7 +307,7 @@ def test_s2_into_gl2_iso(gl2, r_gl2):
         return tuple(out)
 
     incl = GroupHom(s2, gl2, perm_mat)
-    r_s2 = resolve(s2, 5)
+    r_s2 = resolve(s2, 4)
     for d in range(5):
         m = induced_map(incl, r_s2, r_gl2, d)
         assert m.rows == m.cols == m.rank() == 1
@@ -309,7 +325,7 @@ def test_non_homomorphism_rejected():
 def test_parse_cycle_notation():
     g = parse_group("(0 1)\n(0 1 2)\n")
     assert g.order == 6
-    assert homology_dims(resolve(g, 3)) == (1, 1, 1)
+    assert homology_dims(resolve(g, 2)) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("text", ["(0 1)(0 2)", "(0 1)(1 2 2)", "(a b)", "(0 1)(2"])
