@@ -139,6 +139,12 @@ def test_top_degree_matches_one_degree_further(name, reverse_ties):
         assert homology_dims(truncated(further, d)) == dims[:d + 1], d
 
 
+def test_gl3_top_degree_reads_h4(r_gl3):
+    # the H_4 of test_gl3_dims, read at the top with no F_5 built
+    assert len(r_gl3.ranks) == 5
+    assert homology_dims(r_gl3)[4] == 1
+
+
 def test_top_degree_induced_map_matches_one_degree_further(gl2, gl3):
     ut3 = builtin_group("UT(3,2)")
     c2, s3 = builtin_group("C2"), builtin_group("S3")
