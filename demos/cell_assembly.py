@@ -7,7 +7,7 @@ Run:  python3 demos/cell_assembly.py
 """
 
 from f2alg.cellhopf import delta_of_cells, load_cells
-from f2alg.hopf import build_delta_cgl, dualize
+from f2alg.hopf import build_delta_cgl
 
 pres = delta_of_cells(load_cells("cgl.cells"), bound=5)
 
@@ -25,7 +25,7 @@ print("generators:", pres.generators)
 for g in range(1, 6):
     print(f"  grading {g}: {pres.hopf.basis[g]}")
 
-d = dualize(pres.hopf)
+d = pres.hopf.dualize()
 s1, s2 = d.index(1, "sb~"), d.index(2, "sb^2~")
 s2s1 = d.product(2, 1 << s2, 1, 1 << s1)
 print("\ndual algebra relations:")

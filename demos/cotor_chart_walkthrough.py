@@ -6,7 +6,7 @@ h10 together with its hidden extension.
 Run:  python3 demos/cotor_chart_walkthrough.py
 """
 
-from f2alg.cobar import build_cobar, build_cone, chart_rows, ring_chart_names
+from f2alg.cobar import ConeComplex, build_cobar, chart_rows, ring_chart_names
 from f2alg.hopf import build_a1_star
 
 G, D = 13, 9
@@ -33,7 +33,7 @@ rhs = cx.product_chain(cx.cotor_product(h10, h10), y128)
 print("  y74^2 = h10^2*y128 != 0 :",
       cx.class_nonzero(14, 8, lhs) and cx.classes_agree(14, 8, lhs, rhs))
 
-cone = build_cone(cx, h10)
+cone = ConeComplex(cx, h10)
 print("\ncone on h10, g <= 7, d <= 4 (the lightning flash):")
 flash = [(g, d) for g in range(8) for d in range(5) if cone.homology_dim(g, d)]
 print(" ", sorted(flash))

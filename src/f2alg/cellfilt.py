@@ -33,7 +33,6 @@ survivor conclusions are exactly those of the recorded chart, and
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
@@ -41,13 +40,10 @@ from .dyer_lashof import (
     BETA,
     SIGMA,
     Monomial,
-    factor_bidegree,
     mono_bidegree,
-    normal_factors,
     free_basis,
     parse,
     render_mono,
-    slope,
 )
 
 GENS = {"s": SIGMA, "b": BETA}
@@ -102,64 +98,6 @@ def e1_basis_mod_sigma(g: int, d: int) -> list[TriMonomial]:
     explicit exclusion record."""
     dropped = excluded_monomials(g, d)
     return [t for t in enumerate_mod_sigma(g, d) if t.m not in dropped]
-
-
-def q1_divisibility(m: Monomial) -> int:
-    """Exact number of Q^1(sigma) factors."""
-    return sum(1 for fac in m if fac == (SIGMA, (1,)))
-
-
-# ---------------------------------------------------------------- slope windows
-
-class Interval(NamedTuple):
-    lo: Fraction
-    hi: Fraction
-    closed_lo: bool
-    closed_hi: bool
-
-    def __contains__(self, x) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.closed_lo:
-            return False
-        if x == self.hi and not self.closed_hi:
-            return False
-        return True
-
-
-_INTERVAL = re.compile(r"^([\[(])\s*([^,]+),\s*([^\])]+)([\])])$")
-
-
-def parse_interval(text: str) -> Interval:
-    m = _INTERVAL.match(text.strip())
-    if not m:
-        raise ValueError(f"bad interval syntax: {text!r}")
-    return Interval(
-        Fraction(m.group(2)), Fraction(m.group(3)),
-        m.group(1) == "[", m.group(4) == "]",
-    )
-
-
-def slope_filter(
-    gens: list, g_max: int, d_max: int, window: Interval | str
-) -> list[TriMonomial]:
-    """Single towers Q_I(x) inside the box whose slope d/g lies in the
-    window.  The bare bottom generator sigma and its first operation
-    Q^1(sigma) are excluded; they are handled separately in
-    divisibility arguments."""
-    if isinstance(window, str):
-        window = parse_interval(window)
-    exclude = ((SIGMA, ()), (SIGMA, (1,)))
-    out = []
-    for x in gens:
-        for fac in normal_factors(x, g_max, d_max):
-            if fac in exclude:
-                continue
-            m: Monomial = (fac,)
-            if slope(m) in window:
-                out.append(TriMonomial(m, filtration(m)))
-    out.sort(key=lambda t: (factor_bidegree(t.m[0]), t.m))
-    return out
 
 
 # ---------------------------------------------------------------- declarations

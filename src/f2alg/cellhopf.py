@@ -27,7 +27,6 @@ tolerated, with a flag, exactly when their bar vanishes anyway.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple, Optional
 
@@ -314,19 +313,3 @@ def delta_of_cells(spec: CellSpec, bound: int) -> DeltaPresentation:
     h.assert_axioms()
     within = tuple(gn for gn in gens if gn[1] <= bound)
     return DeltaPresentation(h, within, tuple(flags), tuple(log))
-
-
-# ---------------------------------------------------------------- slope transfer
-
-def slope_transfer(kind: str, n: int) -> Fraction:
-    """Slope bound below which vanishing lines transfer across a
-    stabilization comparison with support bound n."""
-    if kind == "surjective":
-        if n < 2:
-            raise ValueError("surjective transfer needs n >= 2")
-        return Fraction(n - 1, n)
-    if kind == "injective":
-        if n < 3:
-            raise ValueError("injective transfer needs n >= 3")
-        return Fraction(n - 2, n)
-    raise ValueError(f"unknown transfer kind {kind!r}")

@@ -48,8 +48,11 @@ FAMILY_WINDOW = (43, 28)
 #   four generators, 8.7 s at (20, 20) and over 40 s at (30, 30) on s,b;
 # - wbasis --quotient on all four generators takes 3.4 s at --gmax 14
 #   --dmax 12, 7.5 s at (14, 14), 17 s at (14, 16), 27 s at (20, 12);
-# - nishida grows as a^2 per tower factor: --a 1000 takes 0.3 s on Q[1](s)
-#   and 0.7 s on Q[5](s)*Q[6](s)*Q[7](s), --a 8000 3.6 s on Q[1](s);
+# - nishida is zero once --a passes the class's homological degree, found
+#   per tower factor: --a 1000 takes 0.3 s, most of it start-up, on Q[1](s)
+#   and on Q[5](s)*Q[6](s)*Q[7](s); below the degree the cost grows with a
+#   and the number of factors: 0.4 s at --a 1000 on Q[1000](s), and 3 s at
+#   --a 50, 22 s at 200, 47 s at 400 on Q[1000](s)*Q[1001](s)*Q[1002](s);
 # - families --no-verify takes 0.2 s and 23 MB at --max-i 1000, 1.0 s and
 #   91 MB at 10^4, 84 s and 7.6 GB at 10^6;
 # - delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26;

@@ -404,10 +404,6 @@ def build_cobar(h: HopfAlgebra, g_max: int = 26, s_max: int = 26) -> CobarComple
     return CobarComplex(h, g_max, s_max)
 
 
-def build_cone(c: CobarComplex, z: CotorClass) -> ConeComplex:
-    return ConeComplex(c, z)
-
-
 # ---------------------------------------------------------------- induced maps
 
 
@@ -435,20 +431,6 @@ class CobarMap:
             for nw in itertools.product(*(self.letter_images[lid] for lid in w)):
                 out ^= 1 << idx[nw]
         return out
-
-    def on_cotor(self, g: int, d: int) -> F2Matrix:
-        """Matrix of the induced map on homology bases at (g, d); row i is
-        the coordinate vector of the image of source basis class i."""
-        src = self.source.cotor_basis(g, d)
-        rows = []
-        for c in src:
-            img = self.map_chain(g, c.s, c.chain)
-            rows.append(self.target.coords(g, d, img))
-        return F2Matrix(len(src), self.target.homology_dim(g, d), rows)
-
-
-def induced_map(f: CoalgebraMap, source: CobarComplex, target: CobarComplex) -> CobarMap:
-    return CobarMap(f, source, target)
 
 
 # ---------------------------------------------------------------- chart rows

@@ -31,7 +31,6 @@ Classes are written in one text syntax, ``Q[2,1](s) + s^2*q[1](s)``:
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .f2linalg import Echelon
@@ -220,34 +219,28 @@ def apply_q(s: int, p: Poly) -> Poly:
 
 # ---------------------------------------------------------------- dual Steenrod action
 
-def _sq_factor(a: int, f: Factor, registered) -> Poly:
+def _sq_factor(a: int, f: Factor) -> Poly:
     if a == 0:
         return poly((f,))
     gen, seq = f
-    if not seq:
-        if registered:
-            img = registered.get((gen.name, a))
-            if img is not None:
-                return img
+    if not seq or a > sum(seq) + gen.d:
+        # zero on a generator, and Sq^a_* lowers the homological degree by a
         return ZERO
     s = seq[0]
     inner: Factor = (gen, seq[1:])
     out: set = set()
     for t in range(a // 2 + 1):
         if binom_odd(s - a, a - 2 * t):
-            out ^= _q_poly(s - a + t, _sq_factor(t, inner, registered))
+            out ^= _q_poly(s - a + t, _sq_factor(t, inner))
     return frozenset(out)
 
 
-def dual_steenrod(a: int, p: Poly, registered: Optional[dict] = None) -> Poly:
-    """Sq^a_* via Cartan over factors and Nishida past Q's.
-
-    ``registered`` maps (generator name, a) to the polynomial value of
-    Sq^a_* on that generator; unregistered positive-degree actions are zero.
-    """
+def dual_steenrod(a: int, p: Poly) -> Poly:
+    """Sq^a_* via Cartan over factors and Nishida past Q's; every
+    generator is annihilated."""
     if a < 1:
         raise ValueError("operation index must be positive")
-    return _linear(lambda t, f: _sq_factor(t, f, registered), a, p)
+    return _linear(_sq_factor, a, p)
 
 
 # ---------------------------------------------------------------- basis enumeration
@@ -408,15 +401,6 @@ def bar_class(p: Poly) -> Poly:
             acc = _q_poly(low - 1 + poly_bidegree(acc)[1], acc)
         out ^= acc
     return frozenset(out)
-
-
-# ---------------------------------------------------------------- slope
-
-def slope(m: Monomial) -> Fraction:
-    g, d = mono_bidegree(m)
-    if g <= 0:
-        raise ValueError("slope needs positive grading")
-    return Fraction(d, g)
 
 
 # ---------------------------------------------------------------- standard generators

@@ -209,9 +209,6 @@ class Subspace:
                 v ^= r
         return v
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient mismatch")

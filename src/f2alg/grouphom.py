@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .cobar import BigradedComplex, WindowError
 from .f2linalg import Echelon, F2Matrix, bits_of
@@ -216,12 +216,22 @@ def parse_group(text: str) -> PermGroup:
 
 # ---------------------------------------------------------------- resolutions
 
-class Resolution(NamedTuple):
-    group: PermGroup
-    ranks: tuple
-    # boundaries[d]: F_d -> F_{d-1} as rows, one per F2 basis vector of F_d;
-    # [0] is the augmentation F_0 -> F2
-    boundaries: tuple
+class Resolution:
+    """A free resolution of the trivial module through degree
+    len(ranks) - 1: ranks[d] is the rank of F_d over F2[G], and
+    boundaries[d]: F_d -> F_{d-1} has one row per F2 basis vector of F_d
+    ([0] is the augmentation F_0 -> F2)."""
+
+    def __init__(self, group: PermGroup, ranks: tuple, boundaries: tuple):
+        self.group = group
+        self.ranks = ranks
+        self.boundaries = boundaries
+
+    @cached_property
+    def tensored(self) -> TensoredComplex:
+        """The tensored-down complex, built once and shared by every
+        homology read and induced map on this resolution."""
+        return TensoredComplex(self)
 
 
 def _translates(group: PermGroup, v: int, elements: Iterable[int]) -> list[int]:
@@ -344,7 +354,7 @@ class TensoredComplex(BigradedComplex):
 
 def homology_dims(res: Resolution) -> tuple:
     """dim H_d for d = 0 .. d_max."""
-    c = TensoredComplex(res)
+    c = res.tensored
     return tuple(c.homology_dim(c.g_max, d) for d in range(c.top + 1))
 
 
@@ -398,7 +408,7 @@ def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):
 def induced_map(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d: int) -> F2Matrix:
     """Matrix of H_d(source) -> H_d(target): row i is the image of the
     i-th source homology basis vector in target coordinates."""
-    src, tgt = TensoredComplex(r_src), TensoredComplex(r_tgt)
+    src, tgt = r_src.tensored, r_tgt.tensored
     if not 0 <= d <= min(src.top, tgt.top):
         raise ValueError(f"H_{d} needs resolutions built through degree {d}")
     lifts = chain_lift(hom, r_src, r_tgt, d)

@@ -29,8 +29,8 @@ Pair = tuple[tuple[int, int], tuple[int, int]]  # ((g1,i1),(g2,i2))
 class HopfAlgebra:
     """Connected graded bialgebra over F2 given by tables.
 
-    Over F2 a connected graded bialgebra has a unique antipode, computed on
-    demand; so these are Hopf algebras whenever the axiom checks pass.
+    Over F2 a connected graded bialgebra has a unique antipode, so these
+    are Hopf algebras whenever the axiom checks pass.
     """
 
     def __init__(
@@ -52,7 +52,6 @@ class HopfAlgebra:
         self.truncation = truncation
         self.mult = mult
         self.comult = comult
-        self._antipode: Optional[dict[tuple[int, int], int]] = None
 
     # ------------------------------------------------------------ basics
 
@@ -110,9 +109,6 @@ class HopfAlgebra:
             for p in self.coproduct(g, i):
                 acc ^= {p}
         return acc
-
-    def is_primitive(self, g: int, i: int) -> bool:
-        return not self.reduced_coproduct(g, i)
 
     # ------------------------------------------------------------ axiom checks
 
@@ -201,24 +197,6 @@ class HopfAlgebra:
         for name, ok, witness in self.check_axioms():
             if not ok:
                 raise AssertionError(f"Hopf axiom {name} fails at {witness}")
-
-    # ------------------------------------------------------------ antipode
-
-    def antipode(self, g: int, i: int) -> int:
-        """S(x) for a basis element, grading preserved.
-
-        Connected over F2: S(x) = x + sum S(x') x'' over the reduced
-        coproduct, recursively by grading.
-        """
-        if self._antipode is None:
-            self._antipode = {(0, 0): 1}
-        key = (g, i)
-        if key not in self._antipode:
-            acc = 1 << i
-            for (g1, i1), (g2, i2) in self.reduced_coproduct(g, i):
-                acc ^= self.product(g1, self.antipode(g1, i1), g2, 1 << i2)
-            self._antipode[key] = acc
-        return self._antipode[key]
 
     # ------------------------------------------------------------ dual
 
@@ -438,10 +416,6 @@ def build_delta_cgl() -> PolyHopf:
     h = PolyHopf(gens, [cop_sb, cop_delta, cop_rho], max_grading=5, truncated=True)
     h.assert_axioms()
     return h
-
-
-def dualize(h: HopfAlgebra) -> HopfAlgebra:
-    return h.dualize()
 
 
 # ---------------------------------------------------------------- coalgebra maps

@@ -26,7 +26,7 @@ from f2alg.cellfilt import (
 )
 from f2alg.cellhopf import delta_of_cells, load_cells
 from f2alg.cli import eval_expr, main
-from f2alg.cobar import build_cobar, build_cone, induced_map
+from f2alg.cobar import CobarMap, ConeComplex, build_cobar
 from f2alg.dyer_lashof import (
     NU1,
     NU2,
@@ -44,7 +44,7 @@ from f2alg.grouphom import (
     abelianization_f2_dim,
     builtin_group,
     homology_dims,
-    induced_map as group_induced_map,
+    induced_map,
     resolve,
     stabilization_hom,
 )
@@ -53,7 +53,6 @@ from f2alg.hopf import (
     build_cgl_to_a1_map,
     build_delta_cgl,
     check_hopf_map,
-    dualize,
 )
 from f2alg.mayss import build_filtered, einfty_report, page
 from f2alg.minres import MinimalResolution
@@ -76,7 +75,7 @@ def cx(a1):
 
 @pytest.fixture(scope="session")
 def cone(cx):
-    return build_cone(cx, cx.unique_class(1, 0))
+    return ConeComplex(cx, cx.unique_class(1, 0))
 
 
 @pytest.fixture(scope="session")
@@ -356,7 +355,7 @@ def test_criterion_10_stability_hopf_algebra(a1, cx):
         ["rho", "sb*delta", "sb^4"], ["sb*rho", "sb^2*delta", "sb^5"],
     ]
 
-    d = dualize(ref)
+    d = ref.dualize()
     s1, s2 = d.index(1, "sb~"), d.index(2, "sb^2~")
     assert d.product(1, 1 << s1, 1, 1 << s1) == 0
     s2s1 = d.product(2, 1 << s2, 1, 1 << s1)
@@ -367,7 +366,7 @@ def test_criterion_10_stability_hopf_algebra(a1, cx):
     f = build_cgl_to_a1_map(ref, a1)
     assert all(ok for _, ok, _ in check_hopf_map(f))
     src = build_cobar(ref, g_max=5)
-    m = induced_map(f, src, cx)
+    m = CobarMap(f, src, cx)
     gen = src.unique_class(1, 0)
     img = m.map_chain(1, 1, gen.chain)
     assert cx.class_nonzero(1, 0, img)
@@ -393,7 +392,7 @@ def test_criterion_11_group_homology():
     r_gl2 = resolve(gl2, 4)
     stab = stabilization_hom(gl2, gl3, 2)
     for i in range(5):
-        m = group_induced_map(stab, r_gl2, r_gl3, i)
+        m = induced_map(stab, r_gl2, r_gl3, i)
         if i % 2 == 0:
             assert m.rank() == homology_dims(r_gl2)[i] == homology_dims(r_gl3)[i]
         else:

@@ -23,11 +23,8 @@ from f2alg.cellfilt import (
     filtration_discrepancies,
     load_declarations,
     parse_declarations,
-    parse_interval,
     propagate,
-    q1_divisibility,
     reading_report,
-    slope_filter,
     table_monomials,
     tri,
     validate_declarations,
@@ -47,10 +44,6 @@ from f2alg.dyer_lashof import (
 @pytest.fixture(scope="module")
 def decls():
     return load_declarations()
-
-
-def names_of(tris):
-    return sorted(render_mono(t.m) for t in tris)
 
 
 # ---------------------------------------------------------------- filtration rule
@@ -91,18 +84,6 @@ def test_basis_13_8():
 
 def test_basis_0_0():
     assert e1_basis_mod_sigma(0, 0) == [((), 0)]
-
-
-def test_q1_divisibility_grouping_12_8():
-    groups = {}
-    for t in e1_basis_mod_sigma(12, 8):
-        groups.setdefault(q1_divisibility(t.m), set()).add(render_mono(t.m))
-    assert groups[0] == {"b^4"}
-    assert 1 not in groups
-    assert groups[2] == {"b^2*Q[1](s)^2*Q[2](s)", "Q[1](s)^2*Q[2,1](s)^2"}
-    assert groups[3] == {"Q[3](b)*Q[1](s)^3", "Q[1](s)^3*Q[2](s)*Q[2,1](s)"}
-    assert groups[4] == {"Q[1](s)^4*Q[2](s)^2"}
-    assert groups[5] == {"Q[1](s)^5*Q[3](s)"}
 
 
 def oracle_mod_sigma(g, d):
@@ -159,25 +140,6 @@ def test_reconciliation_reports_the_extra_normal_monomial():
 def test_reconciliation_13_8_clean():
     rec = chart_reconciliation(13, 8, TABLE_13_8)
     assert rec["enumerated_only"] == [] and rec["recorded_only"] == []
-
-
-# ---------------------------------------------------------------- slope windows
-
-def test_slope_windows():
-    assert names_of(slope_filter([SIGMA, BETA], 12, 8, "[0,2/3)")) == []
-    assert names_of(slope_filter([SIGMA, BETA], 12, 8, "[0,2/3]")) == ["b"]
-    assert names_of(slope_filter([SIGMA, BETA], 12, 8, "(2/3,3/4]")) == ["Q[2,1](s)"]
-    assert slope_filter([SIGMA, BETA], 12, 8, "[0,0)") == []
-
-
-def test_interval_parsing():
-    iv = parse_interval("(2/3, 3/4]")
-    from fractions import Fraction
-
-    assert Fraction(3, 4) in iv
-    assert Fraction(2, 3) not in iv
-    with pytest.raises(ValueError):
-        parse_interval("2/3..3/4")
 
 
 # ---------------------------------------------------------------- declarations

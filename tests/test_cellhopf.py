@@ -5,8 +5,6 @@ entrywise, the directly constructed polynomial Hopf algebra on sb,
 delta, rho through grading 5.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from f2alg.cellhopf import (
@@ -14,7 +12,6 @@ from f2alg.cellhopf import (
     delta_of_cells,
     load_cells,
     parse_cells,
-    slope_transfer,
 )
 from f2alg.dyer_lashof import SIGMA, parse
 from f2alg.hopf import PolyHopf, build_delta_cgl
@@ -183,24 +180,6 @@ def test_off_hypothesis_pair_with_vanishing_bar_flags():
     terms, flags = bracket_coproduct(((parse("s^2", al), parse("q[2](s)", al)),))
     assert terms == []
     assert len(flags) == 1 and "term dropped" in flags[0]
-
-
-# ---------------------------------------------------------------- slope transfer
-
-def test_slope_transfer_values():
-    assert slope_transfer("surjective", 3) == Fraction(2, 3)
-    assert slope_transfer("surjective", 2) == Fraction(1, 2)
-    assert slope_transfer("injective", 6) == Fraction(2, 3)
-    assert slope_transfer("injective", 3) == Fraction(1, 3)
-
-
-def test_slope_transfer_range_errors():
-    with pytest.raises(ValueError):
-        slope_transfer("surjective", 1)
-    with pytest.raises(ValueError):
-        slope_transfer("injective", 2)
-    with pytest.raises(ValueError):
-        slope_transfer("bijective", 5)
 
 
 # ---------------------------------------------------------------- helpers

@@ -176,8 +176,8 @@ def test_transpose_involution_and_rank(m):
 def test_subspace_membership_and_sum():
     a = Subspace.span(4, [0b0011, 0b0110])
     b = Subspace.span(4, [0b1100])
-    assert a.contains(0b0101)
-    assert not a.contains(0b1000)
+    assert a.reduce(0b0101) == 0
+    assert a.reduce(0b1000) != 0
     s = a.sum(b)
     assert s.dim == 3
 
@@ -191,7 +191,7 @@ def test_intersection_oracle(u_rows, v_rows):
     u = Subspace.span(6, u_rows)
     v = Subspace.span(6, v_rows)
     w = u.intersect(v)
-    members = {x for x in range(64) if u.contains(x) and v.contains(x)}
+    members = {x for x in range(64) if u.reduce(x) == v.reduce(x) == 0}
     assert 1 << w.dim == len(members)
     for r in w.basis:
         assert r in members

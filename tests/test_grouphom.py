@@ -6,6 +6,7 @@ reversed greedy tie-breaking for choice independence.
 """
 
 import re
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from f2alg.f2linalg import bits_of
 from f2alg.grouphom import (
     GroupHom,
     PermGroup,
+    Resolution,
+    TensoredComplex,
     abelianization_f2_dim,
     assert_resolution,
     builtin_group,
@@ -121,7 +124,7 @@ def test_dims_independent_of_greedy_ties(name):
 def truncated(res, d):
     """The resolution through degree d; resolve builds degree by degree,
     so this is what resolve(group, d) returns."""
-    return res._replace(ranks=res.ranks[:d + 1], boundaries=res.boundaries[:d + 1])
+    return Resolution(res.group, res.ranks[:d + 1], res.boundaries[:d + 1])
 
 
 @pytest.mark.parametrize("reverse_ties", [False, True])
@@ -133,7 +136,8 @@ def test_top_degree_matches_one_degree_further(name, reverse_ties):
     top = 5 if g.order <= 60 else 3
     further = resolve(g, top + 1, reverse_ties=reverse_ties)
     res = resolve(g, top, reverse_ties=reverse_ties)
-    assert (res.ranks, res.boundaries) == truncated(further, top)[1:]
+    head = truncated(further, top)
+    assert (res.ranks, res.boundaries) == (head.ranks, head.boundaries)
     dims = homology_dims(further)
     for d in range(top + 1):
         assert homology_dims(truncated(further, d)) == dims[:d + 1], d
@@ -158,6 +162,26 @@ def test_top_degree_induced_map_matches_one_degree_further(gl2, gl3):
         for d in range(5):
             at_top = induced_map(hom, truncated(r_src, d), truncated(r_tgt, d), d)
             assert at_top == induced_map(hom, r_src, r_tgt, d), (hom.source.name, d)
+
+
+def test_incoming_runs_once_per_resolution(monkeypatch, gl2, gl3):
+    # every top-degree read of one resolution shares its tensored complex
+    incoming = TensoredComplex.incoming.func
+    built = []
+
+    def counted(c):
+        built.append(c.res)
+        return incoming(c)
+
+    prop = cached_property(counted)
+    prop.__set_name__(TensoredComplex, "incoming")
+    monkeypatch.setattr(TensoredComplex, "incoming", prop)
+    stab = stabilization_hom(gl2, gl3, 2)
+    r_src, r_tgt = resolve(gl2, 3), resolve(gl3, 3)
+    maps = [induced_map(stab, r_src, r_tgt, 3) for _ in range(3)]
+    assert maps[0] == maps[1] == maps[2]
+    assert homology_dims(r_src) == (1, 1, 1, 1) and homology_dims(r_tgt) == (1, 0, 1, 2)
+    assert sorted(map(id, built)) == sorted([id(r_src), id(r_tgt)])
 
 
 def act_reference(group, e, v):
