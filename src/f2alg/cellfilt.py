@@ -93,11 +93,13 @@ def excluded_monomials(g: int, d: int) -> frozenset:
     return frozenset(out)
 
 
-def e1_basis_mod_sigma(g: int, d: int) -> list[TriMonomial]:
-    """The recorded chart at (g, d): the mod-sigma enumeration minus the
-    explicit exclusion record."""
+def e1_basis_mod_sigma(g: int, d: int, enumerated=None) -> list[TriMonomial]:
+    """The recorded chart at (g, d): the mod-sigma enumeration (computed
+    here unless given) minus the explicit exclusion record."""
+    if enumerated is None:
+        enumerated = enumerate_mod_sigma(g, d)
     dropped = excluded_monomials(g, d)
-    return [t for t in enumerate_mod_sigma(g, d) if t.m not in dropped]
+    return [t for t in enumerated if t.m not in dropped]
 
 
 # ---------------------------------------------------------------- declarations
@@ -205,9 +207,9 @@ class BocksteinChart(NamedTuple):
         return [c for c in self.entries if self.status.get(c, ("survives",))[0] == "survives"]
 
 
-def build_chart(g: int, d: int, f: int) -> BocksteinChart:
+def build_chart(g: int, d: int, f: int, enumerated=None) -> BocksteinChart:
     entries = []
-    for t in e1_basis_mod_sigma(g, d):
+    for t in e1_basis_mod_sigma(g, d, enumerated):
         j = f - t.f
         if j >= 0:
             entries.append(TaggedClass(g, d, f, -j, t.m))
@@ -303,13 +305,16 @@ def filtration_discrepancies(table) -> list[tuple[str, str, int, int]]:
     return out
 
 
-def chart_reconciliation(g: int, d: int, table) -> dict:
-    """Recorded table versus raw enumeration at (g, d).
+def chart_reconciliation(g: int, d: int, table, enumerated=None) -> dict:
+    """Recorded table versus raw enumeration at (g, d), computed here
+    unless given.
 
     Returns the rows present in both (with listed and computed
     filtrations), the normal monomials the enumeration produces that the
     table lacks, and any table rows the enumeration cannot produce."""
-    enumerated = {t.m: t.f for t in enumerate_mod_sigma(g, d)}
+    if enumerated is None:
+        enumerated = enumerate_mod_sigma(g, d)
+    enumerated = {t.m: t.f for t in enumerated}
     recorded = {m: (name, listed) for name, m, listed in table_monomials(table)}
     matched = []
     for m, (name, listed) in recorded.items():

@@ -201,11 +201,15 @@ def cmd_cellss(args) -> str:
     spots = _parse_spots(args.spots)
     for g, d, _ in spots:
         _check_budget("spot g and d", max(g, d), MAX_SPOT_GD)
+    # each (g, d) is enumerated once, the reconciliation's (12, 8) included
+    enumerated = {gd: cellfilt.enumerate_mod_sigma(*gd)
+                  for gd in {(12, 8), *((g, d) for g, d, _ in spots)}}
     charts = [
-        cellfilt.propagate(cellfilt.build_chart(g, d, f), decls) for g, d, f in spots
+        cellfilt.propagate(cellfilt.build_chart(g, d, f, enumerated[(g, d)]), decls)
+        for g, d, f in spots
     ]
     comments = []
-    rec = cellfilt.chart_reconciliation(12, 8, cellfilt.TABLE_12_8)
+    rec = cellfilt.chart_reconciliation(12, 8, cellfilt.TABLE_12_8, enumerated[(12, 8)])
     for m in rec["enumerated_only"]:
         comments.append(f"enumerated but not charted at (12,8): {m}")
     for m in rec["recorded_only"]:

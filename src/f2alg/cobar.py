@@ -1,12 +1,19 @@
 """Reduced cobar complexes and Cotor of connected graded coalgebras.
 
 Chains at (g, s) are F2 spans of words [a1|...|as] of positive-grading
-basis letters with gradings summing to g, ordered lexicographically by
-letter indices.  The differential splits each letter by the reduced
-coproduct: ``boundary_words`` yields one term per split, repeated terms
-included, and a boundary row is the XOR of the terms' index bits, so
-terms of even multiplicity cancel there.  Homology in cohomological
-degree s at grading g is Cotor, reindexed by (g, d) with d = g - s.
+basis letters with gradings summing to g, listed by first letter and
+then by tail, so index(a|w) = off[a] + index(w) for per-(g, s) offsets
+off.  The differential splits each letter by the reduced coproduct, and
+d(a|w) = a|d(w) + (splits of a)|w turns into one rule on bitsets: a
+boundary row is its tail's row shifted by the offset of a one step up,
+XOR a small per-(g, s) mask of a's split terms shifted by the tail's
+index (``boundary_bits``).  Rows are built from their tails' rows; only
+layers read as tails keep their rows, and no word tuple is formed.
+``boundary_words`` yields the same boundary symbolically, one term per
+split with repeated terms included; it is the model behind the symbolic
+d*d check and the tests, and ``words`` and ``word_index`` serve labels
+and products.  Homology in cohomological degree s at grading g is
+Cotor, reindexed by (g, d) with d = g - s.
 
 This is the chain-level model.  Its users are ``mayss``, which filters
 it, and the chain-level checks of products, cone module actions and
@@ -26,6 +33,7 @@ the earlier ones.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 from .f2linalg import Echelon, F2Matrix, bits_of, row_rank
@@ -248,6 +256,9 @@ class CobarComplex(BigradedComplex):
             )
         self._words_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._windex_cache: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+        self._offsets_cache: dict[tuple[int, int], list[int]] = {}
+        self._blocks_cache: dict[tuple[int, int], tuple] = {}
+        self._rows_cache: dict[tuple[int, int], list[int]] = {}
         self._d2_checked: set[tuple[int, int]] = set()
 
     def letter_label(self, lid: int) -> str:
@@ -279,8 +290,23 @@ class CobarComplex(BigradedComplex):
     def word_label(self, w: tuple[int, ...]) -> str:
         return "[" + "|".join(self.letter_label(l) for l in w) + "]"
 
+    def _offsets(self, g: int, s: int) -> list[int]:
+        """off[a] = index of the first word of (g, s), s >= 1, that begins
+        with letter a; off[-1] is the chain dimension.  Words are listed by
+        first letter and then by tail, so index(a|w) = off[a] + index(w)."""
+        key = (g, s)
+        off = self._offsets_cache.get(key)
+        if off is None:
+            off = [0]
+            for lg in self.letter_grading:
+                off.append(off[-1] + self.chain_dim(g - lg, s - 1))
+            self._offsets_cache[key] = off
+        return off
+
     def chain_dim(self, g: int, s: int) -> int:
-        return len(self.words(g, s))
+        if s <= 0 or g < s:  # letters have grading >= 1
+            return int(g == s == 0)
+        return self._offsets(g, s)[-1]
 
     def boundary_words(self, w: tuple[int, ...]):
         """Every term of the boundary of w, one per split of a letter;
@@ -290,12 +316,57 @@ class CobarComplex(BigradedComplex):
             for lr in self.splits[lid]:
                 yield head + lr + tail
 
+    def _blocks(self, g: int, s: int) -> tuple[list[int], list[tuple[list[int], int, int]]]:
+        """The offsets of (g, s), s >= 1, and per letter a the data of the
+        rule in ``boundary_bits``: the rows of a's tails, up[a] and
+        mask[a], the split terms l1|l2 of a for the tail of index 0."""
+        key = (g, s)
+        plan = self._blocks_cache.get(key)
+        if plan is None:
+            off, up = self._offsets(g, s), self._offsets(g, s + 1)
+            blocks = []
+            for a, lg in enumerate(self.letter_grading):
+                tails, m = [], 0
+                if off[a + 1] > off[a]:
+                    tails = self._tail_rows(g - lg, s - 1)
+                    for l1, l2 in self.splits[a]:
+                        m ^= 1 << (up[l1] + self._offsets(g - self.letter_grading[l1], s)[l2])
+                blocks.append((tails, up[a], m))
+            plan = self._blocks_cache[key] = (off, blocks)
+        return plan
+
+    def _tail_rows(self, g: int, s: int) -> list[int]:
+        """Every boundary row of (g, s), built block by block from the
+        rows of its own tails, and kept."""
+        if s == 0:
+            return [0]  # the empty word at (0, 0)
+        rows = self._rows_cache.get((g, s))
+        if rows is None:
+            rows = []
+            for tails, sh, m in self._blocks(g, s)[1]:
+                rows += [(t << sh) ^ (m << j) for j, t in enumerate(tails)]
+            self._rows_cache[(g, s)] = rows
+        return rows
+
     def boundary_bits(self, g: int, s: int, i: int) -> int:
-        idx = self.word_index(g, s + 1)
-        out = 0
-        for nw in self.boundary_words(self.words(g, s)[i]):
-            out ^= 1 << idx[nw]
-        return out
+        """d(a|w) = a|d(w) + (sum of the splits l1|l2 of a)|w, so with
+        i = off[a] + j for w the j-th word of (g - |a|, s - 1),
+
+            d(a|w) = (d(w) << up[a]) ^ (mask[a] << j),
+
+        up being the offsets of (g, s + 1).  Only layers read as tails
+        keep their rows; any other row is built from the kept tails and
+        not stored."""
+        if s == 0:
+            return 0
+        rows = self._rows_cache.get((g, s))
+        if rows is not None:
+            return rows[i]
+        off, blocks = self._blocks(g, s)
+        a = bisect_right(off, i) - 1
+        j = i - off[a]
+        tails, sh, m = blocks[a]
+        return (tails[j] << sh) ^ (m << j)
 
     def boundary_matrix(self, g: int, s: int) -> F2Matrix:
         m = super().boundary_matrix(g, s)
@@ -373,14 +444,12 @@ class ConeComplex(BigradedComplex):
         nx = self.base._dim(g, s)
         if i < nx:
             return self.base.boundary_bits(g, s, i)
-        w = self.base.words(g - 1, s)[i - nx]
-        idx = self.base.word_index(g, s + 1)
-        out = 0
+        # zl|w for the j-th word w of (g - 1, s) is word up[zl] + j of
+        # (g, s + 1), zl having grading 1, so z.w = zmask << j
+        j, up, zmask = i - nx, self.base._offsets(g, s + 1), 0
         for zl in self.z_letters:
-            out ^= 1 << idx[(zl,) + w]
-        shift = self.base._dim(g, s + 1)
-        out ^= self.base.boundary_bits(g - 1, s, i - nx) << shift
-        return out
+            zmask ^= 1 << up[zl]
+        return (zmask << j) ^ (self.base.boundary_bits(g - 1, s, j) << up[-1])
 
     def split_chain(self, g: int, s: int, chain: int) -> tuple[int, int]:
         nx = self.base._dim(g, s)

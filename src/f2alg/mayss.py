@@ -4,8 +4,11 @@ The coalgebra is a truncated polynomial Hopf algebra (``PolyHopf``).
 Letters are filtered by their depth in powers of the augmentation ideal,
 which for a basis monomial is its number of generator factors; a word
 gets filtration -(sum of letter depths), and fil_p is the span of
-words of filtration <= p.  The differential never raises filtration, and
-the page E^r at (g, d, f) with s = g - d, p = f has
+words of filtration <= p.  A layer's filtrations are read off those
+of its tails, filt(a|w) = filt(w) - depth(a), in the cobar word order,
+so the filtered complex enumerates no words.  The differential never
+raises filtration, and the page E^r at (g, d, f) with s = g - d, p = f
+has
 
     dim E^r_p = z_s(r, p) - z_s(r-1, p-1)
                 - z_{s-1}(r-1, p+r-1) + z_{s-1}(r, p+r-1)
@@ -29,9 +32,9 @@ free, since the number of pivot pairs with row_filt <= p and col_filt > q
 is the rank of that submatrix, which no order inside a filtration
 changes (the persistence pairing of Edelsbrunner-Letscher-Zomorodian).
 It is chosen for speed: inside each filtration block the pivot is the
-highest word index, the orientation of the unfiltered ``rank_d``, and a
-page at g <= 14 takes 346k XOR steps (961k if column ties ascend too),
-at g <= 17 6.5M (34.6M).
+highest word index, the orientation of the unfiltered ``rank_d``, and
+page 5 at g <= 14, d <= 10 takes 346k XOR steps (961k if column ties
+ascend too), at g <= 17 6.5M (34.6M).
 
 Explicit subquotient representatives and d^r matrices are built by tagged
 elimination only at requested spots: the representatives are reduced-
@@ -96,9 +99,11 @@ class FilteredComplex:
         """Boundary rows of (g, s) in row_order, column c at bit col_bit[c]."""
         bit, boundary = self.layer(g, s + 1).col_bit, self.complex.boundary_bits
         for i in self.layer(g, s).row_order:
-            out = 0
-            for b in bits_of(boundary(g, s, i)):
-                out |= 1 << bit[b]
+            v, out = boundary(g, s, i), 0
+            while v:
+                low = v & -v
+                out |= 1 << bit[low.bit_length() - 1]
+                v ^= low
             yield out
 
     def pivots(self, g: int, s: int) -> list[tuple[int, int]]:
@@ -214,8 +219,20 @@ def build_filtered(h: PolyHopf, g_max: int = 20, s_max: int = 20) -> FilteredCom
     depth = augmentation_depths(h)
     letter_depth = [depth[gi] for gi in base.letters]
 
+    cache: dict[tuple[int, int], list[int]] = {}
+
     def filts(g: int, s: int) -> list[int]:
-        return [-sum(letter_depth[l] for l in w) for w in base.words(g, s)]
+        # filt(a|w) = filt(w) - depth(a), in the canonical order: words
+        # are listed by first letter and then by tail
+        if s <= 0 or g < s:
+            return [0] if g == s == 0 else []
+        key = (g, s)
+        if key not in cache:
+            out: list[int] = []
+            for lg, dp in zip(base.letter_grading, letter_depth):
+                out += [f - dp for f in filts(g - lg, s - 1)]
+            cache[key] = out
+        return cache[key]
 
     return FilteredComplex(base, filts)
 

@@ -304,8 +304,12 @@ def test_cellss_enumerates_each_spot_once(monkeypatch):
 
     monkeypatch.setattr(cellfilt, "free_basis", counted)
     assert run(["cellss"])[0] == 0
-    # the two default spots, and (12, 8) once more for the reconciliation
-    assert sorted(calls) == [(12, 8), (12, 8), (13, 8)]
+    # the two default spots; the reconciliation reuses the (12, 8) spot's
+    assert sorted(calls) == [(12, 8), (13, 8)]
+    calls.clear()
+    # without a (12, 8) spot the reconciliation enumerates it once itself
+    assert run(["cellss", "--spots", "13,8,-5"])[0] == 0
+    assert sorted(calls) == [(12, 8), (13, 8)]
 
 
 def _joined(tokens, max_size):

@@ -101,6 +101,47 @@ def test_d_squared_zero_window(cx):
                 assert cx.apply_boundary(g, s + 1, v) == 0
 
 
+# ---------------------------------------------------------------- rows from tails
+
+def word_model_row(cx, g, s, w):
+    """d(w) through the symbolic terms and the word index of (g, s + 1)."""
+    idx, out = cx.word_index(g, s + 1), 0
+    for nw in cx.boundary_words(w):
+        out ^= 1 << idx[nw]
+    return out
+
+
+@pytest.mark.parametrize("build,g_max", [(build_a1_star, 10), (build_delta_cgl, 5)])
+def test_rows_from_tails_match_word_model(build, g_max):
+    # ascending g, every row is first built from kept tails without being
+    # stored; the second pass reads the layers below g_max as kept tails
+    cx = build_cobar(build(), g_max, g_max)
+    for _ in range(2):
+        for g in range(g_max + 1):
+            for s in range(g + 2):
+                words = cx.words(g, s)
+                assert cx.chain_dim(g, s) == len(words), (g, s)
+                for i, w in enumerate(words):
+                    assert cx.boundary_bits(g, s, i) == word_model_row(cx, g, s, w), (g, s, i)
+    assert any(key[0] < g_max for key in cx._rows_cache)
+    assert all(key[0] < g_max for key in cx._rows_cache)
+
+
+def test_cone_y_rows_match_word_model(a1):
+    base = build_cobar(a1, 10, 10)
+    cone = ConeComplex(base, base.unique_class(1, 0))
+    for g in range(1, 11):
+        for s in range(g + 1):
+            nx, up = base.chain_dim(g, s), base.chain_dim(g, s + 1)
+            idx = base.word_index(g, s + 1)
+            for j, w in enumerate(base.words(g - 1, s)):
+                zw = 0
+                for zl in cone.z_letters:
+                    zw ^= 1 << idx[(zl,) + w]
+                want = zw ^ (word_model_row(base, g - 1, s, w) << up)
+                assert cone.boundary_bits(g, s, nx + j) == want, (g, s, j)
+
+
 def test_window_errors(cx):
     with pytest.raises(WindowError):
         cx.boundary_matrix(27, 3)

@@ -82,6 +82,28 @@ def test_word_filtrations(fc, a1):
     assert fc.layer(0, 0).filts[0] == 0
 
 
+@pytest.mark.parametrize("build,g_max", [(build_a1_star, 10), (build_delta_cgl, 5)])
+def test_filtrations_from_tails_match_word_sums(build, g_max):
+    h = build()
+    small = build_filtered(h, g_max, g_max)
+    base, depth = small.complex, augmentation_depths(h)
+    for g in range(g_max + 1):
+        for s in range(g + 1):
+            want = [-sum(depth[base.letters[lid]] for lid in w) for w in base.words(g, s)]
+            assert small.layer(g, s).filts == want, (g, s)
+
+
+def test_page_keeps_no_words_and_no_top_rows(a1):
+    # the may path enumerates no word tuples, and keeps the rows of a
+    # layer only when another layer reads them as tails, which no layer
+    # at g_max is
+    small = build_filtered(a1, 10, 10)
+    page(small, 5, 10, 8)
+    base = small.complex
+    assert base._words_cache == {}
+    assert base._rows_cache and all(g < base.g_max for g, _ in base._rows_cache)
+
+
 def test_differential_never_raises_filtration(fc):
     base = fc.complex
     for g in range(0, 7):
