@@ -6,7 +6,8 @@ h10 together with its hidden extension.
 Run:  python3 demos/cotor_chart_walkthrough.py
 """
 
-from f2alg.cobar import ConeComplex, build_cobar, chart_rows, ring_chart_names
+from f2alg.cobar import ConeComplex, build_cobar
+from f2alg.minres import chart_rows, ring_chart_names
 from f2alg.hopf import build_a1_star
 
 G, D = 13, 9

@@ -93,11 +93,10 @@ def excluded_monomials(g: int, d: int) -> frozenset:
     return frozenset(out)
 
 
-def e1_basis_mod_sigma(g: int, d: int, enumerated=None) -> list[TriMonomial]:
-    """The recorded chart at (g, d): the mod-sigma enumeration (computed
-    here unless given) minus the explicit exclusion record."""
-    if enumerated is None:
-        enumerated = enumerate_mod_sigma(g, d)
+def e1_basis_mod_sigma(g: int, d: int, enumerated) -> list[TriMonomial]:
+    """The recorded chart at (g, d): its mod-sigma enumeration, as
+    ``enumerate_mod_sigma`` returns it, minus the explicit exclusion
+    record."""
     dropped = excluded_monomials(g, d)
     return [t for t in enumerated if t.m not in dropped]
 
@@ -207,7 +206,7 @@ class BocksteinChart(NamedTuple):
         return [c for c in self.entries if self.status.get(c, ("survives",))[0] == "survives"]
 
 
-def build_chart(g: int, d: int, f: int, enumerated=None) -> BocksteinChart:
+def build_chart(g: int, d: int, f: int, enumerated) -> BocksteinChart:
     entries = []
     for t in e1_basis_mod_sigma(g, d, enumerated):
         j = f - t.f
@@ -305,15 +304,13 @@ def filtration_discrepancies(table) -> list[tuple[str, str, int, int]]:
     return out
 
 
-def chart_reconciliation(g: int, d: int, table, enumerated=None) -> dict:
-    """Recorded table versus raw enumeration at (g, d), computed here
-    unless given.
+def chart_reconciliation(g: int, d: int, table, enumerated) -> dict:
+    """Recorded table versus raw enumeration at (g, d), the latter as
+    ``enumerate_mod_sigma`` returns it.
 
     Returns the rows present in both (with listed and computed
     filtrations), the normal monomials the enumeration produces that the
     table lacks, and any table rows the enumeration cannot produce."""
-    if enumerated is None:
-        enumerated = enumerate_mod_sigma(g, d)
     enumerated = {t.m: t.f for t in enumerated}
     recorded = {m: (name, listed) for name, m, listed in table_monomials(table)}
     matched = []

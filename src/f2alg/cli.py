@@ -19,10 +19,10 @@ import sys
 from pathlib import Path
 
 from . import cellfilt, cellhopf, dyer_lashof as dl, grouphom, mayss
-from .cobar import WindowError, chart_rows, ring_chart_names
+from .cobar import WindowError
 from .dyer_lashof import ALPHABET, eval_expr
 from .hopf import build_a1_star, build_delta_cgl
-from .minres import MinimalResolution
+from .minres import MinimalResolution, chart_rows, ring_chart_names
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -56,8 +56,9 @@ FAMILY_WINDOW = (43, 28)
 # - families --no-verify takes 0.2 s and 23 MB at --max-i 1000, 1.0 s and
 #   91 MB at 10^4, 84 s and 7.6 GB at 10^6;
 # - delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26;
-# - may --page 5 --dmax 10 takes 4.3 s and 77 MB at g <= 16, 9-12 s and
-#   167 MB at 17 (16-20 s and 276 MB with --cone), 31 s and 429 MB at 18
+# - may --page 5 --dmax 10 takes 2.4 s and 54 MB at g <= 16 (4.9 s and
+#   90 MB with --cone), 8.1 s and 136 MB at 17 (13 s and 241 MB with
+#   --cone), 25 s and 410 MB at 18
 MAX_CHART_G = 20
 MAX_MAY_G = 17
 MAX_SPOT_GD = 20

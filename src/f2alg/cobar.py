@@ -8,7 +8,8 @@ d(a|w) = a|d(w) + (splits of a)|w turns into one rule on bitsets: a
 boundary row is its tail's row shifted by the offset of a one step up,
 XOR a small per-(g, s) mask of a's split terms shifted by the tail's
 index (``boundary_bits``).  Rows are built from their tails' rows; only
-layers read as tails keep their rows, and no word tuple is formed.
+layers read as tails below g_max - 1 keep their rows, and no word tuple
+is formed.
 ``boundary_words`` yields the same boundary symbolically, one term per
 split with repeated terms included; it is the model behind the symbolic
 d*d check and the tests, and ``words`` and ``word_index`` serve labels
@@ -316,10 +317,11 @@ class CobarComplex(BigradedComplex):
             for lr in self.splits[lid]:
                 yield head + lr + tail
 
-    def _blocks(self, g: int, s: int) -> tuple[list[int], list[tuple[list[int], int, int]]]:
+    def _blocks(self, g: int, s: int) -> tuple[list[int], list[tuple]]:
         """The offsets of (g, s), s >= 1, and per letter a the data of the
-        rule in ``boundary_bits``: the rows of a's tails, up[a] and
-        mask[a], the split terms l1|l2 of a for the tail of index 0."""
+        rule in ``boundary_bits``: the rows of a's tails (None where they
+        are not kept), up[a] and mask[a], the split terms l1|l2 of a for
+        the tail of index 0."""
         key = (g, s)
         plan = self._blocks_cache.get(key)
         if plan is None:
@@ -328,7 +330,11 @@ class CobarComplex(BigradedComplex):
             for a, lg in enumerate(self.letter_grading):
                 tails, m = [], 0
                 if off[a + 1] > off[a]:
-                    tails = self._tail_rows(g - lg, s - 1)
+                    # the top two gradings of the window keep no rows: a
+                    # row's width grows with its layer, so those two
+                    # would hold most of the cache
+                    tails = (self._tail_rows(g - lg, s - 1)
+                             if g - lg < self.g_max - 1 else None)
                     for l1, l2 in self.splits[a]:
                         m ^= 1 << (up[l1] + self._offsets(g - self.letter_grading[l1], s)[l2])
                 blocks.append((tails, up[a], m))
@@ -336,8 +342,8 @@ class CobarComplex(BigradedComplex):
         return plan
 
     def _tail_rows(self, g: int, s: int) -> list[int]:
-        """Every boundary row of (g, s), built block by block from the
-        rows of its own tails, and kept."""
+        """Every boundary row of (g, s), g < g_max - 1, built block by
+        block from the rows of its own tails, and kept."""
         if s == 0:
             return [0]  # the empty word at (0, 0)
         rows = self._rows_cache.get((g, s))
@@ -355,8 +361,8 @@ class CobarComplex(BigradedComplex):
             d(a|w) = (d(w) << up[a]) ^ (mask[a] << j),
 
         up being the offsets of (g, s + 1).  Only layers read as tails
-        keep their rows; any other row is built from the kept tails and
-        not stored."""
+        below g_max - 1 keep their rows; any other row is built from its
+        tail's row, kept or built the same way, and not stored."""
         if s == 0:
             return 0
         rows = self._rows_cache.get((g, s))
@@ -366,7 +372,11 @@ class CobarComplex(BigradedComplex):
         a = bisect_right(off, i) - 1
         j = i - off[a]
         tails, sh, m = blocks[a]
-        return (tails[j] << sh) ^ (m << j)
+        if tails is None:
+            t = self.boundary_bits(g - self.letter_grading[a], s - 1, j)
+        else:
+            t = tails[j]
+        return (t << sh) ^ (m << j)
 
     def boundary_matrix(self, g: int, s: int) -> F2Matrix:
         m = super().boundary_matrix(g, s)
@@ -500,49 +510,3 @@ class CobarMap:
             for nw in itertools.product(*(self.letter_images[lid] for lid in w)):
                 out ^= 1 << idx[nw]
         return out
-
-
-# ---------------------------------------------------------------- chart rows
-
-def chart_rows(c, g_max: int, d_max: int,
-               names: Optional[dict] = None) -> list[tuple[int, int, int, str]]:
-    """(g, d, dim, class names) per spot of a chart model c, a
-    ``BigradedComplex`` or a ``minres.MinimalResolution``."""
-    names = names or {}
-    return [(g, d, c.homology_dim(g, d), ",".join(names.get((g, d), [])))
-            for g in range(g_max + 1) for d in range(d_max + 1)]
-
-
-# ---------------------------------------------------------------- known chart names
-
-def ring_chart_names(g_max: int, d_max: int) -> dict[tuple[int, int], list[str]]:
-    """Additive monomial basis of
-    F2[h10, h11, y74, y128] / (h10 h11, h11^3, h11 y74, y74^2 + h10^2 y128)
-    indexed by bidegree: the reduced monomials are
-    y128^k h10^a, y128^k h11^b (b = 1, 2), and y128^k y74 h10^a."""
-    def nm(parts):
-        return "*".join(p for p in parts if p) or "1"
-
-    def pw(base, e):
-        return "" if e == 0 else base if e == 1 else f"{base}^{e}"
-
-    out: dict[tuple[int, int], list[str]] = {}
-    k = 0
-    while 12 * k <= g_max and 8 * k <= d_max:
-        yk = pw("y128", k)
-        a = 0
-        while 12 * k + a <= g_max:
-            out.setdefault((12 * k + a, 8 * k), []).append(nm([pw("h10", a), yk]))
-            a += 1
-        for b in (1, 2):
-            g, d = 12 * k + 2 * b, 8 * k + b
-            if g <= g_max and d <= d_max:
-                out.setdefault((g, d), []).append(nm([pw("h11", b), yk]))
-        a = 0
-        while 12 * k + 7 + a <= g_max and 8 * k + 4 <= d_max:
-            out.setdefault((12 * k + 7 + a, 8 * k + 4), []).append(
-                nm([pw("h10", a), "y74", yk])
-            )
-            a += 1
-        k += 1
-    return out

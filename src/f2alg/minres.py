@@ -216,3 +216,49 @@ class MinimalResolution:
             if self.degrees[z.s + y.s + 1][j] == t_top:
                 bits |= (sum(b for k, b in blocks if y.bits >> k & 1) & 1) << j
         return ExtClass(z.s + y.s, t_top, bits)
+
+
+# ---------------------------------------------------------------- chart rows
+
+def chart_rows(c, g_max: int, d_max: int,
+               names: dict | None = None) -> list[tuple[int, int, int, str]]:
+    """(g, d, dim, class names) per spot of a chart model c, a
+    ``MinimalResolution`` or a ``cobar.BigradedComplex``."""
+    names = names or {}
+    return [(g, d, c.homology_dim(g, d), ",".join(names.get((g, d), [])))
+            for g in range(g_max + 1) for d in range(d_max + 1)]
+
+
+# ---------------------------------------------------------------- known chart names
+
+def ring_chart_names(g_max: int, d_max: int) -> dict[tuple[int, int], list[str]]:
+    """Additive monomial basis of
+    F2[h10, h11, y74, y128] / (h10 h11, h11^3, h11 y74, y74^2 + h10^2 y128)
+    indexed by bidegree: the reduced monomials are
+    y128^k h10^a, y128^k h11^b (b = 1, 2), and y128^k y74 h10^a."""
+    def nm(parts):
+        return "*".join(p for p in parts if p) or "1"
+
+    def pw(base, e):
+        return "" if e == 0 else base if e == 1 else f"{base}^{e}"
+
+    out: dict[tuple[int, int], list[str]] = {}
+    k = 0
+    while 12 * k <= g_max and 8 * k <= d_max:
+        yk = pw("y128", k)
+        a = 0
+        while 12 * k + a <= g_max:
+            out.setdefault((12 * k + a, 8 * k), []).append(nm([pw("h10", a), yk]))
+            a += 1
+        for b in (1, 2):
+            g, d = 12 * k + 2 * b, 8 * k + b
+            if g <= g_max and d <= d_max:
+                out.setdefault((g, d), []).append(nm([pw("h11", b), yk]))
+        a = 0
+        while 12 * k + 7 + a <= g_max and 8 * k + 4 <= d_max:
+            out.setdefault((12 * k + 7 + a, 8 * k + 4), []).append(
+                nm([pw("h10", a), "y74", yk])
+            )
+            a += 1
+        k += 1
+    return out

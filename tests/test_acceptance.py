@@ -19,6 +19,7 @@ from f2alg.cellfilt import (
     TABLE_13_8,
     build_chart,
     e1_basis_mod_sigma,
+    enumerate_mod_sigma,
     load_declarations,
     propagate,
     reading_report,
@@ -320,19 +321,19 @@ def test_criterion_08_free_basis_oracle():
 # ---------------------------------------------------------------- 9: survivor tables
 
 def test_criterion_09_survivor_tables():
-    assert {t.m for t in e1_basis_mod_sigma(12, 8)} == \
+    assert {t.m for t in e1_basis_mod_sigma(12, 8, enumerate_mod_sigma(12, 8))} == \
         {tri(expr).m for _, expr, _ in TABLE_12_8}
     assert len(TABLE_12_8) == 7
-    assert {t.m for t in e1_basis_mod_sigma(13, 8)} == \
+    assert {t.m for t in e1_basis_mod_sigma(13, 8, enumerate_mod_sigma(13, 8))} == \
         {tri(expr).m for _, expr, _ in TABLE_13_8}
     assert len(TABLE_13_8) == 3
     decls = load_declarations()
-    chart = propagate(build_chart(12, 8, -4), decls)
+    chart = propagate(build_chart(12, 8, -4, enumerate_mod_sigma(12, 8)), decls)
     assert sorted(c.label for c in chart.survivors()) == [
         "b^4",
         "tau^8*Q[1](s)^2*Q[2,1](s)^2",
     ]
-    chart_13_8 = propagate(build_chart(13, 8, -5), decls)
+    chart_13_8 = propagate(build_chart(13, 8, -5, enumerate_mod_sigma(13, 8)), decls)
     assert chart_13_8.survivors() == []
     rep = reading_report([chart, chart_13_8], decls)
     assert rep["agree"]

@@ -66,7 +66,7 @@ def test_filtration_additive_over_products():
 # ---------------------------------------------------------------- chart bases
 
 def test_basis_12_8_matches_recorded_table():
-    got = {t.m: t.f for t in e1_basis_mod_sigma(12, 8)}
+    got = {t.m: t.f for t in e1_basis_mod_sigma(12, 8, enumerate_mod_sigma(12, 8))}
     want = {}
     for _, expr, _ in TABLE_12_8:
         t = tri(expr)
@@ -76,14 +76,14 @@ def test_basis_12_8_matches_recorded_table():
 
 
 def test_basis_13_8():
-    got = {t.m: t.f for t in e1_basis_mod_sigma(13, 8)}
+    got = {t.m: t.f for t in e1_basis_mod_sigma(13, 8, enumerate_mod_sigma(13, 8))}
     want = {tri(expr).m: f for _, expr, f in TABLE_13_8}
     assert got == want  # all three rows match the doubling rule
     assert sorted(got.values()) == [-11, -11, -7]
 
 
 def test_basis_0_0():
-    assert e1_basis_mod_sigma(0, 0) == [((), 0)]
+    assert e1_basis_mod_sigma(0, 0, enumerate_mod_sigma(0, 0)) == [((), 0)]
 
 
 def oracle_mod_sigma(g, d):
@@ -129,7 +129,7 @@ def test_enumeration_matches_bruteforce_oracle():
 
 
 def test_reconciliation_reports_the_extra_normal_monomial():
-    rec = chart_reconciliation(12, 8, TABLE_12_8)
+    rec = chart_reconciliation(12, 8, TABLE_12_8, enumerate_mod_sigma(12, 8))
     assert rec["enumerated_only"] == ["b^2*Q[1](s)*Q[2,1](s)"]
     assert rec["recorded_only"] == []
     assert len(rec["matched"]) == 7
@@ -138,7 +138,7 @@ def test_reconciliation_reports_the_extra_normal_monomial():
 
 
 def test_reconciliation_13_8_clean():
-    rec = chart_reconciliation(13, 8, TABLE_13_8)
+    rec = chart_reconciliation(13, 8, TABLE_13_8, enumerate_mod_sigma(13, 8))
     assert rec["enumerated_only"] == [] and rec["recorded_only"] == []
 
 
@@ -172,7 +172,7 @@ def test_validation_rejects_unbalanced_tags():
 # ---------------------------------------------------------------- propagation
 
 def test_survivors_12_8(decls):
-    chart = propagate(build_chart(12, 8, -4), decls)
+    chart = propagate(build_chart(12, 8, -4, enumerate_mod_sigma(12, 8)), decls)
     assert sorted(c.label for c in chart.survivors()) == [
         "b^4",
         "tau^8*Q[1](s)^2*Q[2,1](s)^2",
@@ -180,13 +180,13 @@ def test_survivors_12_8(decls):
 
 
 def test_survivors_13_8_empty(decls):
-    chart = propagate(build_chart(13, 8, -5), decls)
+    chart = propagate(build_chart(13, 8, -5, enumerate_mod_sigma(13, 8)), decls)
     assert chart.survivors() == []
     assert all(st == "killed" for st, _ in chart.status.values())
 
 
 def test_empty_declarations_all_survive():
-    chart = propagate(build_chart(12, 8, -4), [])
+    chart = propagate(build_chart(12, 8, -4, enumerate_mod_sigma(12, 8)), [])
     assert len(chart.survivors()) == len(chart.entries) == 7
 
 
@@ -196,7 +196,7 @@ def test_source_killed_earlier_page_raises():
         "d4 tau^2 q[1](s)^2 -> tau^6 s^2*q[1](s)\n"
     )
     with pytest.raises(ValueError):
-        propagate(build_chart(4, 2, 0), decls)
+        propagate(build_chart(4, 2, 0, enumerate_mod_sigma(4, 2)), decls)
 
 
 def test_same_page_double_kill_allowed():
@@ -204,14 +204,15 @@ def test_same_page_double_kill_allowed():
         "d4 q[1](s)^2 -> s^2*q[1](s)\n"
         "d4 tau^2 q[1](s)^2 -> tau^2 s^2*q[1](s)\n"
     )
-    propagate(build_chart(4, 2, 0), decls)
+    propagate(build_chart(4, 2, 0, enumerate_mod_sigma(4, 2)), decls)
 
 
 # ---------------------------------------------------------------- reports
 
 def report(spots, decls):
     """reading_report on the charts the survivor table is printed from."""
-    return reading_report([propagate(build_chart(*spot), decls) for spot in spots], decls)
+    charts = [build_chart(g, d, f, enumerate_mod_sigma(g, d)) for g, d, f in spots]
+    return reading_report([propagate(c, decls) for c in charts], decls)
 
 
 def test_reading_report(decls):
@@ -230,7 +231,7 @@ def _reference_report(spots, decls):
     recorded = {m: listed for _, m, listed in table_monomials(TABLE_12_8)}
     readings = {"rule": filtration,
                 "table": lambda m: recorded.get(m, filtration(m))}
-    basis = functools.cache(e1_basis_mod_sigma)
+    basis = functools.cache(lambda g, d: e1_basis_mod_sigma(g, d, enumerate_mod_sigma(g, d)))
     out = {}
     for g, d, f in spots:
         per = {}

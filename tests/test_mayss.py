@@ -95,13 +95,13 @@ def test_filtrations_from_tails_match_word_sums(build, g_max):
 
 def test_page_keeps_no_words_and_no_top_rows(a1):
     # the may path enumerates no word tuples, and keeps the rows of a
-    # layer only when another layer reads them as tails, which no layer
-    # at g_max is
+    # layer only when another layer reads them as tails and it lies below
+    # g_max - 1, where the widest rows are
     small = build_filtered(a1, 10, 10)
     page(small, 5, 10, 8)
     base = small.complex
     assert base._words_cache == {}
-    assert base._rows_cache and all(g < base.g_max for g, _ in base._rows_cache)
+    assert base._rows_cache and all(g < base.g_max - 1 for g, _ in base._rows_cache)
 
 
 def test_differential_never_raises_filtration(fc):
