@@ -50,21 +50,25 @@ FAMILY_WINDOW = (43, 28)
 #   --dmax 12, 7.5 s at (14, 14), 17 s at (14, 16), 27 s at (20, 12);
 # - nishida is zero once --a passes the class's homological degree, found
 #   per tower factor: --a 1000 takes 0.3 s, most of it start-up, on Q[1](s)
-#   and on Q[5](s)*Q[6](s)*Q[7](s); below the degree the cost grows with a
-#   and the number of factors: 0.4 s at --a 1000 on Q[1000](s), and 3 s at
-#   --a 50, 22 s at 200, 47 s at 400 on Q[1000](s)*Q[1001](s)*Q[1002](s);
+#   and on Q[5](s)*Q[6](s)*Q[7](s); below the degree the work grows with the
+#   Cartan splits (``dl.cartan_splits``), counted before any is computed.
+#   In process, Q[1000](s)*Q[1001](s)*Q[1002](s) takes 0.7 s for its 351
+#   splits at --a 25, 3.2 s for 1326 at 50, 3.7 s for 1953 at 61 (4.4 s on
+#   Q[1000](s)^3), 9.4 s for 5151 at 100 and 47 s for 80601 at 400, and
+#   Q[1000](s)*Q[1001](s) 4.5 s for its 1001 splits at --a 1000;
 # - families --no-verify takes 0.2 s and 23 MB at --max-i 1000, 1.0 s and
 #   91 MB at 10^4, 84 s and 7.6 GB at 10^6;
 # - delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26;
-# - may --page 5 --dmax 10 takes 2.4 s and 54 MB at g <= 16 (4.9 s and
-#   90 MB with --cone), 8.1 s and 136 MB at 17 (13 s and 241 MB with
-#   --cone), 25 s and 410 MB at 18
+# - may --page 5 --dmax 10 takes 2.6 s and 50 MB at g <= 16 (5.0 s and
+#   84 MB with --cone), 7.9 s and 128 MB at 17 (14.6 s and 230 MB with
+#   --cone), 29 s and 394 MB at 18
 MAX_CHART_G = 20
 MAX_MAY_G = 17
 MAX_SPOT_GD = 20
 MAX_WBASIS_GD = 18
 MAX_QUOTIENT_GD = 14
 MAX_NISHIDA_A = 1000
+MAX_NISHIDA_SPLITS = 2000
 MAX_FAMILY_I = 1000
 MAX_DELTA_BOUND = 20
 
@@ -155,7 +159,9 @@ def cmd_adem(args) -> str:
 
 def cmd_nishida(args) -> str:
     _check_budget("nishida --a", args.a, MAX_NISHIDA_A)
-    return dl.render(dl.dual_steenrod(args.a, eval_expr(args.expr))) + "\n"
+    p = eval_expr(args.expr)
+    _check_budget("nishida Cartan splits", dl.cartan_splits(args.a, p), MAX_NISHIDA_SPLITS)
+    return dl.render(dl.dual_steenrod(args.a, p)) + "\n"
 
 
 def cmd_wbasis(args) -> str:

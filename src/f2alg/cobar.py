@@ -38,16 +38,12 @@ from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 from .f2linalg import Echelon, F2Matrix, bits_of, row_rank
-from .hopf import CoalgebraMap, HopfAlgebra, check_hopf_map
+from .hopf import CoalgebraMap, HopfAlgebra, WindowError, check_hopf_map
 
 # symbolic d*d verification is skipped above this many words in a bidegree;
 # coassociativity of the coalgebra (asserted at construction) implies d*d = 0
 # globally, so the check is a guard against indexing bugs, not a proof burden
 D2_CHECK_LIMIT = 60_000
-
-
-class WindowError(ValueError):
-    """A request beyond a size budget (exit 3 on the command line)."""
 
 
 class CotorClass(NamedTuple):

@@ -31,6 +31,7 @@ Classes are written in one text syntax, ``Q[2,1](s) + s^2*q[1](s)``:
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from .f2linalg import Echelon
@@ -235,6 +236,25 @@ def _sq_factor(a: int, f: Factor) -> Poly:
     return frozenset(out)
 
 
+def cartan_splits(a: int, p: Poly) -> int:
+    """The Cartan splits Sq^a_* runs through, summed over the monomials
+    of p: tuples (i_1, ..., i_k), one entry per factor, with sum a and
+    each i_j at most the homological degree of the j-th factor (above it
+    Sq^i_* vanishes on that factor).  Counted factor by factor over
+    prefix sums, without computing a split."""
+    if a < 0:
+        return 0
+    total = 0
+    for m in p:
+        ways = [1] + [0] * a  # ways[s]: splits of s over the factors so far
+        for f in m:
+            top = factor_bidegree(f)[1]
+            acc = list(accumulate(ways, initial=0))
+            ways = [acc[s + 1] - acc[max(0, s - top)] for s in range(a + 1)]
+        total += ways[a]
+    return total
+
+
 def dual_steenrod(a: int, p: Poly) -> Poly:
     """Sq^a_* via Cartan over factors and Nishida past Q's; every
     generator is annihilated."""
@@ -317,8 +337,11 @@ def ideal_quotient_dims(
 
     The ideal is the span of the relations closed under multiplication by
     all monomials and all Q^s, discarding anything landing outside the box.
-    Every relation must be a class on ``gens``; ValueError otherwise,
-    before the box is enumerated.
+    Closing under multiplication by the generators' normal towers spans
+    the same ideal: a monomial is a product of towers whose partial
+    products stay in the box, and Q^s is additive.  Every relation must
+    be a class on ``gens``; ValueError otherwise, before the box is
+    enumerated.
     """
     for p in relations:
         if any(gen not in gens for m in p for gen, _ in m):
@@ -341,6 +364,7 @@ def ideal_quotient_dims(
         b = bases[bd]
         return frozenset(b[i] for i in range(v.bit_length()) if v >> i & 1)
 
+    towers = [(f, factor_bidegree(f)) for x in gens for f in normal_factors(x, g_max, d_max)]
     ech: dict[tuple[int, int], Echelon] = {bd: Echelon() for bd in bases}
     work: list[tuple[tuple[int, int], int]] = []
 
@@ -361,13 +385,10 @@ def ideal_quotient_dims(
     while work:
         (g, d), v = work.pop()
         p = to_poly(v, (g, d))
-        for g2 in range(0, g_max - g + 1):
-            for d2 in range(0, d_max - d + 1):
-                if g2 == 0 and d2 == 0:
-                    continue
-                for m2 in bases[(g2, d2)]:
-                    prod = frozenset(mono_mul(m, m2) for m in p)
-                    insert((g + g2, d + d2), to_vec(prod, (g + g2, d + d2)))
+        for f, (fg, fd) in towers:
+            if g + fg <= g_max and d + fd <= d_max:
+                prod = frozenset(mono_mul(m, (f,)) for m in p)
+                insert((g + fg, d + fd), to_vec(prod, (g + fg, d + fd)))
         if 2 * g <= g_max:
             for s in range(1, d_max - d + 1):
                 img = apply_q(s, p)

@@ -46,13 +46,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(map(p.__getitem__, q))
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 class PermGroup:
     """Finite permutation group: elements enumerated and canonically
     ordered lexicographically; multiplication by composition, tabulated
@@ -93,12 +86,6 @@ class PermGroup:
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def inv(self, i: int) -> int:
-        return self.index[inverse(self.elements[i])]
-
-    def __len__(self) -> int:
-        return self.order
-
 
 # ---------------------------------------------------------------- built-ins
 
@@ -115,24 +102,11 @@ def _matrix_perm(rows: tuple, g: int) -> Perm:
     return tuple(out)
 
 
-def _gl_gens(g: int) -> tuple[int, list[Perm]]:
-    gens = []
-    for i in range(g):
-        for j in range(g):
-            if i == j:
-                continue
-            rows = tuple((1 << k) | (1 << j if k == i else 0) for k in range(g))
-            gens.append(_matrix_perm(rows, g))
-    return (1 << g) - 1, gens
-
-
-def _ut_gens(g: int) -> tuple[int, list[Perm]]:
-    gens = []
-    for i in range(g):
-        for j in range(i + 1, g):
-            rows = tuple((1 << k) | (1 << j if k == i else 0) for k in range(g))
-            gens.append(_matrix_perm(rows, g))
-    return (1 << g) - 1, gens
+def _transvections(g: int, upper: bool) -> list[Perm]:
+    """The transvections adding row j to row i, i != j, which generate
+    GL(g,2); those with i < j generate UT(g,2)."""
+    return [_matrix_perm(tuple((1 << k) | (1 << j if k == i else 0) for k in range(g)), g)
+            for i in range(g) for j in range(i + 1 if upper else 0, g) if i != j]
 
 
 def _check_order(factors: Iterable[int]) -> None:
@@ -150,16 +124,10 @@ def _check_order(factors: Iterable[int]) -> None:
 def builtin_group(name: str) -> PermGroup:
     # closed-form orders: |GL(n,2)| = prod_{i<n} (2^n - 2^i)
     # = prod_{k=1..n} 2^(k-1) (2^k - 1), |UT(n,2)| = 2^(n(n-1)/2), |S_n| = n!
-    if (m := re.fullmatch(r"GL\((\d+),2\)", name)) is not None:
-        n = int(m.group(1))
-        _check_order((1 << (k - 1)) * ((1 << k) - 1) for k in range(1, n + 1))
-        deg, gens = _gl_gens(n)
-        return PermGroup(deg, gens, name)
-    if (m := re.fullmatch(r"UT\((\d+),2\)", name)) is not None:
-        n = int(m.group(1))
-        _check_order(1 << (k - 1) for k in range(1, n + 1))
-        deg, gens = _ut_gens(n)
-        return PermGroup(deg, gens, name)
+    if (m := re.fullmatch(r"(GL|UT)\((\d+),2\)", name)) is not None:
+        n, upper = int(m.group(2)), m.group(1) == "UT"
+        _check_order((1 << (k - 1)) * (1 if upper else (1 << k) - 1) for k in range(1, n + 1))
+        return PermGroup((1 << n) - 1, _transvections(n, upper), name)
     if (m := re.fullmatch(r"S(\d+)", name)) is not None:
         n = int(m.group(1))
         _check_order(range(1, n + 1))
@@ -251,12 +219,11 @@ def _translates(group: PermGroup, v: int, elements: Iterable[int]) -> list[int]:
     return [sum(m << row[x] for x, m in parts) for row in rows]
 
 
-def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Resolution:
+def resolve(group: PermGroup, d_max: int) -> Resolution:
     """Free resolution of the trivial module through degree d_max.
 
-    Kernel generators are picked greedily from the reduced-echelon kernel
-    basis (reversed order under reverse_ties; homology dims must not
-    depend on this)."""
+    Kernel generators are picked greedily, in the order of the
+    reduced-echelon kernel basis."""
     if group.order > MAX_ORDER:
         raise WindowError("group order exceeds budget")
     if d_max > MAX_DEGREE:
@@ -267,9 +234,8 @@ def resolve(group: PermGroup, d_max: int, *, reverse_ties: bool = False) -> Reso
     for d in range(1, d_max + 1):
         prev = boundaries[-1]
         kernel = prev.left_kernel()
-        basis = kernel.basis[::-1] if reverse_ties else kernel.basis
         # the n translates of each new generator
-        rows = complement(Echelon(), basis, kernel.dim,
+        rows = complement(Echelon(), kernel.basis, kernel.dim,
                           lambda v: _translates(group, v, range(n)))
         ranks.append(len(rows) // n)
         boundaries.append(F2Matrix(len(rows), prev.rows, rows))
@@ -374,10 +340,6 @@ class GroupHom:
                     self.images[i], self.images[j]
                 ):
                     raise ValueError("not a homomorphism")
-
-    @classmethod
-    def identity(cls, group: PermGroup) -> "GroupHom":
-        return cls(group, group, lambda p: p)
 
 
 def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):

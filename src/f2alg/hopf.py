@@ -7,7 +7,7 @@ combinations are int bitsets over the basis of their grading.
 ``truncation`` semantics: if None the algebra is complete (every grading
 above ``max_grading`` is zero and known to be zero); otherwise gradings
 above ``truncation`` are unknown and any operation touching them raises
-TruncationError rather than returning partial data.
+WindowError rather than returning partial data.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Optional
 from .f2linalg import bits_of
 
 
-class TruncationError(Exception):
-    pass
+class WindowError(ValueError):
+    """A request beyond a size budget (exit 3 on the command line)."""
 
 
 Pair = tuple[tuple[int, int], tuple[int, int]]  # ((g1,i1),(g2,i2))
@@ -64,7 +64,7 @@ class HopfAlgebra:
             return len(self.basis[g])
         if g < 0 or self.truncation is None:
             return 0
-        raise TruncationError(f"grading {g} beyond truncation {self.truncation}")
+        raise WindowError(f"grading {g} beyond truncation {self.truncation}")
 
     def label(self, g: int, i: int) -> str:
         return self.basis[g][i]
@@ -81,7 +81,7 @@ class HopfAlgebra:
         """Product of two homogeneous combos; result in grading g1+g2."""
         g = g1 + g2
         if self.truncation is not None and g > self.truncation:
-            raise TruncationError(f"product lands in unknown grading {g}")
+            raise WindowError(f"product lands in unknown grading {g}")
         if g > self.max_grading:
             return 0
         out = 0
@@ -93,7 +93,7 @@ class HopfAlgebra:
     def coproduct(self, g: int, i: int) -> tuple[Pair, ...]:
         """Full coproduct of a basis element, including 1|x and x|1."""
         if self.truncation is not None and g > self.truncation:
-            raise TruncationError(f"coproduct in unknown grading {g}")
+            raise WindowError(f"coproduct in unknown grading {g}")
         return self.comult[(g, i)]
 
     def reduced_coproduct(self, g: int, i: int) -> tuple[Pair, ...]:

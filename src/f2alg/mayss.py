@@ -80,7 +80,6 @@ class FilteredComplex:
         self.complex = complex
         self.filts = filts
         self._layer_cache: dict[tuple[int, int], Layer] = {}
-        self._pivot_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._pivot_counts: dict[tuple[int, int], Counter] = {}
         self._spot_cache: dict = {}
 
@@ -109,17 +108,13 @@ class FilteredComplex:
     def pivots(self, g: int, s: int) -> list[tuple[int, int]]:
         """(row_filt, col_filt) of each elimination pivot; rows processed
         in row_order, so each pivot, the top bit of its mirrored row, is
-        its first column in descending (filtration, index) order."""
-        key = (g, s)
-        if key not in self._pivot_cache:
-            src = self.layer(g, s)
-            tgt = self.layer(g, s + 1)
-            tops = row_pivots(self._permuted_rows(g, s))
-            self._pivot_cache[key] = [
-                (src.filts[i], tgt.filts[tgt.row_order[top - 1]])
-                for i, top in zip(src.row_order, tops) if top
-            ]
-        return self._pivot_cache[key]
+        its first column in descending (filtration, index) order.  Not
+        cached: ``restricted_rank`` keeps only their counts."""
+        src = self.layer(g, s)
+        tgt = self.layer(g, s + 1)
+        tops = row_pivots(self._permuted_rows(g, s))
+        return [(src.filts[i], tgt.filts[tgt.row_order[top - 1]])
+                for i, top in zip(src.row_order, tops) if top]
 
     # -- rank bookkeeping
     def fil_dim(self, g: int, s: int, p: int) -> int:

@@ -282,6 +282,7 @@ def test_exit_budget_exceeded():
                  ["wbasis", "--gens", "s,b,n1,n2", "--quotient", "--gmax", "24", "--dmax", "12"],
                  ["wbasis", "--gens", "s,b,n1,n2", "--quotient", "--gmax", "14", "--dmax", "15"],
                  ["nishida", "--a", "100000", "Q[1](s)"], ["nishida", "--a", "1001", "Q[1](s)"],
+                 ["nishida", "--a", "400", "Q[1000](s)*Q[1001](s)*Q[1002](s)"],
                  ["families", "--max-i", "1000000", "--no-verify"],
                  ["families", "--max-i", "1001"]):
         assert run(argv)[0] == 3, argv

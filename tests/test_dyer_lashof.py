@@ -20,6 +20,7 @@ from f2alg.dyer_lashof import (
     apply_q,
     bar_class,
     barred,
+    cartan_splits,
     dual_steenrod,
     eval_expr,
     factor_bidegree,
@@ -37,6 +38,7 @@ from f2alg.dyer_lashof import (
     render,
     upper_form,
 )
+from f2alg.f2linalg import F2Matrix
 
 GENS = {"s": SIGMA, "n1": NU1, "n2": NU2, "b": BETA}
 
@@ -163,6 +165,17 @@ def test_sq_vanishes_past_the_degree():
             assert a <= d or got == ZERO, (render(poly(m)), a)
 
 
+def test_cartan_splits_count_bounded_tuples():
+    three = P("Q[1000](s)*Q[1001](s)*Q[1002](s)")
+    assert [cartan_splits(a, three) for a in (25, 50)] == [351, 1326]
+    for text in ("Q[2](s)*Q[3](s)*s^2", "Q[4](s)^2 + Q[2,1](s)*b", "s", "0"):
+        p = P(text)
+        for a in range(-1, 9):
+            tuples = sum(sum(t) == a for m in p for t in itertools.product(
+                *(range(factor_bidegree(f)[1] + 1) for f in m)))
+            assert cartan_splits(a, p) == tuples, (text, a)
+
+
 # ---------------------------------------------------------------- free basis
 
 def test_free_basis_4_3():
@@ -285,6 +298,44 @@ def test_quotient_checks_relations_before_the_box(monkeypatch):
     with pytest.raises(ValueError, match="not a class on the given generators"):
         ideal_quotient_dims([SIGMA, BETA], [P("s*Q[1](s)"), P("s*n1")], 20, 12)
     assert calls == []
+
+
+def quotient_reference(gens, relations, g_max, d_max):
+    """The ideal spanned by the relations and closed under multiplication
+    by every monomial of the box and every Q^s, grown to a fixed point."""
+    span = {}
+    for p in relations:
+        span.setdefault(dl.poly_bidegree(p), set()).add(p)
+    while True:
+        grown = {bd: set(ps) for bd, ps in span.items()}
+        for (g, d), ps in span.items():
+            for p in ps:
+                for g2 in range(g_max - g + 1):
+                    for d2 in range(d_max - d + 1):
+                        for m in free_basis(gens, g2, d2) if g2 or d2 else []:
+                            grown.setdefault((g + g2, d + d2), set()).add(poly_mul(p, poly(m)))
+                for s in range(1, d_max - d + 1):
+                    if 2 * g <= g_max:
+                        grown.setdefault((2 * g, d + s), set()).add(apply_q(s, p))
+        if grown == span:
+            break
+        span = grown
+    dims = {}
+    for g in range(g_max + 1):
+        for d in range(d_max + 1):
+            index = {m: i for i, m in enumerate(free_basis(gens, g, d))}
+            rows = [sum(1 << index[m] for m in p) for p in span.get((g, d), ())]
+            dims[(g, d)] = len(index) - F2Matrix(len(rows), len(index), rows).rank()
+    return dims
+
+
+@pytest.mark.parametrize("names,g_max,d_max", [("s,n1,n2", 8, 4), ("s,b", 9, 6)])
+def test_quotient_matches_closure_under_all_monomials(names, g_max, d_max):
+    gens = [dl.ALPHABET[n] for n in names.split(",")]
+    rels = [P(r) for r in ("s*Q[1](s)", "s*Q[3](s)", "s^2*Q[2](s)", "s*n1", "s*n2")]
+    rels = [p for p in rels if all(gen in gens for m in p for gen, _ in m)]
+    assert ideal_quotient_dims(gens, rels, g_max, d_max) == quotient_reference(
+        gens, rels, g_max, d_max)
 
 
 def test_quotient_free_when_no_relations():

@@ -1,8 +1,9 @@
 """Tests for group homology via free resolutions.
 
 Dimension fixtures are cross-checked by independent oracles: the UT3
-ring monomial count, the abelianization subgroup closure for H_1, and
-reversed greedy tie-breaking for choice independence.
+ring monomial count, the abelianization subgroup closure for H_1, and,
+for choice independence, a relabelled copy of the group, whose greedy
+resolution picks other generators.
 """
 
 import re
@@ -52,6 +53,41 @@ def r_gl2(gl2):
 @pytest.fixture(scope="module")
 def r_gl3(gl3):
     return resolve(gl3, 4)
+
+
+def cycle_line(p):
+    """A permutation in cycle notation, fixed points written as 1-cycles
+    so that the line keeps the degree."""
+    seen, out = set(), []
+    for start in range(len(p)):
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = p[x]
+        if cycle:
+            out.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(out)
+
+
+def relabelled(group):
+    """The group with its points 1..n-1 cycled (x -> x + 1, n - 1 -> 1),
+    read back by parse_group from its conjugated generator lines, and the
+    relabelling isomorphism onto it.  The copy's elements sort in another
+    order, so its greedy resolution picks other generators unless the
+    relabelling carries the group onto itself (S_n on its n points)."""
+    n = group.degree
+    pi = [0, *range(2, n), 1][:n]
+
+    def conj(p):
+        out = [0] * n
+        for x in range(n):
+            out[pi[x]] = pi[p[x]]
+        return tuple(out)
+
+    lines = [cycle_line(conj(p)) for p in group.generators] or [cycle_line(range(n))]
+    other = parse_group("\n".join(lines))
+    return other, GroupHom(group, other, conj)
 
 
 # ---------------------------------------------------------------- resolutions
@@ -114,9 +150,11 @@ def test_gl2_s3_isomorphic_dims(r_gl2):
 @pytest.mark.parametrize("name", ["S3", "UT(3,2)", "D8"])
 def test_dims_independent_of_greedy_ties(name):
     g = builtin_group(name)
-    assert homology_dims(resolve(g, 4)) == homology_dims(
-        resolve(g, 4, reverse_ties=True)
-    )
+    other, _ = relabelled(g)
+    res, res_other = resolve(g, 4), resolve(other, 4)
+    # S3 is all of S_3, which every relabelling carries onto itself
+    assert res.boundaries != res_other.boundaries or other.elements == g.elements
+    assert homology_dims(res) == homology_dims(res_other)
 
 
 # ---------------------------------------------------------------- top degree
@@ -127,15 +165,20 @@ def truncated(res, d):
     return Resolution(res.group, res.ranks[:d + 1], res.boundaries[:d + 1])
 
 
-@pytest.mark.parametrize("reverse_ties", [False, True])
+@pytest.mark.parametrize("relabel", [False, True])
 @pytest.mark.parametrize("name", BUILTINS + ["S4", "S5", "UT(4,2)"])
-def test_top_degree_matches_one_degree_further(name, reverse_ties):
+def test_top_degree_matches_one_degree_further(name, relabel):
     # H_top is read off ker d_top; one degree further it is read off the
     # tensored image of d_{top+1}
     g = builtin_group(name)
     top = 5 if g.order <= 60 else 3
-    further = resolve(g, top + 1, reverse_ties=reverse_ties)
-    res = resolve(g, top, reverse_ties=reverse_ties)
+    if relabel:
+        base = g
+        g, _ = relabelled(base)
+    further = resolve(g, top + 1)
+    res = resolve(g, top)
+    if relabel:
+        assert res.boundaries != resolve(base, top).boundaries or g.elements == base.elements
     head = truncated(further, top)
     assert (res.ranks, res.boundaries) == (head.ranks, head.boundaries)
     dims = homology_dims(further)
@@ -151,17 +194,24 @@ def test_gl3_top_degree_reads_h4(r_gl3):
 
 def test_top_degree_induced_map_matches_one_degree_further(gl2, gl3):
     ut3 = builtin_group("UT(3,2)")
+    ut3_other, relabel = relabelled(ut3)
     c2, s3 = builtin_group("C2"), builtin_group("S3")
+    r_ut3, r_ut3_other = resolve(ut3, 5), resolve(ut3_other, 5)
+    assert r_ut3.boundaries != r_ut3_other.boundaries
     cases = [
         (stabilization_hom(gl2, gl3, 2), resolve(gl2, 5), resolve(gl3, 5)),
         (GroupHom(c2, s3, lambda p: tuple(p) + (2,)), resolve(c2, 5), resolve(s3, 5)),
-        # a change of homology basis, so the coordinates are not all unit
-        (GroupHom.identity(ut3), resolve(ut3, 5), resolve(ut3, 5, reverse_ties=True)),
+        # another greedy choice, so the coordinates change basis
+        (relabel, r_ut3, r_ut3_other),
     ]
+    permutations = []
     for hom, r_src, r_tgt in cases:
         for d in range(5):
             at_top = induced_map(hom, truncated(r_src, d), truncated(r_tgt, d), d)
             assert at_top == induced_map(hom, r_src, r_tgt, d), (hom.source.name, d)
+            if hom is relabel:
+                permutations.append(sorted(at_top.data) == [1 << i for i in range(at_top.cols)])
+    assert not all(permutations)
 
 
 def test_incoming_runs_once_per_resolution(monkeypatch, gl2, gl3):
@@ -208,33 +258,31 @@ def test_batched_translates_match_one_element_at_a_time(name, rank, data):
     assert grouphom._translates(g, v, elements) == [act_reference(g, e, v) for e in elements]
 
 
-# greedy ranks under both tie orders, recorded before the kernel-complement
-# step was shared with the minimal-resolution engine; the greedy choice
-# must not move
+# greedy ranks, recorded before the kernel-complement step was shared with
+# the minimal-resolution engine; the greedy choice must not move
 GREEDY_RANKS = {
-    ("D8", 6): ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 6, 7, 8)),
-    ("S3", 6): ((1, 2, 4, 5, 4, 5, 6), (1, 2, 3, 3, 2, 2, 2)),
-    ("S4", 5): ((1, 3, 5, 6, 6, 9), (1, 3, 6, 7, 7, 8)),
-    ("UT(3,2)", 6): ((1, 2, 4, 7, 10, 13, 16), (1, 3, 4, 6, 9, 13, 16)),
-    ("GL(3,2)", 3): ((1, 2, 3, 6), (1, 4, 9, 19)),
+    ("D8", 6): (1, 2, 3, 4, 5, 6, 7),
+    ("S3", 6): (1, 2, 4, 5, 4, 5, 6),
+    ("S4", 5): (1, 3, 5, 6, 6, 9),
+    ("UT(3,2)", 6): (1, 2, 4, 7, 10, 13, 16),
+    ("GL(3,2)", 3): (1, 2, 3, 6),
 }
 
 
 @pytest.mark.parametrize("name,d_max", sorted(GREEDY_RANKS))
 def test_greedy_ranks_pinned(name, d_max):
-    g = builtin_group(name)
-    got = tuple(resolve(g, d_max, reverse_ties=rev).ranks for rev in (False, True))
-    assert got == GREEDY_RANKS[(name, d_max)]
+    assert resolve(builtin_group(name), d_max).ranks == GREEDY_RANKS[(name, d_max)]
 
 
 def abelianization_reference(group):
     """log2 of the index of the subgroup generated by all squares and
     all pairwise commutators, by closure under multiplication."""
     n = group.order
+    inv = [row.index(group.identity) for row in group.table]
     seeds = {group.mult(i, i) for i in range(n)}
     for i in range(n):
         for j in range(n):
-            seeds.add(group.mult(group.mult(i, j), group.mult(group.inv(i), group.inv(j))))
+            seeds.add(group.mult(group.mult(i, j), group.mult(inv[i], inv[j])))
     sub = {group.identity}
     while True:
         grown = sub | {group.mult(a, s) for a in sub for s in seeds}
@@ -268,7 +316,7 @@ def test_h0_and_h1_against_abelianization():
 # ---------------------------------------------------------------- induced maps
 
 def test_identity_induces_identity(gl2, r_gl2):
-    ih = GroupHom.identity(gl2)
+    ih = GroupHom(gl2, gl2, lambda p: p)
     for d in range(5):
         m = induced_map(ih, r_gl2, r_gl2, d)
         assert m.rows == m.cols == 1 and m.rank() == 1
@@ -279,14 +327,19 @@ def test_identity_induces_identity_matrix():
     ut3 = builtin_group("UT(3,2)")
     res = resolve(ut3, 5)
     for d, dim in enumerate(homology_dims(res)):
-        m = induced_map(GroupHom.identity(ut3), res, res, d)
+        m = induced_map(GroupHom(ut3, ut3, lambda p: p), res, res, d)
         assert m.data == [1 << i for i in range(dim)]
 
 
-def test_identity_across_tie_breaks(gl2, r_gl2):
-    other = resolve(gl2, 4, reverse_ties=True)
-    m = induced_map(GroupHom.identity(gl2), r_gl2, other, 3)
-    assert m.rank() == 1
+def test_identity_across_tie_breaks(gl3, r_gl3):
+    # H_3(GL(3,2)) has dim 2; the relabelled copy's greedy resolution
+    # picks other generators, and the isomorphism changes basis on H_3
+    other, relabel = relabelled(gl3)
+    r_other = resolve(other, 3)
+    assert r_other.boundaries != r_gl3.boundaries[:4]
+    m = induced_map(relabel, r_gl3, r_other, 3)
+    assert m.rank() == m.rows == m.cols == 2
+    assert sorted(m.data) != [1, 2]
 
 
 def test_stabilization_gl2_gl3(gl2, gl3, r_gl2, r_gl3):
@@ -320,7 +373,7 @@ def test_sylow_c2_into_s3_entries():
 def test_induced_map_needs_a_higher_degree(gl2, r_gl2, d):
     # H_d needs resolutions built through degree d; resolve(_, 4) stops at 4
     with pytest.raises(ValueError):
-        induced_map(GroupHom.identity(gl2), r_gl2, r_gl2, d)
+        induced_map(GroupHom(gl2, gl2, lambda p: p), r_gl2, r_gl2, d)
 
 
 def test_s2_into_gl2_iso(gl2, r_gl2):
@@ -381,8 +434,7 @@ def test_order_budget_checked_before_generators(name, monkeypatch):
     # the order is known in closed form, so no generator may be built
     def refuse(g):
         raise AssertionError("generators built for an over-budget group")
-    monkeypatch.setattr(grouphom, "_gl_gens", refuse)
-    monkeypatch.setattr(grouphom, "_ut_gens", refuse)
+    monkeypatch.setattr(grouphom, "_transvections", refuse)
     monkeypatch.setattr(grouphom, "PermGroup", refuse)
     with pytest.raises(WindowError, match="group order exceeds budget"):
         builtin_group(name)

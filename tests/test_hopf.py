@@ -10,7 +10,7 @@ import pytest
 from f2alg.hopf import (
     CoalgebraMap,
     HopfAlgebra,
-    TruncationError,
+    WindowError,
     build_a1_star,
     build_cgl_to_a1_map,
     build_delta_cgl,
@@ -89,7 +89,7 @@ def test_a1_axioms(a1):
 
 def test_cgl_dimensions(cgl):
     assert [cgl.dim(g) for g in range(6)] == [1, 1, 1, 2, 3, 3]
-    with pytest.raises(TruncationError):
+    with pytest.raises(WindowError):
         cgl.dim(6)
 
 
@@ -118,7 +118,7 @@ def test_cgl_sbdelta_coproduct(cgl):
 
 def test_cgl_product_beyond_truncation_raises(cgl):
     i = cgl.index(3, "delta")
-    with pytest.raises(TruncationError):
+    with pytest.raises(WindowError):
         cgl.product(3, 1 << i, 3, 1 << i)
 
 

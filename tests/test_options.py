@@ -1,9 +1,10 @@
-"""Every defaulted parameter of the package is passed by some call.
+"""Every defaulted parameter of the package is passed by some program call.
 
 A stdlib ``ast`` scan in the style of ``test_imports.py``: a parameter
-with a default that no call in ``src/``, ``tests/``, ``demos/`` or
-``perfbench/`` ever sets is an option with one value, and should be a
-constant.  Calls are matched to definitions by function name alone (a
+with a default that no call in ``src/``, ``demos/`` or ``perfbench/``
+ever sets is an option with one value, and should be a constant.  Calls
+in ``tests/`` do not count, so a test cannot be an option's only
+setter.  Calls are matched to definitions by function name alone (a
 class name or ``cls`` stands for its ``__init__``), so a parameter counts
 as passed when any call of that name passes it, by position or by
 keyword, or spreads ``*args`` / ``**kwargs`` over it.
@@ -15,7 +16,7 @@ from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "f2alg"
-CALLERS = [ROOT / d for d in ("src", "tests", "demos", "perfbench")]
+CALLERS = [ROOT / d for d in ("src", "demos", "perfbench")]
 
 
 class Option(NamedTuple):

@@ -9,7 +9,9 @@ of a class in ``src/f2alg``.  Reach is by name alone: a reached body
 reaches every name it mentions, as a bare name, an attribute, an
 imported name or a string constant (``perfbench/tracer.py`` names the
 methods it wraps by string), and a name reaches every definition that
-bears it, in any module or class.  A class body outside its methods,
+bears it, in any module or class.  A method or class-level constant is
+reached only through an attribute or a string, never by a bare name,
+which in Python cannot name it.  A class body outside its methods,
 and its dunder methods, which Python calls by protocol, are reached
 with the class.  Module-level statements other than definitions and
 imports run on import, so they are roots too.
@@ -36,22 +38,25 @@ ALLOWED = {
 
 class Definition(NamedTuple):
     qualname: str  # module.name or module.Class.name
-    name: str
+    name: str  # "name" at module level, ".name" for a class member
     refs: frozenset  # the names its body mentions
 
 
 def names_in(nodes) -> set:
+    """The names mentioned: a bare or imported name as "name", which only
+    a module-level definition bears; an attribute or a string as both
+    "name" and ".name", which a class member bears too."""
     out = set()
     for top in nodes:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
             elif isinstance(node, ast.alias):
                 out.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Attribute):
+                out |= {node.attr, "." + node.attr}
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.add(node.value)
+                out |= {node.value, "." + node.value}
     return out
 
 
@@ -80,7 +85,7 @@ def definitions(module: str, source: str) -> tuple[list[Definition], set]:
             own = [*node.bases, *node.keywords, *node.decorator_list]
             for item in node.body:
                 names = [n for n in _defined(item) if not _is_dunder(n)]
-                defs += [Definition(f"{module}.{node.name}.{n}", n, frozenset(names_in([item])))
+                defs += [Definition(f"{module}.{node.name}.{n}", "." + n, frozenset(names_in([item])))
                          for n in names]
                 if not names:
                     own.append(item)
@@ -135,6 +140,19 @@ def test_scan_follows_names_transitively():
     defs, roots = definitions("m", src)
     assert roots == set()
     assert unreached(defs, {"main"}) == ["m.K.LIMIT", "m.K.spare", "m.dead", "m.gone"]
+
+
+def test_scan_reaches_members_only_through_attributes_and_strings():
+    src = ("class K:\n    LIMIT = 3\n"
+           "    def inv(self):\n        pass\n"
+           "    def named(self):\n        pass\n"
+           "def inv():\n    pass\n")
+    defs, _ = definitions("m", src)
+    # a local variable called inv reaches the function inv, not K.inv
+    use = names_in([ast.parse("K\ninv = [0]\nLIMIT = 1\nSPANS = [(K, 'named')]\n")])
+    assert unreached(defs, use) == ["m.K.LIMIT", "m.K.inv"]
+    # an attribute reaches both: m.inv may be a module's function
+    assert unreached(defs, names_in([ast.parse("K().inv()\nK.LIMIT\n")])) == ["m.K.named"]
 
 
 def test_scan_counts_strings_attributes_and_import_time_code():
