@@ -220,13 +220,19 @@ def apply_q(s: int, p: Poly) -> Poly:
 
 # ---------------------------------------------------------------- dual Steenrod action
 
+def _sq_top(f: Factor) -> int:
+    """The largest a with Sq^a_* possibly nonzero on the tower f: zero on
+    a generator, and Sq^a_* lowers the homological degree by a."""
+    gen, seq = f
+    return sum(seq) + gen.d if seq else 0
+
+
 def _sq_factor(a: int, f: Factor) -> Poly:
     if a == 0:
         return poly((f,))
-    gen, seq = f
-    if not seq or a > sum(seq) + gen.d:
-        # zero on a generator, and Sq^a_* lowers the homological degree by a
+    if a > _sq_top(f):
         return ZERO
+    gen, seq = f
     s = seq[0]
     inner: Factor = (gen, seq[1:])
     out: set = set()
@@ -239,16 +245,17 @@ def _sq_factor(a: int, f: Factor) -> Poly:
 def cartan_splits(a: int, p: Poly) -> int:
     """The Cartan splits Sq^a_* runs through, summed over the monomials
     of p: tuples (i_1, ..., i_k), one entry per factor, with sum a and
-    each i_j at most the homological degree of the j-th factor (above it
-    Sq^i_* vanishes on that factor).  Counted factor by factor over
-    prefix sums, without computing a split."""
+    each i_j at most ``_sq_top`` of the j-th factor (above it Sq^i_*
+    vanishes on that factor): its homological degree, or 0 on a bare
+    generator.  Counted factor by factor over prefix sums, without
+    computing a split."""
     if a < 0:
         return 0
     total = 0
     for m in p:
         ways = [1] + [0] * a  # ways[s]: splits of s over the factors so far
         for f in m:
-            top = factor_bidegree(f)[1]
+            top = _sq_top(f)
             acc = list(accumulate(ways, initial=0))
             ways = [acc[s + 1] - acc[max(0, s - top)] for s in range(a + 1)]
         total += ways[a]

@@ -290,6 +290,9 @@ def test_exit_budget_exceeded():
 
 @pytest.mark.parametrize("argv", [
     ["nishida", "--a", "1000", "Q[1](s)"],
+    # Sq^a_* annihilates a bare generator, so no split of a > 0 is counted
+    ["nishida", "--a", "12", "n1^8"],
+    ["nishida", "--a", "20", "n1^10"],
     ["families", "--max-i", "1000", "--no-verify"],
 ])
 def test_ceiling_admits_its_bound(argv):

@@ -168,11 +168,13 @@ def test_sq_vanishes_past_the_degree():
 def test_cartan_splits_count_bounded_tuples():
     three = P("Q[1000](s)*Q[1001](s)*Q[1002](s)")
     assert [cartan_splits(a, three) for a in (25, 50)] == [351, 1326]
-    for text in ("Q[2](s)*Q[3](s)*s^2", "Q[4](s)^2 + Q[2,1](s)*b", "s", "0"):
+    # a bare generator takes only the split 0: every Sq^a_*, a > 0, kills it
+    assert cartan_splits(12, P("n1^8")) == cartan_splits(20, P("n1^10")) == 0
+    for text in ("Q[2](s)*Q[3](s)*s^2", "Q[4](s)^2 + Q[2,1](s)*b", "Q[4](n1)*n1^2", "s", "0"):
         p = P(text)
         for a in range(-1, 9):
             tuples = sum(sum(t) == a for m in p for t in itertools.product(
-                *(range(factor_bidegree(f)[1] + 1) for f in m)))
+                *(range(factor_bidegree(f)[1] + 1 if f[1] else 1) for f in m)))
             assert cartan_splits(a, p) == tuples, (text, a)
 
 
