@@ -310,6 +310,5 @@ def delta_of_cells(spec: CellSpec, bound: int) -> DeltaPresentation:
         max_grading=bound,
         truncated=True,
     )
-    h.assert_axioms()
     within = tuple(gn for gn in gens if gn[1] <= bound)
     return DeltaPresentation(h, within, tuple(flags), tuple(log))

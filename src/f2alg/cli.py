@@ -19,9 +19,8 @@ import sys
 from pathlib import Path
 
 from . import cellfilt, cellhopf, dyer_lashof as dl, grouphom, mayss
-from .cobar import WindowError
 from .dyer_lashof import ALPHABET, eval_expr
-from .hopf import build_a1_star, build_delta_cgl
+from .hopf import WindowError, build_a1_star, build_delta_cgl
 from .minres import MinimalResolution, chart_rows, ring_chart_names
 
 EXIT_OK = 0
@@ -49,13 +48,15 @@ FAMILY_WINDOW = (43, 28)
 # - wbasis --quotient on all four generators takes 3.4 s at --gmax 14
 #   --dmax 12, 7.5 s at (14, 14), 17 s at (14, 16), 27 s at (20, 12);
 # - nishida is zero once --a passes the class's homological degree, found
-#   per tower factor: --a 1000 takes 0.3 s, most of it start-up, on Q[1](s)
+#   per tower factor: --a 1000 takes 0.2 s, most of it start-up, on Q[1](s)
 #   and on Q[5](s)*Q[6](s)*Q[7](s); below the degree the work grows with the
 #   Cartan splits (``dl.cartan_splits``), counted before any is computed.
-#   In process, Q[1000](s)*Q[1001](s)*Q[1002](s) takes 0.7 s for its 351
-#   splits at --a 25, 3.2 s for 1326 at 50, 3.7 s for 1953 at 61 (4.4 s on
-#   Q[1000](s)^3), 9.4 s for 5151 at 100 and 47 s for 80601 at 400, and
-#   Q[1000](s)*Q[1001](s) 4.5 s for its 1001 splits at --a 1000;
+#   In process, Q[1000](s)*Q[1001](s)*Q[1002](s) takes 0.002 s for its 351
+#   splits at --a 25, 0.005 s for 1326 at 50, 0.007 s for 1953 at 61 (0.006 s
+#   on Q[1000](s)^3), 0.017 s for 5151 at 100 and 0.25 s for 80601 at 400,
+#   and Q[1000](s)*Q[1001](s) 0.05 s for its 1001 splits at --a 1000; one
+#   deep tower has a single split, yet Q[64,32,16,8,4,2,1](s) takes 22 s at
+#   --a 30;
 # - families --no-verify takes 0.2 s and 23 MB at --max-i 1000, 1.0 s and
 #   91 MB at 10^4, 84 s and 7.6 GB at 10^6;
 # - delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26;
@@ -134,10 +135,9 @@ def cmd_cone(args) -> str:
         h10, h11 = ring.unique_class(1, 0), ring.unique_class(2, 1)
         lhs = cone.yoneda(ring, h10, cone.unique_class(3, 2))
         rhs = cone.yoneda(ring, h11, cone.yoneda(ring, h11, cone.unique_class(0, 0)))
-        ok = lhs == rhs and lhs.bits != 0
-        comments.append(f"action h10.z32 = h11^2.z00: {'ok' if ok else 'FAILED'}")
-        if not ok:
+        if lhs != rhs or lhs.bits == 0:
             raise AssertionError("module action fixture failed")
+        comments.append("action h10.z32 = h11^2.z00: ok")
     return _table(args, "chart", ["g", "d", "dim", "class_names"], rows, comments)
 
 
@@ -256,12 +256,11 @@ def cmd_grouphom(args) -> str:
     # through H_1 at least, for the abelianization cross-check
     dims = grouphom.homology_dims(grouphom.resolve(g, max(args.dmax, 1)))
     name = g.name or args.group
-    ok = dims[1] == grouphom.abelianization_f2_dim(g)
-    comments = [f"H_1 abelianization cross-check: {'ok' if ok else 'FAILED'}"]
-    if not ok:
+    if dims[1] != grouphom.abelianization_f2_dim(g):
         raise AssertionError("H_1 disagrees with the abelianization oracle")
     rows = [(name, d, dims[d]) for d in range(args.dmax + 1)]
-    return _table(args, "grouphom", ["group", "d", "dim"], rows, comments)
+    return _table(args, "grouphom", ["group", "d", "dim"], rows,
+                  ["H_1 abelianization cross-check: ok"])
 
 
 def _family_rows(max_i: int):

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .f2linalg import Echelon, F2Matrix, bits_of, row_rank
-from .hopf import CoalgebraMap, HopfAlgebra, WindowError, check_hopf_map
+from .hopf import CoalgebraMap, HopfAlgebra, WindowError
 
 # symbolic d*d verification is skipped above this many words in a bidegree;
 # coassociativity of the coalgebra (asserted at construction) implies d*d = 0
@@ -48,12 +48,11 @@ D2_CHECK_LIMIT = 60_000
 
 class CotorClass(NamedTuple):
     """Homogeneous homology class: bidegree (g, d), cycle representative as
-    a bitset over the word basis at (g, g - d), basis index if applicable."""
+    a bitset over the word basis at (g, g - d)."""
 
     g: int
     d: int
     chain: int
-    index: Optional[int] = None
 
     @property
     def s(self) -> int:
@@ -184,13 +183,13 @@ class BigradedComplex:
 
     def cotor_basis(self, g: int, d: int) -> list[CotorClass]:
         h = self.homology(g, d)
-        return [CotorClass(g, d, c, index=k) for k, c in enumerate(h.reps)]
+        return [CotorClass(g, d, c) for c in h.reps]
 
     def unique_class(self, g: int, d: int) -> CotorClass:
         h = self.homology(g, d)
         if h.dim != 1:
             raise ValueError(f"({g},{d}) is {h.dim}-dimensional, not 1")
-        return CotorClass(g, d, h.reps[0], index=0)
+        return CotorClass(g, d, h.reps[0])
 
     # -- chain-level class queries (image-side only; avoid kernel work)
     def is_cycle(self, g: int, d: int, chain: int) -> bool:
@@ -486,8 +485,6 @@ class CobarMap:
     """Chain map of cobar complexes induced letterwise by a coalgebra map."""
 
     def __init__(self, f: CoalgebraMap, source: CobarComplex, target: CobarComplex):
-        if not all(ok for _, ok, _ in check_hopf_map(f)):
-            raise ValueError("inducing map fails the coalgebra-map check")
         self.f = f
         self.source = source
         self.target = target

@@ -161,12 +161,14 @@ def is_normal(upper: tuple[int, ...], x: Generator) -> bool:
 
 # ---------------------------------------------------------------- Cartan formula
 
-def _cartan(op, s: int, m: Monomial) -> set:
+def _cartan(op, s: int, m: Monomial) -> set | Poly:
     """op^s on a monomial: the sum over i of op^i(first factor) times
     op^{s-i}(the rest).  op(i, factor) acts on a single tower."""
     if not m:
         return {()} if s == 0 else set()
     head, rest = m[0], m[1:]
+    if not rest:  # only i = s pairs with the empty rest
+        return op(s, head)
     out: set = set()
     for i in range(s + 1):
         a = op(i, head)

@@ -224,8 +224,6 @@ def resolve(group: PermGroup, d_max: int) -> Resolution:
 
     Kernel generators are picked greedily, in the order of the
     reduced-echelon kernel basis."""
-    if group.order > MAX_ORDER:
-        raise WindowError("group order exceeds budget")
     if d_max > MAX_DEGREE:
         raise WindowError("degree exceeds budget")
     n = group.order

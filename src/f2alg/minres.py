@@ -38,9 +38,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
-from .cobar import WindowError
 from .f2linalg import Echelon, F2Matrix, bits_of
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, WindowError
 
 
 class ExtClass(NamedTuple):

@@ -1,7 +1,11 @@
 """Shared fixtures."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -17,4 +21,21 @@ def table_lines():
         with redirect_stdout(buf):
             code = main(argv)
         return code, [ln for ln in buf.getvalue().splitlines() if not ln.startswith("#")]
+    return run
+
+
+@pytest.fixture
+def run_optimized():
+    """Run a statement in a python -O subprocess, with this directory and
+    src/ importable, and require it to succeed: a check written as an
+    assert statement would be stripped there."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
+
+    def run(statement):
+        code = f"import sys; sys.path.insert(0, {str(here)!r}); {statement}"
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
     return run

@@ -7,11 +7,6 @@ ring_chart_names enumeration.  The big-window chart and the heavy cone
 computations live in the acceptance suite.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from f2alg.cobar import (
@@ -200,9 +195,9 @@ def test_ring_chart_names_counts_match_oracle():
 def test_representatives_are_cycles_off_boundaries(cx):
     for g in range(0, 9):
         for d in range(0, 7):
-            for c in cx.cotor_basis(g, d):
+            for i, c in enumerate(cx.cotor_basis(g, d)):
                 assert cx.class_nonzero(g, d, c.chain)
-                assert cx.coords(g, d, c.chain) == 1 << c.index
+                assert cx.coords(g, d, c.chain) == 1 << i
 
 
 # ---------------------------------------------------------------- products
@@ -391,13 +386,6 @@ def test_d_squared_check_raises():
         CobarComplex(non_coassociative(), 3, 3).boundary_matrix(3, 1)
 
 
-def test_d_squared_check_survives_optimize_flag():
+def test_d_squared_check_survives_optimize_flag(run_optimized):
     """The test above, run again in a python -O subprocess."""
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
-    code = (f"import sys; sys.path.insert(0, {str(here)!r}); import test_cobar; "
-            "test_cobar.test_d_squared_check_raises()")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_optimized("import test_cobar; test_cobar.test_d_squared_check_raises()")

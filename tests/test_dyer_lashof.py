@@ -178,6 +178,19 @@ def test_cartan_splits_count_bounded_tuples():
             assert cartan_splits(a, p) == tuples, (text, a)
 
 
+def test_cartan_calls_op_once_on_one_factor():
+    # only op^s of the one factor pairs with the empty rest
+    calls = []
+
+    def op(i, f):
+        calls.append(i)
+        return dl._q_factor(i, f)
+
+    (m,) = P("Q[2,1](s)")
+    assert dl._cartan(op, 7, m) == apply_q(7, poly(m))
+    assert calls == [7]
+
+
 # ---------------------------------------------------------------- free basis
 
 def test_free_basis_4_3():

@@ -9,10 +9,6 @@ Ext over A(1).
 """
 
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -137,21 +133,10 @@ def test_exactness_check_raises(a_times_c):
         MinimalResolution(non_associative(a_times_c), 0, 4)
 
 
-def run_optimized(statement: str) -> None:
-    """Run a statement over this module in a python -O subprocess and
-    require it to succeed."""
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
-    code = f"import sys; sys.path.insert(0, {str(here)!r}); import test_minres; {statement}"
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_exactness_check_survives_optimize_flag():
+def test_exactness_check_survives_optimize_flag(run_optimized):
     """The test above, run again in a python -O subprocess."""
-    run_optimized("[test_minres.test_exactness_check_raises(x) for x in (0, 0b10)]")
+    run_optimized("import test_minres; "
+                  "[test_minres.test_exactness_check_raises(x) for x in (0, 0b10)]")
 
 
 def test_lift_check_raises():
@@ -165,6 +150,6 @@ def test_lift_check_raises():
         ring.yoneda(ring, h10, h10)
 
 
-def test_lift_check_survives_optimize_flag():
+def test_lift_check_survives_optimize_flag(run_optimized):
     """The test above, run again in a python -O subprocess."""
-    run_optimized("test_minres.test_lift_check_raises()")
+    run_optimized("import test_minres; test_minres.test_lift_check_raises()")
