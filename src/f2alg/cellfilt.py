@@ -304,9 +304,9 @@ def filtration_discrepancies(table) -> list[tuple[str, str, int, int]]:
     return out
 
 
-def chart_reconciliation(g: int, d: int, table, enumerated) -> dict:
-    """Recorded table versus raw enumeration at (g, d), the latter as
-    ``enumerate_mod_sigma`` returns it.
+def chart_reconciliation(table, enumerated) -> dict:
+    """Recorded table versus raw enumeration at its bidegree, the latter
+    as ``enumerate_mod_sigma`` returns it.
 
     Returns the rows present in both (with listed and computed
     filtrations), the normal monomials the enumeration produces that the

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import cellfilt, cellhopf, dyer_lashof as dl, grouphom, mayss
 from .dyer_lashof import ALPHABET, eval_expr
-from .hopf import WindowError, build_a1_star, build_delta_cgl
+from .hopf import WindowError, build_a1_star, build_delta_cgl, check_budget
 from .minres import MinimalResolution, chart_rows, ring_chart_names
 
 EXIT_OK = 0
@@ -41,12 +41,14 @@ STABILITY_RELATIONS = ("s*Q[1](s)", "s*Q[3](s)", "s^2*Q[2](s)", "s*n1", "s*n2")
 FAMILY_WINDOW = (43, 28)
 
 # desk-scale ceilings (2 vCPUs, Python 3.11):
-# - a cellss spot's free basis takes 4.8 s at (g, d) = (20, 20), over 80 s
-#   at (24, 24) or (20, 40);
-# - wbasis --g --d takes 5.6 s at (18, 18) and 10.6 s at (20, 20) on all
-#   four generators, 8.7 s at (20, 20) and over 40 s at (30, 30) on s,b;
-# - wbasis --quotient on all four generators takes 3.4 s at --gmax 14
-#   --dmax 12, 7.5 s at (14, 14), 17 s at (14, 16), 27 s at (20, 12);
+# - a basis is read off one walk of its whole box, held in memory: a cellss
+#   spot takes 0.7 s and 34 MB at (g, d) = (20, 20), 4.2 s and 132 MB at
+#   (24, 24); wbasis --g --d 0.55 s and 30 MB at (18, 18) and 1.4 s and
+#   57 MB at (20, 20) on all four generators;
+# - wbasis --quotient on all four generators takes 1.0 s at --gmax 14
+#   --dmax 12, 2.6 s at (14, 14), 5.0 s at (14, 16), 6.7 s at (20, 12);
+# - adem and nishida read at most dl.MAX_CLASS_FACTORS = 500 factors per
+#   monomial: s^500 takes 0.04 s, nishida --a 1000 on Q[1](s)^500 0.5 s;
 # - nishida is zero once --a passes the class's homological degree, found
 #   per tower factor: --a 1000 takes 0.2 s, most of it start-up, on Q[1](s)
 #   and on Q[5](s)*Q[6](s)*Q[7](s); below the degree the work grows with the
@@ -72,11 +74,6 @@ MAX_NISHIDA_A = 1000
 MAX_NISHIDA_SPLITS = 2000
 MAX_FAMILY_I = 1000
 MAX_DELTA_BOUND = 20
-
-
-def _check_budget(what: str, value: int, ceiling: int) -> None:
-    if value > ceiling:
-        raise WindowError(f"{what} <= {ceiling}, requested {value}")
 
 
 # ---------------------------------------------------------------- output plumbing
@@ -116,7 +113,7 @@ def _algebra(name: str):
 
 
 def cmd_cotor(args) -> str:
-    _check_budget("chart window g", args.gmax, MAX_CHART_G)
+    check_budget("chart window g", args.gmax, MAX_CHART_G)
     res = MinimalResolution(_algebra(args.algebra).dualize(), 0, args.gmax)
     names = ring_chart_names(args.gmax, args.dmax) if args.algebra == "a1" else None
     rows = chart_rows(res, args.gmax, args.dmax, names)
@@ -125,7 +122,7 @@ def cmd_cotor(args) -> str:
 
 def cmd_cone(args) -> str:
     # Ext over A(1) of its two-cell module is the homology of the h10 cone
-    _check_budget("chart window g", args.gmax, MAX_CHART_G)
+    check_budget("chart window g", args.gmax, MAX_CHART_G)
     a1 = build_a1_star().dualize()
     cone = MinimalResolution(a1, 1, args.gmax)
     rows = chart_rows(cone, args.gmax, args.dmax)
@@ -142,7 +139,7 @@ def cmd_cone(args) -> str:
 
 
 def cmd_may(args) -> str:
-    _check_budget("may window g", args.gmax, MAX_MAY_G)
+    check_budget("may window g", args.gmax, MAX_MAY_G)
     if args.cone and args.gmax < 1:
         raise ValueError("--cone needs --gmax >= 1")  # the cone cycle h10 sits at g = 1
     fc = mayss.build_filtered(build_a1_star(), g_max=args.gmax, s_max=args.gmax)
@@ -158,9 +155,9 @@ def cmd_adem(args) -> str:
 
 
 def cmd_nishida(args) -> str:
-    _check_budget("nishida --a", args.a, MAX_NISHIDA_A)
+    check_budget("nishida --a", args.a, MAX_NISHIDA_A)
     p = eval_expr(args.expr)
-    _check_budget("nishida Cartan splits", dl.cartan_splits(args.a, p), MAX_NISHIDA_SPLITS)
+    check_budget("nishida Cartan splits", dl.cartan_splits(args.a, p), MAX_NISHIDA_SPLITS)
     return dl.render(dl.dual_steenrod(args.a, p)) + "\n"
 
 
@@ -174,14 +171,14 @@ def cmd_wbasis(args) -> str:
         raise ValueError(f"--gens: repeated generator in {args.gens!r}")
     gens = [ALPHABET[n] for n in names]
     if args.quotient:
-        _check_budget("quotient --gmax and --dmax", max(args.gmax, args.dmax),
-                      MAX_QUOTIENT_GD)
+        check_budget("quotient --gmax and --dmax", max(args.gmax, args.dmax),
+                     MAX_QUOTIENT_GD)
         rels = [dl.parse(r, ALPHABET) for r in STABILITY_RELATIONS]
         dims = dl.ideal_quotient_dims(gens, rels, args.gmax, args.dmax)
         rows = [(g, d, dims.get((g, d), 0))
                 for g in range(args.gmax + 1) for d in range(args.dmax + 1)]
         return _table(args, "dims", ["g", "d", "dim"], rows)
-    _check_budget("basis --g and --d", max(args.g, args.d), MAX_WBASIS_GD)
+    check_budget("basis --g and --d", max(args.g, args.d), MAX_WBASIS_GD)
     rows = [(args.g, args.d, dl.render_mono(m))
             for m in dl.free_basis(gens, args.g, args.d)]
     return _table(args, "basis", ["g", "d", "monomial"], rows)
@@ -207,7 +204,7 @@ def cmd_cellss(args) -> str:
         raise ValueError(f"--decls: not a file: {args.decls!r}")
     spots = _parse_spots(args.spots)
     for g, d, _ in spots:
-        _check_budget("spot g and d", max(g, d), MAX_SPOT_GD)
+        check_budget("spot g and d", max(g, d), MAX_SPOT_GD)
     # each (g, d) is enumerated once, the reconciliation's (12, 8) included
     enumerated = {gd: cellfilt.enumerate_mod_sigma(*gd)
                   for gd in {(12, 8), *((g, d) for g, d, _ in spots)}}
@@ -216,7 +213,7 @@ def cmd_cellss(args) -> str:
         for g, d, f in spots
     ]
     comments = []
-    rec = cellfilt.chart_reconciliation(12, 8, cellfilt.TABLE_12_8, enumerated[(12, 8)])
+    rec = cellfilt.chart_reconciliation(cellfilt.TABLE_12_8, enumerated[(12, 8)])
     for m in rec["enumerated_only"]:
         comments.append(f"enumerated but not charted at (12,8): {m}")
     for m in rec["recorded_only"]:
@@ -236,7 +233,7 @@ def cmd_cellss(args) -> str:
 
 
 def cmd_delta(args) -> str:
-    _check_budget("delta bound", args.bound, MAX_DELTA_BOUND)
+    check_budget("delta bound", args.bound, MAX_DELTA_BOUND)
     path = Path(args.cells)
     spec = (cellhopf.parse_cells(path.read_text()) if path.is_file()
             else cellhopf.load_cells(args.cells))
@@ -295,7 +292,7 @@ def _detector_spot(i: int, j: int, base: str) -> tuple[int, int]:
 
 
 def cmd_families(args) -> str:
-    _check_budget("families --max-i", args.max_i, MAX_FAMILY_I)
+    check_budget("families --max-i", args.max_i, MAX_FAMILY_I)
     rows = _family_rows(args.max_i)
     spots = [_detector_spot(*det) for *_, det in rows]
     checked = [not args.no_verify and g <= FAMILY_WINDOW[0] and d <= FAMILY_WINDOW[1]

@@ -34,7 +34,8 @@ import re
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
-from .f2linalg import Echelon
+from .f2linalg import Echelon, bits_of
+from .hopf import check_budget
 
 
 class Generator(NamedTuple):
@@ -150,13 +151,20 @@ def upper_form(lower: tuple[int, ...], x: Generator) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _prepends(s: int, seq: tuple[int, ...]) -> bool:
+    """Whether Q^s Q^seq(x) is normal, for a normal Q^seq(x) of homological
+    degree below s: the new lower index is positive, and it is at most the
+    old outermost one exactly when s <= 2 * seq[0]."""
+    return not seq or s <= 2 * seq[0]
+
+
 def is_normal(upper: tuple[int, ...], x: Generator) -> bool:
-    low = lower_form(upper, x)
-    if not low:
-        return True
-    if low[0] <= 0:
-        return False
-    return all(low[i] <= low[i + 1] for i in range(len(low) - 1))
+    d = x.d
+    for i in range(len(upper) - 1, -1, -1):
+        if upper[i] <= d or not _prepends(upper[i], upper[i + 1:]):
+            return False
+        d += upper[i]
+    return True
 
 
 # ---------------------------------------------------------------- Cartan formula
@@ -197,8 +205,7 @@ def _q_factor(s: int, f: Factor) -> Poly:
         return ZERO
     if s == d:
         return poly(mono_mul((f,), (f,)))
-    if not seq or s <= 2 * seq[0]:
-        # prepending s keeps the lower indices ascending and positive
+    if _prepends(s, seq):
         return poly(q_mono_of(gen, (s,) + seq))
     t = seq[0]
     inner: Factor = (gen, seq[1:])
@@ -279,59 +286,46 @@ def normal_factors(gen: Generator, g_max: int, d_max: int) -> list[Factor]:
     if gen.g <= 0:
         raise ValueError("generator grading must be positive")
     out: list[Factor] = []
+
+    def rec(seq: tuple[int, ...], g: int, d: int):
+        # seq is normal, of grading g and homological degree d
+        out.append((gen, seq))
+        if 2 * g <= g_max:
+            for s in range(d + 1, d_max - d + 1):
+                if not _prepends(s, seq):
+                    break
+                rec((s,) + seq, 2 * g, d + s)
+
     if gen.g <= g_max and gen.d <= d_max:
-        out.append((gen, ()))
-
-    def rec(lower_rev: list[int], acc_deg: int, length: int):
-        # lower_rev holds lower indices innermost-first; acc_deg is the
-        # homological degree of the tower built so far
-        if (gen.g << (length + 1)) > g_max:
-            return
-        cap = lower_rev[-1] if lower_rev else None
-        l = 1
-        while True:
-            if cap is not None and l > cap:
-                break
-            s = l + acc_deg  # upper index being prepended
-            new_deg = acc_deg + s
-            if new_deg > d_max:
-                break
-            nxt = lower_rev + [l]
-            upper = tuple(nxt[k] for k in range(len(nxt) - 1, -1, -1))
-            out.append((gen, upper_form(tuple(upper), gen)))
-            rec(nxt, new_deg, length + 1)
-            l += 1
-
-    rec([], gen.d, 0)
+        rec((), gen.g, gen.d)
     return out
+
+
+def box_bases(gens: list[Generator], g_max: int, d_max: int):
+    """The normal towers on gens inside the box, sorted by ``factor_key``,
+    and every monomial inside the box, per bidegree in canonical order:
+    one walk extends a prefix only by a tower at or after its last factor
+    and lists each monomial when visited, which is in that order."""
+    towers = sorted((f for x in gens for f in normal_factors(x, g_max, d_max)), key=factor_key)
+    sizes = [factor_bidegree(f) for f in towers]
+    bases: dict[tuple[int, int], list[Monomial]] = {
+        (g, d): [] for g in range(g_max + 1) for d in range(d_max + 1)}
+
+    def visit(start: int, m: Monomial, g: int, d: int):
+        bases[(g, d)].append(m)
+        for i in range(start, len(towers)):
+            fg, fd = sizes[i]
+            if g + fg <= g_max and d + fd <= d_max:
+                visit(i, m + (towers[i],), g + fg, d + fd)
+
+    if bases:
+        visit(0, (), 0, 0)
+    return towers, bases
 
 
 def free_basis(gens: list[Generator], g: int, d: int) -> list[Monomial]:
     """All monomials of bidegree exactly (g, d), in canonical order."""
-    pool: list[Factor] = []
-    for x in gens:
-        pool.extend(normal_factors(x, g, d))
-    pool.sort(key=factor_key)
-    out: list[Monomial] = []
-
-    def rec(idx: int, acc: list[Factor], rg: int, rd: int):
-        if rg == 0:
-            if rd == 0:
-                out.append(tuple(acc))
-            return
-        if idx == len(pool):
-            return
-        f = pool[idx]
-        fg, fd = factor_bidegree(f)
-        rec(idx + 1, acc, rg, rd)
-        k = 1
-        while k * fg <= rg and k * fd <= rd:
-            rec(idx + 1, acc + [f] * k, rg - k * fg, rd - k * fd)
-            k += 1
-
-    rec(0, [], g, d)
-    out.sort(key=lambda m: tuple(factor_key(f) for f in m))
-    return out
+    return box_bases(gens, g, d)[1].get((g, d), [])
 
 
 # ---------------------------------------------------------------- ideal quotients
@@ -355,13 +349,8 @@ def ideal_quotient_dims(
     for p in relations:
         if any(gen not in gens for m in p for gen, _ in m):
             raise ValueError(f"relation {render(p)} is not a class on the given generators")
-    bases: dict[tuple[int, int], list[Monomial]] = {}
-    index: dict[tuple[int, int], dict[Monomial, int]] = {}
-    for g in range(g_max + 1):
-        for d in range(d_max + 1):
-            b = free_basis(gens, g, d)
-            bases[(g, d)] = b
-            index[(g, d)] = {m: i for i, m in enumerate(b)}
+    towers, bases = box_bases(gens, g_max, d_max)
+    index = {bd: {m: i for i, m in enumerate(b)} for bd, b in bases.items()}
 
     def to_vec(p: Poly, bd) -> int:
         v = 0
@@ -370,10 +359,8 @@ def ideal_quotient_dims(
         return v
 
     def to_poly(v: int, bd) -> Poly:
-        b = bases[bd]
-        return frozenset(b[i] for i in range(v.bit_length()) if v >> i & 1)
+        return frozenset(bases[bd][i] for i in bits_of(v))
 
-    towers = [(f, factor_bidegree(f)) for x in gens for f in normal_factors(x, g_max, d_max)]
     ech: dict[tuple[int, int], Echelon] = {bd: Echelon() for bd in bases}
     work: list[tuple[tuple[int, int], int]] = []
 
@@ -394,7 +381,8 @@ def ideal_quotient_dims(
     while work:
         (g, d), v = work.pop()
         p = to_poly(v, (g, d))
-        for f, (fg, fd) in towers:
+        for f in towers:
+            fg, fd = factor_bidegree(f)
             if g + fg <= g_max and d + fd <= d_max:
                 prod = frozenset(mono_mul(m, (f,)) for m in p)
                 insert((g + fg, d + fd), to_vec(prod, (g + fg, d + fd)))
@@ -444,6 +432,10 @@ ALPHABET = {"s": SIGMA, "b": BETA, "n1": NU1, "n2": NU2}
 
 # ---------------------------------------------------------------- text syntax
 
+# the most factors a monomial of the class syntax may have; the Cartan
+# formula recurses once per factor
+MAX_CLASS_FACTORS = 500
+
 _TOKEN = re.compile(r"[Qq]\[\d+(?:,\d+)*\]|\^\d+|\w+|\S")
 
 
@@ -454,9 +446,13 @@ def _read(text: str, gens: dict[str, Generator], literal: bool) -> Poly:
 
     A literal class has towers only on bare generators, each a normal
     sequence, and no parentheses.  Otherwise towers nest over any
-    expression, are applied with ``apply_q`` and Adem-normalized."""
+    expression, are applied with ``apply_q`` and Adem-normalized.  A
+    product of more than MAX_CLASS_FACTORS factors raises WindowError."""
     toks = _TOKEN.findall(text)
     pos = 0
+
+    def factors(p: Poly) -> int:
+        return max(map(len, p), default=0)
 
     def peek() -> str:
         return toks[pos] if pos < len(toks) else ""
@@ -504,21 +500,19 @@ def _read(text: str, gens: dict[str, Generator], literal: bool) -> Poly:
             return p
         raise ValueError(f"unexpected {tok!r} in class {text!r}")
 
-    def power() -> Poly:
-        p = atom()
-        if peek().startswith("^") and peek() != "^":
-            out = ONE
-            for _ in range(int(take()[1:])):
-                out = poly_mul(out, p)
-            return out
-        return p
-
     def term() -> Poly:
-        p = power()
-        while peek() == "*":
+        out = ONE
+        while True:
+            p = atom()
+            n = int(take()[1:]) if peek().startswith("^") and peek() != "^" else 1
+            # n products, even when p is 0 or 1
+            check_budget("factors per monomial", factors(out) + n * max(factors(p), 1),
+                         MAX_CLASS_FACTORS)
+            for _ in range(n):
+                out = p if out is ONE else poly_mul(out, p)
+            if peek() != "*":
+                return out
             take()
-            p = poly_mul(p, power())
-        return p
 
     def expr() -> Poly:
         p = term()

@@ -31,8 +31,9 @@ import re
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .cobar import BigradedComplex, WindowError
+from .cobar import BigradedComplex
 from .f2linalg import Echelon, F2Matrix, bits_of
+from .hopf import WindowError
 from .minres import complement
 
 MAX_ORDER = 1000

@@ -23,6 +23,11 @@ class WindowError(ValueError):
     """A request beyond a size budget (exit 3 on the command line)."""
 
 
+def check_budget(what: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise WindowError(f"{what} <= {ceiling}, requested {value}")
+
+
 Pair = tuple[tuple[int, int], tuple[int, int]]  # ((g1,i1),(g2,i2))
 
 

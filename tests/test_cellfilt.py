@@ -129,7 +129,7 @@ def test_enumeration_matches_bruteforce_oracle():
 
 
 def test_reconciliation_reports_the_extra_normal_monomial():
-    rec = chart_reconciliation(12, 8, TABLE_12_8, enumerate_mod_sigma(12, 8))
+    rec = chart_reconciliation(TABLE_12_8, enumerate_mod_sigma(12, 8))
     assert rec["enumerated_only"] == ["b^2*Q[1](s)*Q[2,1](s)"]
     assert rec["recorded_only"] == []
     assert len(rec["matched"]) == 7
@@ -138,7 +138,7 @@ def test_reconciliation_reports_the_extra_normal_monomial():
 
 
 def test_reconciliation_13_8_clean():
-    rec = chart_reconciliation(13, 8, TABLE_13_8, enumerate_mod_sigma(13, 8))
+    rec = chart_reconciliation(TABLE_13_8, enumerate_mod_sigma(13, 8))
     assert rec["enumerated_only"] == [] and rec["recorded_only"] == []
 
 

@@ -284,7 +284,10 @@ def test_exit_budget_exceeded():
                  ["nishida", "--a", "100000", "Q[1](s)"], ["nishida", "--a", "1001", "Q[1](s)"],
                  ["nishida", "--a", "400", "Q[1000](s)*Q[1001](s)*Q[1002](s)"],
                  ["families", "--max-i", "1000000", "--no-verify"],
-                 ["families", "--max-i", "1001"]):
+                 ["families", "--max-i", "1001"],
+                 ["adem", "s^501"], ["adem", "s^20000"], ["adem", "s^250*s^251"],
+                 ["adem", "0^99999999"],
+                 ["nishida", "--a", "1000", "Q[1](s)^501"]):
         assert run(argv)[0] == 3, argv
 
 
@@ -294,6 +297,9 @@ def test_exit_budget_exceeded():
     ["nishida", "--a", "12", "n1^8"],
     ["nishida", "--a", "20", "n1^10"],
     ["families", "--max-i", "1000", "--no-verify"],
+    # a monomial of the class syntax has at most 500 factors
+    ["adem", "s^500"],
+    ["nishida", "--a", "1000", "Q[1](s)^500"],
 ])
 def test_ceiling_admits_its_bound(argv):
     assert run(argv)[0] == 0

@@ -198,6 +198,14 @@ def test_free_basis_4_3():
     assert got == {"Q[2,1](s)", "Q[1](s)*Q[2](s)", "s^2*Q[3](s)"}
 
 
+@pytest.mark.parametrize("g,d", [(0, 0), (6, 4), (9, 9), (12, 8)])
+def test_free_basis_walks_in_factor_key_order(g, d):
+    basis = free_basis([SIGMA, BETA, NU1, NU2], g, d)
+    keys = [tuple(dl.factor_key(f) for f in m) for m in basis]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(list(m) == sorted(m, key=dl.factor_key) for m in basis)
+
+
 def test_free_basis_trivial():
     assert free_basis([SIGMA], 1, 0) == [gen_mono(SIGMA)]
     assert free_basis([SIGMA], 1, 4) == []
@@ -309,10 +317,25 @@ def test_quotient_dims_row3(quotient_table):
 def test_quotient_checks_relations_before_the_box(monkeypatch):
     # s*n1 is not a class on s, b; the 20 x 12 box would take seconds
     calls = []
-    monkeypatch.setattr(dl, "free_basis", lambda *a: calls.append(a) or [])
+    monkeypatch.setattr(dl, "box_bases", lambda *a: calls.append(a) or ([], {}))
     with pytest.raises(ValueError, match="not a class on the given generators"):
         ideal_quotient_dims([SIGMA, BETA], [P("s*Q[1](s)"), P("s*n1")], 20, 12)
     assert calls == []
+
+
+def test_quotient_lists_each_generators_towers_once(monkeypatch):
+    # the box is walked once and its closure reads the walk's tower list
+    calls = []
+    normal_factors = dl.normal_factors
+
+    def counted(gen, g_max, d_max):
+        calls.append(gen)
+        return normal_factors(gen, g_max, d_max)
+
+    monkeypatch.setattr(dl, "normal_factors", counted)
+    rels = [P("s*Q[1](s)"), P("s*Q[3](s)"), P("s^2*Q[2](s)"), P("s*n1"), P("s*n2")]
+    ideal_quotient_dims([SIGMA, NU1, NU2], rels, 6, 3)
+    assert calls == [SIGMA, NU1, NU2]
 
 
 def quotient_reference(gens, relations, g_max, d_max):
