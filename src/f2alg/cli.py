@@ -62,11 +62,12 @@ FAMILY_WINDOW = (43, 28)
 # - families --no-verify takes 0.2 s and 23 MB at --max-i 1000, 1.0 s and
 #   91 MB at 10^4, 84 s and 7.6 GB at 10^6;
 # - delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26;
-# - may --page 5 --dmax 10 takes 2.6 s and 50 MB at g <= 16 (5.0 s and
-#   84 MB with --cone), 7.9 s and 128 MB at 17 (14.6 s and 230 MB with
-#   --cone), 29 s and 394 MB at 18
+# - may --page 5 --dmax 10 takes 0.4-0.5 s and 36 MB at g <= 16 (0.6-0.8 s
+#   and 49 MB with --cone), 0.6-1.3 s and 70 MB at 17 (1.2-2.4 s and
+#   100 MB with --cone), 1.9-3.3 s and 175 MB at 18 (3.7-6.6 s and 236 MB
+#   with --cone), the spread being the host's
 MAX_CHART_G = 20
-MAX_MAY_G = 17
+MAX_MAY_G = 18
 MAX_SPOT_GD = 20
 MAX_WBASIS_GD = 18
 MAX_QUOTIENT_GD = 14

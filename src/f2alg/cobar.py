@@ -23,21 +23,26 @@ induced maps; the ``cotor`` and ``cone`` charts and the products that
 ``minres``.  Everything is computed lazily per bidegree and cached: full
 homology (kernel mod image with representatives) only where asked, and
 dimension-only queries stream boundary rows without storing matrices.
-Every elimination here runs through the top-bit reduction of
-``f2linalg`` and no output depends on its pivot order: ranks and boundary
-membership are invariants of spans, homology coordinates are tags over
-the representatives, and the representatives are the reduced-echelon
-kernel basis vectors (``_echelonize``) independent modulo boundaries and
-the earlier ones.
+Every elimination here runs through the top-bit reductions of
+``f2linalg`` and no output depends on their pivot order: ranks and
+boundary membership are invariants of spans, homology coordinates are
+tags over the representatives, and the representatives are the
+reduced-echelon kernel basis vectors (``_echelonize``) independent
+modulo boundaries and the earlier ones.  A streamed rank pairs rows
+with columns (``pair_rows``) and keeps the paired columns, so that the
+rank one degree up skips those chains: d(e_c) of a paired column c is a
+sum of earlier rows (clearing, as in ``mayss``).
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_right
+from functools import partial
 from typing import NamedTuple
 
-from .f2linalg import Echelon, F2Matrix, bits_of, row_rank
+from .f2linalg import Echelon, F2Matrix, bits_of, pair_rows
 from .hopf import CoalgebraMap, HopfAlgebra, WindowError
 
 # symbolic d*d verification is skipped above this many words in a bidegree;
@@ -79,6 +84,7 @@ class BigradedComplex:
         self.g_max = g_max
         self.s_max = s_max
         self._rank_cache: dict[tuple[int, int], int] = {}
+        self._paired_cache: dict[tuple[int, int], array] = {}  # rank_d's columns
         self._matrix_cache: dict[tuple[int, int], F2Matrix] = {}
         self._imech_cache: dict[tuple[int, int], Echelon] = {}
         self._homology_cache: dict[tuple[int, int], Homology] = {}
@@ -129,16 +135,23 @@ class BigradedComplex:
         return self._matrix_cache[key]
 
     def rank_d(self, g: int, s: int) -> int:
-        """Rank of d: (g, s) -> (g, s+1); streamed, matrix not retained."""
+        """Rank of d: (g, s) -> (g, s+1); streamed, matrix not retained.
+
+        The rows are paired with their top-bit columns (``pair_rows``)
+        and the paired columns are kept, so that rank_d(g, s + 1) skips
+        those chains, whose rows reduce to zero (clearing).  A rank of
+        (g, s - 1) read off ``homology`` or ``image_echelon`` has no
+        columns, and this elimination then runs uncleared."""
         key = (g, s)
         if key not in self._rank_cache:
-            if self._dim(g, s) == 0 or self._dim(g, s + 1) == 0:
-                self._rank_cache[key] = 0
-            else:
+            cols = array("I")
+            if self._dim(g, s) and self._dim(g, s + 1):
                 self.check_window(g, s)
-                self._rank_cache[key] = row_rank(
-                    self.boundary_bits(g, s, i) for i in range(self._dim(g, s))
-                )
+                cols.extend(c for _, c in pair_rows(
+                    partial(self.boundary_bits, g, s), range(self._dim(g, s)),
+                    self._paired_cache.get((g, s - 1), ()), [-1]))
+            self._paired_cache[key] = cols
+            self._rank_cache[key] = len(cols)
         return self._rank_cache[key]
 
     def image_echelon(self, g: int, s: int) -> Echelon:
@@ -162,7 +175,8 @@ class BigradedComplex:
         n = self._dim(g, s)
         if n == 0:
             return 0
-        return n - self.rank_d(g, s) - (self.rank_d(g, s - 1) if s >= 1 else 0)
+        # d of (g, s - 1) first, so that rank_d(g, s) can clear with it
+        return n - (self.rank_d(g, s - 1) if s >= 1 else 0) - self.rank_d(g, s)
 
     def homology(self, g: int, d: int) -> Homology:
         key = (g, d)

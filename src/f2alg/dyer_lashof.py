@@ -177,8 +177,11 @@ def _cartan(op, s: int, m: Monomial) -> set | Poly:
     head, rest = m[0], m[1:]
     if not rest:  # only i = s pairs with the empty rest
         return op(s, head)
+    # Sq^j_* vanishes on a factor above its _sq_top, so the rest takes at
+    # most the sum of its tops
+    low = max(0, s - sum(map(_sq_top, rest))) if op is _sq_factor else 0
     out: set = set()
-    for i in range(s + 1):
+    for i in range(low, s + 1):
         a = op(i, head)
         if a:
             out ^= poly_mul(a, _cartan(op, s - i, rest))

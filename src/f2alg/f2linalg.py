@@ -7,18 +7,22 @@ two n-bit rows is a single C-level pass; this comfortably handles the
 
 Only ``_echelonize`` (reduced row echelon form, lowest-set-bit pivots)
 has an output that depends on pivot order.  Every other elimination runs
-through one top-bit reduction, ``_reduce``, keyed by ``v.bit_length()``,
-and returns only order-free results: zero-ness of a residue and ranks;
-tags, the unique coordinates over rows independent modulo the rows
-tagged 0; ``solve``'s x, whose basic rows are chosen greedily in
-insertion order; kernels and intersections, passed through
-``_echelonize``.  Top-bit pivots keep fill-in small on boundary matrices
+through one of two top-bit reductions, keyed by ``v.bit_length()``:
+``_reduce``, which XORs tags along, and ``pair_rows``, which carries no
+tag and returns the (row, column) pivot pairs.  Their results are
+order-free: zero-ness of a residue and ranks; tags, the unique
+coordinates over rows independent modulo the rows tagged 0; ``solve``'s
+x, whose basic rows are chosen greedily in insertion order; kernels and
+intersections, passed through ``_echelonize``; and the pairs, which
+depend only on the order of rows and columns (``pair_rows`` orders
+columns by filtration masks and skips rows known to reduce to zero).
+Top-bit pivots keep fill-in small on boundary matrices
 (LaMacchia-Odlyzko 1990) and avoid hashing row-wide keys.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 
 def bits_of(v: int):
@@ -52,19 +56,53 @@ def _reduce(pivots: Pivots, v: int, tag: int, keep: bool) -> tuple[int, int]:
     return 0, tag
 
 
-def row_pivots(rows: Iterable[int]) -> list[int]:
-    """Per row, in order: the bit_length() of its residue against the
-    earlier rows (its top-bit pivot), or 0 if it depends on them."""
-    pivots: Pivots = {}
-    return [_reduce(pivots, v, 0, True)[0].bit_length() for v in rows]
+def pair_rows(row: Callable[[int], int], order: Iterable[int],
+              cleared: Iterable[int], masks: list[int]) -> list[tuple[int, int]]:
+    """The (row, column) pairs of an elimination: each row i in order,
+    fetched as row(i), is reduced against the residues kept before it,
+    and a nonzero residue is kept and paired with its pivot column.
 
+    Columns are ordered by masks, one per filtration in descending
+    filtration, whose union holds every row's bits: a residue pivots on
+    the top bit of v & m for the first mask m it meets.  With no
+    filtration masks is [-1], one all-columns mask, and this is the
+    top-bit pivot of ``_reduce``.  The last mask is never read, since a
+    residue that meets no mask before it lies inside it.
 
-def row_rank(rows: Iterable[int]) -> int:
-    """Rank of the span of the rows, streamed (rows are not retained)."""
-    pivots: Pivots = {}
-    for v in rows:
-        _reduce(pivots, v, 0, True)
-    return len(pivots)
+    The rows in cleared are skipped.  Each must be a sum of rows before
+    it in order, so that it would reduce to zero and pair nothing: in a
+    complex, a chain paired by the elimination of the differential below
+    (the same ordering, one degree down) is such a row ("clearing").
+    """
+    skip = set(cleared)
+    higher = masks[:-1]
+    # pivot column + 1 -> the residue, or ~i for a row i kept as it came,
+    # fetched again on a hit.  Only with clearing: then nearly every row
+    # is kept as it came and few are hit again (916 XOR steps over 154k
+    # rows for May page 5 at g <= 17), while without it about half the
+    # rows reduce to zero, each through several hits.
+    kept: dict[int, int] = {}
+    out: list[tuple[int, int]] = []
+    for i in order:
+        if i in skip:
+            continue
+        v, reduced = row(i), False
+        while v:
+            top = v.bit_length()
+            if higher:
+                for m in higher:
+                    t = (v & m).bit_length()
+                    if t:
+                        top = t
+                        break
+            hit = kept.get(top)
+            if hit is None:
+                kept[top] = ~i if skip and not reduced else v
+                out.append((i, top - 1))
+                break
+            v ^= hit if hit > 0 else row(~hit)
+            reduced = True
+    return out
 
 
 class F2Matrix:
@@ -116,7 +154,7 @@ class F2Matrix:
         return out
 
     def rank(self) -> int:
-        return row_rank(self.data)
+        return len(pair_rows(self.data.__getitem__, range(self.rows), (), [-1]))
 
     def left_kernel(self) -> "Subspace":
         """Combinations of rows summing to zero: {v : v^T.M = 0}."""

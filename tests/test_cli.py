@@ -276,7 +276,7 @@ def test_exit_budget_exceeded():
     assert run(["cotor", "--algebra", "cgl", "--gmax", "6"])[0] == 3  # its truncation is 5
     for argv in (["cellss", "--spots", "99,60,0"], ["cellss", "--spots", "12,8,-4;60,40,0"],
                  ["cellss", "--spots", "12,21,0"], ["delta", "--bound", "45"],
-                 ["may", "--gmax", "18"], ["wbasis", "--gens", "s,b", "--g", "20", "--d", "20"],
+                 ["may", "--gmax", "19"], ["wbasis", "--gens", "s,b", "--g", "20", "--d", "20"],
                  ["wbasis", "--gens", "s,b", "--g", "30", "--d", "30"],
                  ["wbasis", "--gens", "s,b", "--g", "1", "--d", "19"],
                  ["wbasis", "--gens", "s,b,n1,n2", "--quotient", "--gmax", "24", "--dmax", "12"],
@@ -303,6 +303,12 @@ def test_exit_budget_exceeded():
 ])
 def test_ceiling_admits_its_bound(argv):
     assert run(argv)[0] == 0
+
+
+def test_nishida_skips_splits_the_rest_cannot_take():
+    # Sq^36_* on Q[2](s)^18: the Cartan sum tries only the splits whose
+    # remaining factors can absorb the rest of the degree
+    assert run(["nishida", "--a", "36", "Q[2](s)^18"]) == (0, "0\n")
 
 
 def test_cellss_enumerates_each_spot_once(monkeypatch):

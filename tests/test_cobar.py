@@ -7,6 +7,9 @@ ring_chart_names enumeration.  The big-window chart and the heavy cone
 computations live in the acceptance suite.
 """
 
+from collections import Counter
+from functools import partial
+
 import pytest
 
 from f2alg.cobar import (
@@ -17,6 +20,8 @@ from f2alg.cobar import (
     WindowError,
     build_cobar,
 )
+from f2alg.f2linalg import pair_rows
+from f2alg.grouphom import builtin_group, resolve
 from f2alg.minres import ring_chart_names
 from f2alg.hopf import HopfAlgebra, build_a1_star, build_cgl_to_a1_map, build_delta_cgl
 
@@ -168,6 +173,54 @@ def test_cone_rank_d_matches_matrix_rank(a1):
         base = build_cobar(a1, g_max=8)
         cones.append(ConeComplex(base, base.unique_class(1, 0)))
     _assert_streamed_ranks(cones[0], cones[1], 8)
+
+
+def _assert_clearing_keeps_pairs(cx):
+    """For each (g, s), in ascending s: the pairs of every row equal the
+    pairs left after skipping the columns paired at (g, s - 1), and
+    rank_d, which clears with its own columns of (g, s - 1), keeps the
+    same columns."""
+    skipped = 0
+    for g in range(cx.g_max + 1):
+        below: list[int] = []
+        for s in range(g + 1):
+            rows, order = partial(cx.boundary_bits, g, s), range(cx._dim(g, s))
+            full = pair_rows(rows, order, (), [-1])
+            assert Counter(pair_rows(rows, order, below, [-1])) == Counter(full), (g, s)
+            assert s == 0 or (g, s - 1) in cx._paired_cache
+            assert cx.rank_d(g, s) == len(full), (g, s)
+            assert sorted(cx._paired_cache[(g, s)]) == sorted(c for _, c in full), (g, s)
+            skipped += len(below)
+            below = [c for _, c in full]
+    assert skipped
+
+
+def test_clearing_keeps_pairs_cobar(a1):
+    _assert_clearing_keeps_pairs(build_cobar(a1, g_max=9))
+
+
+def test_clearing_keeps_pairs_cone(a1):
+    base = build_cobar(a1, g_max=8)
+    _assert_clearing_keeps_pairs(ConeComplex(base, base.unique_class(1, 0)))
+
+
+def test_clearing_keeps_pairs_tensored():
+    _assert_clearing_keeps_pairs(resolve(builtin_group("S3"), 4).tensored)
+
+
+def test_rank_d_uncleared_after_homology(a1):
+    # homology at (g, s - 1) stores the ranks of d there and one step down
+    # with no paired columns, so rank_d(g, s) runs uncleared
+    fresh = build_cobar(a1, g_max=7)
+    for g in range(1, 8):
+        for s in range(2, g + 1):
+            if not fresh._dim(g, s - 1):
+                continue
+            cx = build_cobar(a1, g_max=7)
+            cx.homology(g, g - s + 1)
+            assert (g, s - 1) in cx._rank_cache and (g, s - 1) not in cx._paired_cache
+            assert (g, s) not in cx._rank_cache
+            assert cx.rank_d(g, s) == fresh.rank_d(g, s), (g, s)
 
 
 # ---------------------------------------------------------------- cotor dims
