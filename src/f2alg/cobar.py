@@ -29,9 +29,10 @@ boundary membership are invariants of spans, homology coordinates are
 tags over the representatives, and the representatives are the
 reduced-echelon kernel basis vectors (``_echelonize``) independent
 modulo boundaries and the earlier ones.  A streamed rank pairs rows
-with columns (``pair_rows``) and keeps the paired columns, so that the
-rank one degree up skips those chains: d(e_c) of a paired column c is a
-sum of earlier rows (clearing, as in ``mayss``).
+with columns (``pair_rows``), as does the image echelon, and both keep
+the paired columns, so that the rank one degree up skips those chains:
+d(e_c) of a paired column c is a sum of earlier rows (clearing, as in
+``mayss``).
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class BigradedComplex:
         self.g_max = g_max
         self.s_max = s_max
         self._rank_cache: dict[tuple[int, int], int] = {}
-        self._paired_cache: dict[tuple[int, int], array] = {}  # rank_d's columns
+        self._paired_cache: dict[tuple[int, int], array] = {}  # paired columns
         self._matrix_cache: dict[tuple[int, int], F2Matrix] = {}
         self._imech_cache: dict[tuple[int, int], Echelon] = {}
         self._homology_cache: dict[tuple[int, int], Homology] = {}
@@ -140,8 +141,8 @@ class BigradedComplex:
         The rows are paired with their top-bit columns (``pair_rows``)
         and the paired columns are kept, so that rank_d(g, s + 1) skips
         those chains, whose rows reduce to zero (clearing).  A rank of
-        (g, s - 1) read off ``homology`` or ``image_echelon`` has no
-        columns, and this elimination then runs uncleared."""
+        (g, s - 1) read off ``homology`` has no columns (``image_echelon``
+        keeps its own), and this elimination then runs uncleared."""
         key = (g, s)
         if key not in self._rank_cache:
             cols = array("I")
@@ -155,7 +156,10 @@ class BigradedComplex:
         return self._rank_cache[key]
 
     def image_echelon(self, g: int, s: int) -> Echelon:
-        """Echelon of the boundaries landing in (g, s), i.e. d of (g, s-1)."""
+        """Echelon of the boundaries landing in (g, s), i.e. d of (g, s-1).
+        Its rows join in order with top-bit pivots, as in ``pair_rows``,
+        so it keeps the rank and, as its pivot columns, the columns
+        paired at (g, s - 1), with which rank_d(g, s) clears."""
         key = (g, s)
         if key not in self._imech_cache:
             ech = Echelon()
@@ -165,6 +169,7 @@ class BigradedComplex:
                     ech.add(self.boundary_bits(g, s - 1, i), 0)
             self._imech_cache[key] = ech
             self._rank_cache.setdefault((g, s - 1), ech.rank)
+            self._paired_cache.setdefault((g, s - 1), array("I", [k - 1 for k in ech.pivots]))
         return self._imech_cache[key]
 
     # -- homology

@@ -21,6 +21,8 @@ with binomials of negative top zero and Q^{<0} = 0.
 Both operations act on single towers first; the Cartan formula that
 carries an operation across the factors of a monomial is written once
 (``_cartan``), as is its linear extension over a polynomial (``_linear``).
+The single-tower actions are memoized: the Adem and Nishida recursions
+meet the same (index, tower) pairs again and again.
 Sums are built in a mutable set toggled by ``^=`` and frozen on return.
 
 Classes are written in one text syntax, ``Q[2,1](s) + s^2*q[1](s)``:
@@ -31,6 +33,7 @@ Classes are written in one text syntax, ``Q[2,1](s) + s^2*q[1](s)``:
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
@@ -198,6 +201,7 @@ def _linear(op, s: int, p: Poly) -> Poly:
 
 # ---------------------------------------------------------------- Q action
 
+@cache
 def _q_factor(s: int, f: Factor) -> Poly:
     """Q^s on a single normal tower, normalized.  Internal: s may be <= 0."""
     if s < 0:
@@ -239,6 +243,7 @@ def _sq_top(f: Factor) -> int:
     return sum(seq) + gen.d if seq else 0
 
 
+@cache
 def _sq_factor(a: int, f: Factor) -> Poly:
     if a == 0:
         return poly((f,))

@@ -13,7 +13,8 @@ tag and returns the (row, column) pivot pairs.  Their results are
 order-free: zero-ness of a residue and ranks; tags, the unique
 coordinates over rows independent modulo the rows tagged 0; ``solve``'s
 x, whose basic rows are chosen greedily in insertion order; kernels and
-intersections, passed through ``_echelonize``; and the pairs, which
+intersections, passed through ``_echelonize`` (a resolution's kernels
+are tags of the elimination that builds it); and the pairs, which
 depend only on the order of rows and columns (``pair_rows`` orders
 columns by filtration masks and skips rows known to reduce to zero).
 Top-bit pivots keep fill-in small on boundary matrices

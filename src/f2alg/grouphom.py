@@ -2,7 +2,8 @@
 
 Groups are given as permutation groups (order at most 1000).  A free
 resolution of the trivial module over the group algebra is built degree
-by degree: each boundary's kernel is generated greedily, picking the
+by degree: each boundary's kernel, read off the elimination that built
+the boundary (``minres.complement``), is generated greedily, picking the
 first reduced-echelon kernel vector outside the current equivariant
 span.  Homology is the honest homology of the tensored-down complex, so
 the resolution need not be minimal.  Induced maps along group
@@ -19,10 +20,10 @@ the cobar complexes.
 Every degree through the top built one is read off the resolution as
 built.  The collapse pi: F_d -> F2 (x)_{F2[G]} F_d is onto and commutes
 with d, and the resolution is exact, so the image of 1 (x) d_{top+1} is
-pi(im d_{top+1}) = pi(ker d_top): ``TensoredComplex`` takes pi(ker d_top)
-as the incoming boundaries of the top degree, and a caller resolves only
-to the degree it reads.  That saves F_{top+1}, by far the largest free
-module of the resolution.
+pi(im d_{top+1}) = pi(ker d_top), kept by ``resolve`` for every d:
+``TensoredComplex`` takes it as the incoming boundaries of the top
+degree, and a caller resolves only to the degree it reads.  That saves
+F_{top+1}, by far the largest free module of the resolution.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .cobar import BigradedComplex
-from .f2linalg import Echelon, F2Matrix, bits_of
+from .f2linalg import F2Matrix, Subspace, bits_of
 from .hopf import WindowError
 from .minres import complement
 
@@ -187,14 +188,16 @@ def parse_group(text: str) -> PermGroup:
 
 class Resolution:
     """A free resolution of the trivial module through degree
-    len(ranks) - 1: ranks[d] is the rank of F_d over F2[G], and
+    len(ranks) - 1: ranks[d] is the rank of F_d over F2[G],
     boundaries[d]: F_d -> F_{d-1} has one row per F2 basis vector of F_d
-    ([0] is the augmentation F_0 -> F2)."""
+    ([0] is the augmentation F_0 -> F2), and kernels[d] spans pi(ker d_d)
+    over the generators of F_d."""
 
-    def __init__(self, group: PermGroup, ranks: tuple, boundaries: tuple):
+    def __init__(self, group: PermGroup, ranks: tuple, boundaries: tuple, kernels: tuple):
         self.group = group
         self.ranks = ranks
         self.boundaries = boundaries
+        self.kernels = kernels
 
     @cached_property
     def tensored(self) -> TensoredComplex:
@@ -230,15 +233,18 @@ def resolve(group: PermGroup, d_max: int) -> Resolution:
     n = group.order
     ranks = [1]
     boundaries = [F2Matrix(n, 1, [1] * n)]
+    kernel = boundaries[0].left_kernel()
+    kernels = [[_collapse(group, v, 1) for v in kernel.basis]]
     for d in range(1, d_max + 1):
-        prev = boundaries[-1]
-        kernel = prev.left_kernel()
         # the n translates of each new generator
-        rows = complement(Echelon(), kernel.basis, kernel.dim,
-                          lambda v: _translates(group, v, range(n)))
+        rows, tags, _ = complement([], kernel.basis, kernel.dim,
+                                   lambda v: _translates(group, v, range(n)))
         ranks.append(len(rows) // n)
-        boundaries.append(F2Matrix(len(rows), prev.rows, rows))
-    return Resolution(group, tuple(ranks), tuple(boundaries))
+        boundaries.append(F2Matrix(len(rows), boundaries[-1].rows, rows))
+        kernels.append([_collapse(group, v, ranks[d]) for v in tags])
+        if d < d_max:
+            kernel = Subspace.span(len(rows), tags)
+    return Resolution(group, tuple(ranks), tuple(boundaries), tuple(kernels))
 
 
 def assert_resolution(res: Resolution) -> None:
@@ -296,17 +302,8 @@ class TensoredComplex(BigradedComplex):
 
     @cached_property
     def incoming(self) -> list[int]:
-        """A spanning list of pi(ker d_top), built on first use (by H_top):
-        row i of d_top is tagged pi(e_i), its generator block, so each
-        zero residue's tag is pi of a kernel vector."""
-        n = self.res.group.order
-        span = Echelon()
-        out = []
-        for i, row in enumerate(self.res.boundaries[self.top].data):
-            r, tag = span.add(row, 1 << (i // n))
-            if not r:
-                out.append(tag)
-        return out
+        """A spanning list of pi(ker d_top), kept by ``resolve``."""
+        return self.res.kernels[self.top]
 
     def chain_dim(self, g: int, s: int) -> int:
         if g != self.g_max:

@@ -14,12 +14,13 @@ of degree 0 whose block vanishes above degree c; F_s is level s + 1.  The
 resolution is built degree by degree (Bruner, *Calculation of large Ext
 modules*, 1993): at each (s, t) the new generators of F_s are a complement
 of the image of d_s, spanned by the translates a.e_j of the earlier
-generators, inside the kernel of d_{s-1}.  The generators of F_{s-1} in
-degree t map independently of everything else, so that kernel, and each
-new image, lies in A_{>0}.F_{s-1}: the resolution is minimal, F_s vanishes
-below degree s, and Ext^{s,t}_A(M, F2) is the number of generators of F_s
-in degree t.  It sits at chart spot (g, d) = (t, t - s), where the cobar
-complexes put Cotor.
+generators, inside the kernel of d_{s-1}, which the one elimination that
+built d_{s-1} in degree t gave (``complement``).  The generators of
+F_{s-1} in degree t map independently of everything else, so that kernel,
+and each new image, lies in A_{>0}.F_{s-1}: the resolution is minimal,
+F_s vanishes below degree s, and Ext^{s,t}_A(M, F2) is the number of
+generators of F_s in degree t.  It sits at chart spot (g, d) =
+(t, t - s), where the cobar complexes put Cotor.
 
 Minimality also gives the classes without any elimination.  A cochain
 in Hom_A(F_s, F2) of degree t is a functional on the generators of F_s
@@ -38,7 +39,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
-from .f2linalg import Echelon, F2Matrix, bits_of
+from .f2linalg import Echelon, F2Matrix, Subspace, bits_of
 from .hopf import HopfAlgebra, WindowError
 
 
@@ -51,22 +52,32 @@ class ExtClass(NamedTuple):
     bits: int
 
 
-def complement(span: Echelon, vectors: Iterable[int], dim: int,
-               translates: Callable[[int], list[int]]) -> list[int]:
-    """The step that extends a free resolution: each vector outside the
-    span becomes a generator, and its translates join the span, until the
-    span has dimension dim.  Returns the translates added, generator by
-    generator, in order (a generator's own image comes first when the
-    identity is its first translate)."""
-    rows: list[int] = []
+def complement(rows: list[int], vectors: Iterable[int], dim: int,
+               translates: Callable[[int], list[int]]) -> tuple[list[int], list[int], Echelon]:
+    """The step that extends a free resolution: the rows (images of the
+    earlier generators) start a span, and each vector outside it becomes
+    a generator whose translates join the span, until it has dimension
+    dim.  Every row joins tagged with its own unit vector, rows first, so
+    the zero residues' tags are a basis of the left kernel of the
+    boundary built, rows then translates.  Returns the translates added,
+    generator by generator (a generator's own image first when the
+    identity is its first translate), those tags and the span."""
+    span, added, kernel = Echelon(), [], []
+
+    def join(ws: list[int]) -> None:
+        for w in ws:
+            r, tag = span.add(w, 1 << (span.rank + len(kernel)))
+            if not r:
+                kernel.append(tag)
+
+    join(rows)
     for v in vectors:
         if span.rank == dim:
             break
         if span.reduce(v)[0]:
-            for w in translates(v):
-                span.add(w)
-                rows.append(w)
-    return rows
+            join(ws := translates(v))
+            added += ws
+    return added, kernel, span
 
 
 class MinimalResolution:
@@ -126,21 +137,15 @@ class MinimalResolution:
         """Add the generators of degree t, level by level; F_s is zero in
         degree t for s > t."""
         sizes = self._sizes(0, t)
-        # d_{s-1} in degree t as rows over a basis of dimension cols; below
-        # F_0 it is M -> 0, so all of M(t) is kernel
-        rows_below, cols = [0] * sum(sizes), 0
+        # ker d_{s-1} in degree t; below F_0 it is M -> 0, so all of M(t)
+        kernel = Subspace(sum(sizes), [1 << i for i in range(sum(sizes))])
         for s in range(t + 1):
             level = s + 1
             if level == len(self.degrees):
                 self.degrees.append([])
                 self.images.append([])
-            offsets = list(accumulate(sizes, initial=0))
-            kernel = F2Matrix(len(rows_below), cols, rows_below).left_kernel()
-            rows = self._rows(level, t, offsets)
-            span = Echelon()
-            for r in rows:
-                span.add(r)
-            new = complement(span, kernel.basis, kernel.dim, lambda v: [v])
+            rows = self._rows(level, t, list(accumulate(sizes, initial=0)))
+            new, tags, span = complement(rows, kernel.basis, kernel.dim, lambda v: [v])
             # exact at F_{s-1}: the image of d_s is the kernel of d_{s-1}
             if span.rank != kernel.dim or any(span.reduce(v)[0] for v in kernel.basis):
                 raise AssertionError(f"im d_{s} != ker d_{s - 1} in degree {t}")
@@ -148,7 +153,8 @@ class MinimalResolution:
                 self.degrees[level].append(t)
                 self.images[level].append(self._blocks(level - 1, t, v))
             self.ext[(s, t)] = len(new)
-            rows_below, cols = rows + new, offsets[-1]
+            # tags over the rows of d_s in degree t, rows + new
+            kernel = Subspace.span(len(rows) + len(new), tags)
             sizes = self._sizes(level, t)
 
     def homology_dim(self, g: int, d: int) -> int:

@@ -21,7 +21,7 @@ from f2alg.cobar import (
     build_cobar,
 )
 from f2alg.f2linalg import pair_rows
-from f2alg.grouphom import builtin_group, resolve
+from f2alg.grouphom import TensoredComplex, builtin_group, resolve
 from f2alg.minres import ring_chart_names
 from f2alg.hopf import HopfAlgebra, build_a1_star, build_cgl_to_a1_map, build_delta_cgl
 
@@ -206,6 +206,52 @@ def test_clearing_keeps_pairs_cone(a1):
 
 def test_clearing_keeps_pairs_tensored():
     _assert_clearing_keeps_pairs(resolve(builtin_group("S3"), 4).tensored)
+
+
+def _assert_image_echelon_keeps_pairs(make):
+    """After image_echelon(g, s) on a fresh complex from make(), the
+    columns kept at (g, s - 1) are those of an uncleared pair_rows run,
+    and rank_d(g, s) then fetches none of their rows and equals the rank
+    on a complex of its own."""
+    fresh = make()
+    skipped = 0
+    for g in range(fresh.g_max + 1):
+        for s in range(1, g + 1):
+            cx = make()
+            cx.image_echelon(g, s)
+            full = pair_rows(partial(cx.boundary_bits, g, s - 1), range(cx._dim(g, s - 1)),
+                             (), [-1])
+            paired = set(cx._paired_cache[(g, s - 1)])
+            assert sorted(paired) == sorted(c for _, c in full), (g, s)
+            fetched = []
+
+            def counted(g1, s1, i, rows=cx.boundary_bits, at=(g, s)):
+                if (g1, s1) == at:
+                    fetched.append(i)
+                return rows(g1, s1, i)
+
+            cx.boundary_bits = counted
+            assert cx.rank_d(g, s) == fresh.rank_d(g, s), (g, s)
+            assert not paired & set(fetched), (g, s)
+            if fetched:
+                skipped += len(paired)
+    assert skipped
+
+
+def test_image_echelon_clears_cobar(a1):
+    _assert_image_echelon_keeps_pairs(lambda: build_cobar(a1, g_max=9))
+
+
+def test_image_echelon_clears_cone(a1):
+    def make():
+        base = build_cobar(a1, g_max=8)
+        return ConeComplex(base, base.unique_class(1, 0))
+    _assert_image_echelon_keeps_pairs(make)
+
+
+def test_image_echelon_clears_tensored():
+    res = resolve(builtin_group("S3"), 4)
+    _assert_image_echelon_keeps_pairs(lambda: TensoredComplex(res))
 
 
 def test_rank_d_uncleared_after_homology(a1):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from f2alg import grouphom
 from f2alg.cobar import WindowError
-from f2alg.f2linalg import bits_of
+from f2alg.f2linalg import Echelon, Subspace, bits_of
 from f2alg.grouphom import (
     GroupHom,
     PermGroup,
@@ -31,6 +31,7 @@ from f2alg.grouphom import (
     resolve,
     stabilization_hom,
 )
+from f2alg.minres import complement
 
 BUILTINS = ["1", "C2", "C4", "S2", "S3", "D8", "GL(2,2)", "GL(3,2)", "UT(3,2)"]
 
@@ -164,7 +165,7 @@ def test_dims_independent_of_greedy_ties(name):
 def truncated(res, d):
     """The resolution through degree d; resolve builds degree by degree,
     so this is what resolve(group, d) returns."""
-    return Resolution(res.group, res.ranks[:d + 1], res.boundaries[:d + 1])
+    return Resolution(res.group, res.ranks[:d + 1], res.boundaries[:d + 1], res.kernels[:d + 1])
 
 
 @pytest.mark.parametrize("relabel", [False, True])
@@ -216,6 +217,44 @@ def test_top_degree_induced_map_matches_one_degree_further(gl2, gl3):
             if hom is relabel:
                 permutations.append(sorted(at_top.data) == [1 << i for i in range(at_top.cols)])
     assert not all(permutations)
+
+
+def kernel_reference(res, d):
+    """pi(ker d_d) by its own elimination: row i of d_d tagged pi(e_i),
+    its generator block, so each zero residue's tag is pi of a kernel
+    vector."""
+    n = res.group.order
+    span, out = Echelon(), []
+    for i, row in enumerate(res.boundaries[d].data):
+        r, tag = span.add(row, 1 << (i // n))
+        if not r:
+            out.append(tag)
+    return out
+
+
+@pytest.mark.parametrize("name,relabel", [(name, False) for name in BUILTINS]
+                         + [(name, True) for name in ("S3", "D8", "UT(3,2)")])
+def test_resolve_kernels_match_left_kernel(monkeypatch, name, relabel):
+    # the kernels resolve reads off each boundary's own elimination are
+    # the reduced-echelon left kernels, and the kept pi(ker d_d) span
+    # what an elimination of d_d tagged by generator blocks spans
+    g = builtin_group(name)
+    if relabel:
+        g, _ = relabelled(g)
+    passed = []
+
+    def recorded(rows, vectors, dim, translates):
+        passed.append(list(vectors))
+        return complement(rows, passed[-1], dim, translates)
+
+    monkeypatch.setattr(grouphom, "complement", recorded)
+    res = resolve(g, 4)
+    assert len(passed) == 4 and len(res.kernels) == 5
+    for d, kernel in enumerate(passed):
+        assert kernel == res.boundaries[d].left_kernel().basis, (name, d)
+    for d, rank in enumerate(res.ranks):
+        assert Subspace.span(rank, res.kernels[d]) == \
+            Subspace.span(rank, kernel_reference(res, d)), (name, d)
 
 
 def test_incoming_runs_once_per_resolution(monkeypatch, gl2, gl3):

@@ -12,8 +12,9 @@ import itertools
 
 import pytest
 
+from f2alg import minres
 from f2alg.cobar import WindowError, build_cobar
-from f2alg.f2linalg import Echelon, F2Matrix
+from f2alg.f2linalg import F2Matrix
 from f2alg.hopf import HopfAlgebra, build_a1_star, build_delta_cgl
 from f2alg.minres import ExtClass, MinimalResolution, complement
 
@@ -101,13 +102,46 @@ def test_cgl_product_ranks_match_cobar():
 
 
 def test_complement_adds_translates_of_new_generators():
-    span = Echelon()
-    span.add(0b001)
-    rows = complement(span, [0b001, 0b010, 0b011, 0b100], 3, lambda v: [v, v << 4])
-    # 0b001 is already in the span; 0b010 and its translate bring it to
+    rows, kernel, span = complement([0b001, 0b001], [0b001, 0b010, 0b011, 0b100], 3,
+                                    lambda v: [v, v << 4, v ^ v << 4])
+    # 0b001 is already in the span; 0b010 and its translates bring it to
     # dimension 3, so the loop stops before 0b011 and 0b100
-    assert rows == [0b010, 0b0100000]
+    assert rows == [0b010, 0b0100000, 0b0100010]
     assert span.rank == 3
+    # the left kernel of the boundary built, the given rows and then the
+    # translates: the two equal given rows, and the third translate, the
+    # sum of the first two
+    assert kernel == [0b00011, 0b11100]
+
+
+@pytest.mark.parametrize("c,t_max", [(0, 8), (1, 6)])
+def test_resolution_kernels_match_left_kernel(monkeypatch, c, t_max):
+    """The kernel that complement passes on at each level is the
+    reduced-echelon left kernel of the rows below, the rows of the level
+    before followed by its new generators (A(1)* and its h10 cone)."""
+    calls = []  # per degree t, the (rows, vectors, new) of each level
+    extend = MinimalResolution._extend
+
+    def extended(res, t):
+        calls.append([])
+        extend(res, t)
+
+    def recorded(rows, vectors, dim, translates):
+        vectors = list(vectors)
+        out = complement(rows, vectors, dim, translates)
+        calls[-1].append((rows, vectors, out[0]))
+        return out
+
+    monkeypatch.setattr(MinimalResolution, "_extend", extended)
+    monkeypatch.setattr(minres, "complement", recorded)
+    res = MinimalResolution(build_a1_star().dualize(), c, t_max)
+    assert len(calls) == t_max + 1
+    for t, levels in enumerate(calls):
+        below = [0] * sum(res._sizes(0, t))
+        for s, (rows, vectors, new) in enumerate(levels):
+            cols = max((r.bit_length() for r in below), default=0)
+            assert vectors == F2Matrix(len(below), cols, below).left_kernel().basis, (s, t)
+            below = rows + new
 
 
 # ---------------------------------------------------------------- exactness under -O
