@@ -10,6 +10,7 @@ from f2alg.grouphom import (
     induced_map,
     resolve,
     stabilization_hom,
+    sylow_homology_dims,
 )
 
 gl2 = builtin_group("GL(2,2)")
@@ -22,8 +23,14 @@ print("GL(3,2): order", gl3.order, "on", gl3.degree, "points")
 r2 = resolve(gl2, 4)
 r3 = resolve(gl3, 4)
 print("\nresolution ranks over F2[GL(3,2)]:", r3.ranks)
-print("H_*(GL(2,2); F2) dims, d = 0..4:", homology_dims(r2))
-print("H_*(GL(3,2); F2) dims, d = 0..4:", homology_dims(r3))
+# beside each, the same dims read off a Sylow 2-subgroup P alone (C2 in
+# GL(2,2), dihedral of order 8 in GL(3,2)): H_*(P) modulo the images of
+# incl_* - (c_w)_* from P n wPw^-1, one w per double coset PwP
+for name, g, r in (("GL(2,2)", gl2, r2), ("GL(3,2)", gl3, r3)):
+    print(f"H_*({name}; F2) dims, d = 0..4: {homology_dims(r)}, "
+          f"through a Sylow 2-subgroup {sylow_homology_dims(g, 4)}")
+print("H_*(GL(3,2); F2) dims through a Sylow 2-subgroup, d = 0..6:",
+      sylow_homology_dims(gl3, 6))
 
 stab = stabilization_hom(gl2, gl3, 2)
 print("\nstabilization GL(2,2) -> GL(3,2) on H_i:")

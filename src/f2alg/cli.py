@@ -62,6 +62,11 @@ FAMILY_WINDOW = (43, 28)
 # - families --no-verify takes 0.2 s and 23 MB at --max-i 1000, 1.0 s and
 #   91 MB at 10^4, 84 s and 7.6 GB at 10^6;
 # - delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26;
+# - grouphom resolves only a Sylow 2-subgroup and its intersections with
+#   its conjugates (``grouphom.sylow_homology_dims``): --dmax 6 takes 0.22 s
+#   and 17 MB on GL(3,2), 0.5 s and 20 MB on S6 (order 720), most of it
+#   start-up; a 2-group is its own Sylow subgroup and is resolved whole, so
+#   UT(4,2) (order 64) takes 3.5 s and 24 MB at --dmax 5;
 # - may --page 5 --dmax 10 takes 0.4-0.5 s and 36 MB at g <= 16 (0.6-0.8 s
 #   and 49 MB with --cone), 0.6-1.3 s and 70 MB at 17 (1.2-2.4 s and
 #   100 MB with --cone), 1.9-3.3 s and 175 MB at 18 (3.7-6.6 s and 236 MB
@@ -252,7 +257,7 @@ def cmd_grouphom(args) -> str:
     text = path.read_text() if path.is_file() else args.group
     g = grouphom.parse_group(text)
     # through H_1 at least, for the abelianization cross-check
-    dims = grouphom.homology_dims(grouphom.resolve(g, max(args.dmax, 1)))
+    dims = grouphom.sylow_homology_dims(g, max(args.dmax, 1))
     name = g.name or args.group
     if dims[1] != grouphom.abelianization_f2_dim(g):
         raise AssertionError("H_1 disagrees with the abelianization oracle")

@@ -215,8 +215,7 @@ class BigradedComplex:
         return self.apply_boundary(g, g - d, chain) == 0
 
     def is_boundary(self, g: int, d: int, chain: int) -> bool:
-        r, _ = self.image_echelon(g, g - d).reduce(chain)
-        return r == 0
+        return not self.image_echelon(g, g - d).residue(chain)
 
     def class_nonzero(self, g: int, d: int, chain: int) -> bool:
         return self.is_cycle(g, d, chain) and not self.is_boundary(g, d, chain)

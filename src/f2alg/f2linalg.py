@@ -8,8 +8,9 @@ two n-bit rows is a single C-level pass; this comfortably handles the
 Only ``_echelonize`` (reduced row echelon form, lowest-set-bit pivots)
 has an output that depends on pivot order.  Every other elimination runs
 through one of two top-bit reductions, keyed by ``v.bit_length()``:
-``_reduce``, which XORs tags along, and ``pair_rows``, which carries no
-tag and returns the (row, column) pivot pairs.  Their results are
+``_reduce``, which XORs tags along (``Echelon.residue`` is its loop
+without tags, for membership), and ``pair_rows``, which carries no tag
+and returns the (row, column) pivot pairs.  Their results are
 order-free: zero-ness of a residue and ranks; tags, the unique
 coordinates over rows independent modulo the rows tagged 0; ``solve``'s
 x, whose basic rows are chosen greedily in insertion order; kernels and
@@ -306,6 +307,17 @@ class Echelon:
     def reduce(self, v: int) -> tuple[int, int]:
         """Reduce v, tagged 0, without inserting; returns (residue, tag)."""
         return _reduce(self.pivots, v, 0, False)
+
+    def residue(self, v: int) -> int:
+        """The residue of ``reduce`` alone, without XORing tags along: a
+        membership test (v lies in the span iff it is 0)."""
+        pivots = self.pivots
+        while v:
+            hit = pivots.get(v.bit_length())
+            if hit is None:
+                return v
+            v ^= hit[0]
+        return 0
 
     def add_reps(self, vectors: Iterable[int]) -> list[int]:
         """Add each vector tagged with the next unused unit vector; return

@@ -1,13 +1,20 @@
 """F2 homology of small finite groups via free resolutions.
 
-Groups are given as permutation groups (order at most 1000).  A free
-resolution of the trivial module over the group algebra is built degree
-by degree: each boundary's kernel, read off the elimination that built
-the boundary (``minres.complement``), is generated greedily, picking the
-first reduced-echelon kernel vector outside the current equivariant
-span.  Homology is the honest homology of the tensored-down complex, so
-the resolution need not be minimal.  Induced maps along group
-homomorphisms come from explicit chain lifts.
+Groups are given as permutation groups (order at most 1000).
+H_*(G; F2) is read off a Sylow 2-subgroup P (``sylow_homology_dims``):
+it is H_*(P) modulo the images of incl_* - (c_w)_* from
+H_*(P n wPw^-1), one w per double coset PwP, the dual of the
+stable-element theorem of Cartan-Eilenberg (*Homological Algebra*,
+1956, XII.10).  So only P and those intersections, all 2-groups, are
+resolved, and G itself only when it is a 2-group.
+
+A free resolution of the trivial module over the group algebra is built
+degree by degree: each boundary's kernel, read off the elimination that
+built the boundary (``minres.complement``), is generated greedily,
+picking the first reduced-echelon kernel vector outside the current
+equivariant span.  Homology is the honest homology of the tensored-down
+complex, so the resolution need not be minimal.  Induced maps along
+group homomorphisms come from explicit chain lifts.
 
 Free-module coordinates: rank-r free module over F2[G] has F2 basis
 indexed by (generator k, element e) at bit position k*|G| + e, with G
@@ -87,6 +94,45 @@ class PermGroup:
 
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
+
+
+def _generate(group: PermGroup, sub: set[int], gens: list[int], s: int) -> None:
+    """Grow sub, the subgroup (as element indices) generated by gens, to
+    the one generated by gens and s, in place; s joins gens.
+
+    Every new element is an old one times a word in the generators that
+    starts with s (a finite group's words need no inverses), and an old
+    element times an old generator is old, so the search starts from the
+    right translates of sub by s."""
+    table = group.table
+    gens.append(s)
+    frontier = [b for b in (table[a][s] for a in sub) if b not in sub]
+    sub.update(frontier)
+    for a in frontier:
+        row = table[a]
+        for t in gens:
+            b = row[t]
+            if b not in sub:
+                sub.add(b)
+                frontier.append(b)
+
+
+def _generated(group: PermGroup, elements: Iterable[int]) -> tuple[set[int], list[int]]:
+    """The subgroup generated by the elements, and the ones that generate
+    it: each element not generated by those before it."""
+    sub, gens = {group.identity}, []
+    for s in elements:
+        if s not in sub:
+            _generate(group, sub, gens, s)
+    return sub, gens
+
+
+def _inverse(group: PermGroup, i: int) -> int:
+    p = group.elements[i]
+    inv = [0] * group.degree
+    for x, y in enumerate(p):
+        inv[y] = x
+    return group.index[tuple(inv)]
 
 
 # ---------------------------------------------------------------- built-ins
@@ -223,6 +269,12 @@ def _translates(group: PermGroup, v: int, elements: Iterable[int]) -> list[int]:
     return [sum(m << row[x] for x, m in parts) for row in rows]
 
 
+def augmentation_kernel(n: int) -> Subspace:
+    """The kernel of the augmentation F2^n -> F2 (every e_i to 1) in
+    reduced echelon form, in closed form: e_i + e_{n-1} for i < n - 1."""
+    return Subspace(n, [(1 << i) | (1 << (n - 1)) for i in range(n - 1)])
+
+
 def resolve(group: PermGroup, d_max: int) -> Resolution:
     """Free resolution of the trivial module through degree d_max.
 
@@ -233,7 +285,7 @@ def resolve(group: PermGroup, d_max: int) -> Resolution:
     n = group.order
     ranks = [1]
     boundaries = [F2Matrix(n, 1, [1] * n)]
-    kernel = boundaries[0].left_kernel()
+    kernel = augmentation_kernel(n)
     kernels = [[_collapse(group, v, 1) for v in kernel.basis]]
     for d in range(1, d_max + 1):
         # the n translates of each new generator
@@ -380,6 +432,113 @@ def induced_map(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d: int) -> 
     return F2Matrix(len(reps), tgt.homology_dim(tgt.g_max, d), images)
 
 
+# ---------------------------------------------------------------- Sylow route
+
+def sylow_subgroup(group: PermGroup) -> tuple[set[int], list[int]]:
+    """A Sylow 2-subgroup P, as element indices, and generators of it.
+
+    P grows from {1} by index-2 steps: a 2-subgroup P that is not Sylow
+    has N_G(P)/P of even order, so some g outside P normalizes P and has
+    g^2 in P, and P u gP is a subgroup of twice the order.  Each step
+    takes the first such g in canonical order.  A 2-group is its own P."""
+    n = group.order
+    if n & (n - 1) == 0:
+        return set(range(n)), [group.index[g] for g in group.generators]
+    table = group.table
+    sub, gens = {group.identity}, []
+    while len(sub) < n & -n:
+        for g in range(n):
+            if g in sub or table[g][g] not in sub:
+                continue
+            g_inv = _inverse(group, g)
+            if all(table[table[g_inv][t]][g] in sub for t in gens):
+                break
+        else:
+            raise AssertionError("a 2-subgroup that is not Sylow has no normalizing step")
+        _generate(group, sub, gens, g)
+    return sub, gens
+
+
+def double_cosets(group: PermGroup, sub: set[int], gens: list[int]) -> list[tuple[int, int]]:
+    """The double cosets P w P of a subgroup P generated by gens, as
+    (first element w, |PwP|), in the order of their first elements.
+
+    P w P is the union of the left cosets in the orbit of wP under left
+    multiplication by P, so it is found by applying the generators to one
+    element of each left coset reached, never by forming P w P itself."""
+    table = group.table
+    members = sorted(sub)
+    seen = [False] * group.order
+    out = []
+
+    def reach(x: int) -> None:
+        """Mark the left coset xP seen, x its element in the frontier."""
+        row = table[x]
+        for p in members:
+            seen[row[p]] = True
+        frontier.append(x)
+
+    for w in range(group.order):
+        if seen[w]:
+            continue
+        frontier: list[int] = []
+        reach(w)
+        for r in frontier:
+            for t in gens:
+                if not seen[x := table[t][r]]:
+                    reach(x)
+        out.append((w, len(frontier) * len(members)))
+    return out
+
+
+def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
+    """dim H_d(G; F2) for d = 0 .. d_max, read off a Sylow 2-subgroup P.
+
+    The map H_*(P) -> H_*(G) induced by inclusion is onto, with kernel
+    spanned by the images of incl_* - (c_w)_*: H_*(Q_w) -> H_*(P), where w
+    runs over the first elements of the double cosets PwP and Q_w, the p in
+    P with w^-1 p w in P, maps to P by inclusion and by c_w: q -> w^-1 q w.
+    This is the dual of the stable-element theorem (Cartan-Eilenberg,
+    *Homological Algebra*, XII.10).  So dim H_d(G) is dim H_d(P) less the
+    rank of those differences, stacked over w.  Only P and the distinct
+    Q_w are resolved, each through d_max; w in P (c_w inner) and a
+    trivial Q_w (no H_{>0}) add no row."""
+    sub, gens = sylow_subgroup(group)
+    if len(sub) == group.order:
+        return homology_dims(resolve(group, d_max))
+    p_group = PermGroup(group.degree, [group.elements[g] for g in gens])
+    r_p = resolve(p_group, d_max)
+    dims = homology_dims(r_p)
+    table, members = group.table, sorted(sub)
+    # per d, the rows incl_* - (c_w)_* over every w; per Q_w, its
+    # resolution and its inclusion's matrices
+    stacks: list[list[int]] = [[] for _ in dims]
+    seen: dict[tuple, tuple] = {}
+    for w, _ in double_cosets(group, sub, gens):
+        if w in sub:
+            continue
+        w_inv = _inverse(group, w)
+        q = tuple(p for p in members if table[table[w_inv][p]][w] in sub)
+        if len(q) == 1:
+            continue
+        if q not in seen:
+            if len(q) == len(sub):  # w normalizes P
+                q_group, r_q = p_group, r_p
+            else:
+                _, q_gens = _generated(group, q)
+                q_group = PermGroup(group.degree, [group.elements[t] for t in q_gens])
+                r_q = resolve(q_group, d_max)
+            incl = GroupHom(q_group, p_group, lambda p: p)
+            seen[q] = (q_group, r_q, [induced_map(incl, r_q, r_p, d) for d in range(d_max + 1)])
+        q_group, r_q, incl_maps = seen[q]
+        w_perm, w_inv_perm = group.elements[w], group.elements[w_inv]
+        conj = GroupHom(q_group, p_group, lambda p: compose(compose(w_inv_perm, p), w_perm))
+        for d in range(1, d_max + 1):
+            c_map = induced_map(conj, r_q, r_p, d)
+            stacks[d] += map(int.__xor__, incl_maps[d].data, c_map.data)
+    return tuple(dim - F2Matrix(len(rows), dim, rows).rank() for dim, rows in zip(dims, stacks))
+
+
 # ---------------------------------------------------------------- oracles
 
 def abelianization_f2_dim(group: PermGroup) -> int:
@@ -388,21 +547,10 @@ def abelianization_f2_dim(group: PermGroup) -> int:
 
     That subgroup is normal (conjugates of squares are squares), and the
     quotient by it has exponent 2, hence is abelian; so it already
-    contains every commutator and equals [G, G] G^2."""
-    n = group.order
-    seeds = {group.mult(i, i) for i in range(n)}
-    sub = {group.identity}
-    frontier = list(sub)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in seeds:
-                b = group.mult(a, s)
-                if b not in sub:
-                    sub.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    quot = n // len(sub)
+    contains every commutator and equals [G, G] G^2.  It is grown one
+    square at a time, each square joining only if it is not yet in it."""
+    sub, _ = _generated(group, sorted({group.mult(i, i) for i in range(group.order)}))
+    quot = group.order // len(sub)
     dim = quot.bit_length() - 1
     if 1 << dim != quot:
         raise AssertionError("quotient by squares not elementary")

@@ -74,7 +74,7 @@ def complement(rows: list[int], vectors: Iterable[int], dim: int,
     for v in vectors:
         if span.rank == dim:
             break
-        if span.reduce(v)[0]:
+        if span.residue(v):
             join(ws := translates(v))
             added += ws
     return added, kernel, span
@@ -147,7 +147,7 @@ class MinimalResolution:
             rows = self._rows(level, t, list(accumulate(sizes, initial=0)))
             new, tags, span = complement(rows, kernel.basis, kernel.dim, lambda v: [v])
             # exact at F_{s-1}: the image of d_s is the kernel of d_{s-1}
-            if span.rank != kernel.dim or any(span.reduce(v)[0] for v in kernel.basis):
+            if span.rank != kernel.dim or any(map(span.residue, kernel.basis)):
                 raise AssertionError(f"im d_{s} != ker d_{s - 1} in degree {t}")
             for v in new:
                 self.degrees[level].append(t)

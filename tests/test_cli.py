@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -255,7 +256,9 @@ def test_grouphom_dmax_at_degree_budget():
 
 
 def test_grouphom_resolves_only_to_dmax(monkeypatch):
-    # H_dmax is read off ker d_dmax, so F_{dmax+1} is never built
+    # H_dmax is read off ker d_dmax, so F_{dmax+1} is never built; the
+    # Sylow subgroup and each intersection it is compared on are resolved
+    # through max(dmax, 1), the degree of the H_1 cross-check
     seen = []
     resolve = grouphom.resolve
 
@@ -264,9 +267,27 @@ def test_grouphom_resolves_only_to_dmax(monkeypatch):
         return resolve(g, d)
 
     monkeypatch.setattr(grouphom, "resolve", spy)
-    for dmax in (3, 0):
-        assert run(["grouphom", "S3", "--dmax", str(dmax)])[0] == 0
-    assert seen == [3, 1]
+    for name in ("S3", "GL(3,2)"):
+        for dmax in (3, 0):
+            seen.clear()
+            assert run(["grouphom", name, "--dmax", str(dmax)])[0] == 0
+            assert seen and set(seen) == {max(dmax, 1)}, (name, dmax)
+
+
+def test_grouphom_s6_through_sylow():
+    # the direct resolution of S6 (order 720) through H_3 takes about 75 s
+    start = time.perf_counter()
+    code, out = run(["grouphom", "S6", "--dmax", "3"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert [int(line.split("\t")[2]) for line in out.splitlines()[1:5]] == [1, 1, 2, 4]
+
+
+def test_grouphom_gl3_through_h6():
+    code, out = run(["grouphom", "GL(3,2)", "--dmax", "6"])
+    assert code == 0
+    assert tuple(int(line.split("\t")[2]) for line in out.splitlines()[1:8]) == \
+        (1, 0, 1, 2, 1, 2, 3)
 
 
 def test_exit_budget_exceeded():

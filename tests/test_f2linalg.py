@@ -289,6 +289,21 @@ def test_rank_and_membership_order_free(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_residue_is_the_tagged_residue(seed):
+    # the tagless membership loop leaves what reduce leaves, over rows
+    # tagged as the kernel bookkeeping tags them
+    rng, m = seeded_matrix(seed)
+    e = Echelon()
+    for i, r in enumerate(m.data):
+        e.add(r, 1 << i)
+    for _ in range(30):
+        v = rng.getrandbits(m.cols)
+        assert e.residue(v) == e.reduce(v)[0]
+    for r in m.data:
+        assert e.residue(r) == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_echelon_tags_order_free(seed):
     # as in homology: boundaries tagged 0, then candidate cycles tagged
     # with unit vectors; tags are coordinates over the independent ones

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from f2alg import grouphom
 from f2alg.cobar import WindowError
-from f2alg.f2linalg import Echelon, Subspace, bits_of
+from f2alg.f2linalg import Echelon, F2Matrix, Subspace, bits_of
 from f2alg.grouphom import (
     GroupHom,
     PermGroup,
@@ -23,13 +23,17 @@ from f2alg.grouphom import (
     TensoredComplex,
     abelianization_f2_dim,
     assert_resolution,
+    augmentation_kernel,
     builtin_group,
     compose,
+    double_cosets,
     homology_dims,
     induced_map,
     parse_group,
     resolve,
     stabilization_hom,
+    sylow_homology_dims,
+    sylow_subgroup,
 )
 from f2alg.minres import complement
 
@@ -255,6 +259,11 @@ def test_resolve_kernels_match_left_kernel(monkeypatch, name, relabel):
     for d, rank in enumerate(res.ranks):
         assert Subspace.span(rank, res.kernels[d]) == \
             Subspace.span(rank, kernel_reference(res, d)), (name, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 168])
+def test_augmentation_kernel_closed_form(n):
+    assert augmentation_kernel(n).basis == F2Matrix(n, 1, [1] * n).left_kernel().basis
 
 
 def test_incoming_runs_once_per_resolution(monkeypatch, gl2, gl3):
@@ -504,3 +513,106 @@ def test_random_subgroups_of_s4(gens):
     dims = homology_dims(res)
     assert dims[0] == 1
     assert dims[1] == abelianization_f2_dim(g)
+
+
+# ---------------------------------------------------------------- Sylow route
+
+# (0 1 2) and (0 1)(2 3): its Sylow 2-subgroup is normal
+A4 = PermGroup(4, [(1, 2, 0, 3), (1, 0, 3, 2)], "A4")
+ROUTE_BUILTINS = ["1", "C1", "C3", "C4", "C5", "C6", "C9", "C10", "S3", "D8", "UT(3,2)"]
+
+
+def route_group(name):
+    if name == "A4":
+        return A4
+    if name.startswith("relabelled "):
+        return relabelled(builtin_group(name.split()[1]))[0]
+    return builtin_group(name)
+
+
+ROUTE_GROUPS = ROUTE_BUILTINS + ["A4", "S4", "S5", "GL(3,2)",
+                                 "relabelled S3", "relabelled D8", "relabelled GL(3,2)"]
+
+
+@pytest.mark.parametrize("name", ROUTE_BUILTINS + ["A4", "relabelled S3", "relabelled D8",
+                                                   "relabelled GL(3,2)"])
+def test_sylow_route_matches_direct_resolution(name):
+    g = route_group(name)
+    d_max = 3 if g.order > 100 else 4
+    assert sylow_homology_dims(g, d_max) == homology_dims(resolve(g, d_max))
+
+
+def test_sylow_route_gl3_through_h6():
+    assert sylow_homology_dims(builtin_group("GL(3,2)"), 6) == (1, 0, 1, 2, 1, 2, 3)
+
+
+@pytest.mark.parametrize("name", ROUTE_GROUPS)
+def test_sylow_subgroup_order_and_closure(name):
+    g = route_group(name)
+    sub, gens = sylow_subgroup(g)
+    assert len(sub) == g.order & -g.order
+    assert all(g.mult(a, b) in sub for a in sub for b in sub)
+    # the generators generate it: close them under multiplication
+    closure = {g.identity}
+    while True:
+        grown = closure | {g.mult(a, t) for a in closure for t in gens}
+        if grown == closure:
+            break
+        closure = grown
+    assert closure == sub
+
+
+@pytest.mark.parametrize("name", ROUTE_GROUPS)
+def test_double_cosets_partition(name):
+    g = route_group(name)
+    sub, gens = sylow_subgroup(g)
+    inv = [row.index(g.identity) for row in g.table]
+    covered = set()
+    cosets = double_cosets(g, sub, gens)
+    for w, size in cosets:
+        pwp = {g.mult(g.mult(p, w), q) for p in sub for q in sub}
+        assert min(pwp) == w and len(pwp) == size
+        assert not covered & pwp
+        covered |= pwp
+        q_w = [p for p in sub if g.mult(g.mult(inv[w], p), w) in sub]
+        assert size * len(q_w) == len(sub) ** 2
+    assert covered == set(range(g.order))
+    assert [w for w, _ in cosets] == sorted(w for w, _ in cosets)
+
+
+@pytest.mark.parametrize("name,resolved", [("GL(3,2)", [8, 4, 4, 2, 2]), ("A4", [4]), ("C6", [2])])
+def test_sylow_route_resolves_each_subgroup_once_through_dmax(monkeypatch, name, resolved):
+    # P and the distinct nontrivial Q_w other than P, each through d_max
+    # and no further; in A4 and C6 every w normalizes P, so Q_w = P
+    seen = []
+
+    def spy(group, d):
+        seen.append((group.elements, d))
+        return resolve(group, d)
+
+    monkeypatch.setattr(grouphom, "resolve", spy)
+    g = route_group(name)
+    assert sylow_homology_dims(g, 3) == homology_dims(resolve(g, 3))
+    assert {d for _, d in seen} == {3}
+    assert [len(elements) for elements, _ in seen] == resolved
+    assert len({elements for elements, _ in seen}) == len(seen)
+
+
+# subgroups of these, generated by a few random elements: orders up to 168
+ROUTE_BASES = {
+    "S5": builtin_group("S5"),
+    "GL(3,2)": builtin_group("GL(3,2)"),
+    # S4 on {0..3} times S3 on {4, 5, 6}, order 144
+    "S4xS3": PermGroup(7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 0, 4, 5, 6),
+                           (0, 1, 2, 3, 5, 4, 6), (0, 1, 2, 3, 5, 6, 4)]),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(ROUTE_BASES)), st.data())
+def test_sylow_route_on_random_subgroups(name, data):
+    base = ROUTE_BASES[name]
+    picks = data.draw(st.lists(st.integers(0, base.order - 1), min_size=1, max_size=3))
+    g = PermGroup(base.degree, [base.elements[i] for i in picks])
+    assert g.order <= 200
+    assert sylow_homology_dims(g, 3) == homology_dims(resolve(g, 3))
