@@ -67,10 +67,10 @@ FAMILY_WINDOW = (43, 28)
 #   and 17 MB on GL(3,2), 0.5 s and 20 MB on S6 (order 720), most of it
 #   start-up; a 2-group is its own Sylow subgroup and is resolved whole, so
 #   UT(4,2) (order 64) takes 3.5 s and 24 MB at --dmax 5;
-# - may --page 5 --dmax 10 takes 0.4-0.5 s and 36 MB at g <= 16 (0.6-0.8 s
-#   and 49 MB with --cone), 0.6-1.3 s and 70 MB at 17 (1.2-2.4 s and
-#   100 MB with --cone), 1.9-3.3 s and 175 MB at 18 (3.7-6.6 s and 236 MB
-#   with --cone), the spread being the host's
+# - may --page 5 --dmax 10 takes 0.3-0.4 s and 26 MB at g <= 16 (0.3-0.5 s
+#   and 29 MB with --cone), 0.5-0.8 s and 48 MB at 17 (0.8-1.3 s and 54 MB
+#   with --cone), 1.4-2.0 s and 129 MB at 18 (1.8-3.1 s and 139 MB with
+#   --cone), the spread being the host's
 MAX_CHART_G = 20
 MAX_MAY_G = 18
 MAX_SPOT_GD = 20

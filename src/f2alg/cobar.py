@@ -7,9 +7,12 @@ off.  The differential splits each letter by the reduced coproduct, and
 d(a|w) = a|d(w) + (splits of a)|w turns into one rule on bitsets: a
 boundary row is its tail's row shifted by the offset of a one step up,
 XOR a small per-(g, s) mask of a's split terms shifted by the tail's
-index (``boundary_bits``).  Rows are built from their tails' rows; only
-layers read as tails below g_max - 1 keep their rows, and no word tuple
-is formed.
+index.  Every complex here reads its boundary rows through one row
+function per layer (``row_fn``), built once from the layer's offsets,
+its masks and its tails' row functions; rows are built on the fly and
+not stored (as in Ripser, Bauer 2021), except that layers read as tails
+below g_max - 1 keep their rows, and their row function is the list's
+own lookup.  No word tuple is formed.
 ``boundary_words`` yields the same boundary symbolically, one term per
 split with repeated terms included; it is the model behind the symbolic
 d*d check and the tests, and ``words`` and ``word_index`` serve labels
@@ -40,8 +43,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_right
-from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .f2linalg import Echelon, F2Matrix, bits_of, pair_rows
 from .hopf import CoalgebraMap, HopfAlgebra, WindowError
@@ -77,13 +79,16 @@ class Homology(NamedTuple):
 class BigradedComplex:
     """Shared homology machinery over per-(g, s) chain bases.
 
-    Subclasses provide chain_dim(g, s) and boundary_bits(g, s, i), the
-    boundary of the i-th basis chain as a bitset over the (g, s+1) basis.
+    Subclasses provide chain_dim(g, s) and _build_row_fn(g, s), the
+    layer's row function: it maps i to the boundary of the i-th basis
+    chain as a bitset over the (g, s+1) basis.  ``row_fn`` keeps one per
+    layer, and every boundary is read through it.
     """
 
     def __init__(self, g_max: int, s_max: int):
         self.g_max = g_max
         self.s_max = s_max
+        self._row_fns: dict[tuple[int, int], Callable[[int], int]] = {}
         self._rank_cache: dict[tuple[int, int], int] = {}
         self._paired_cache: dict[tuple[int, int], array] = {}  # paired columns
         self._matrix_cache: dict[tuple[int, int], F2Matrix] = {}
@@ -94,8 +99,18 @@ class BigradedComplex:
     def chain_dim(self, g: int, s: int) -> int:
         raise NotImplementedError
 
-    def boundary_bits(self, g: int, s: int, i: int) -> int:
+    def _build_row_fn(self, g: int, s: int) -> Callable[[int], int]:
         raise NotImplementedError
+
+    def row_fn(self, g: int, s: int) -> Callable[[int], int]:
+        """The row function of (g, s): i -> the boundary of chain i."""
+        fn = self._row_fns.get((g, s))
+        if fn is None:
+            fn = self._row_fns[(g, s)] = self._build_row_fn(g, s)
+        return fn
+
+    def boundary_bits(self, g: int, s: int, i: int) -> int:
+        return self.row_fn(g, s)(i)
 
     # -- window bookkeeping
     def check_window(self, g: int, s: int) -> None:
@@ -110,9 +125,9 @@ class BigradedComplex:
 
     # -- boundary as data
     def apply_boundary(self, g: int, s: int, chain: int) -> int:
-        out = 0
+        row, out = self.row_fn(g, s), 0
         for i in bits_of(chain):
-            out ^= self.boundary_bits(g, s, i)
+            out ^= row(i)
         return out
 
     def boundary_matrix(self, g: int, s: int) -> F2Matrix:
@@ -120,7 +135,7 @@ class BigradedComplex:
         if key not in self._matrix_cache:
             self.check_window(g, s)
             n = self._dim(g, s)
-            rows = [self.boundary_bits(g, s, i) for i in range(n)]
+            rows = list(map(self.row_fn(g, s), range(n)))
             m = F2Matrix(n, self._dim(g, s + 1), rows)
             prev = self._matrix_cache.get((g, s - 1))
             if prev is not None:
@@ -149,8 +164,8 @@ class BigradedComplex:
             if self._dim(g, s) and self._dim(g, s + 1):
                 self.check_window(g, s)
                 cols.extend(c for _, c in pair_rows(
-                    partial(self.boundary_bits, g, s), range(self._dim(g, s)),
-                    self._paired_cache.get((g, s - 1), ()), [-1]))
+                    self.row_fn(g, s), [(range(self._dim(g, s)), [])],
+                    self._paired_cache.get((g, s - 1), ())))
             self._paired_cache[key] = cols
             self._rank_cache[key] = len(cols)
         return self._rank_cache[key]
@@ -165,8 +180,8 @@ class BigradedComplex:
             ech = Echelon()
             if s >= 1 and self._dim(g, s - 1):
                 self.check_window(g, s - 1)
-                for i in range(self._dim(g, s - 1)):
-                    ech.add(self.boundary_bits(g, s - 1, i), 0)
+                for v in map(self.row_fn(g, s - 1), range(self._dim(g, s - 1))):
+                    ech.add(v, 0)
             self._imech_cache[key] = ech
             self._rank_cache.setdefault((g, s - 1), ech.rank)
             self._paired_cache.setdefault((g, s - 1), array("I", [k - 1 for k in ech.pivots]))
@@ -271,7 +286,6 @@ class CobarComplex(BigradedComplex):
         self._words_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._windex_cache: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
         self._offsets_cache: dict[tuple[int, int], list[int]] = {}
-        self._blocks_cache: dict[tuple[int, int], tuple] = {}
         self._rows_cache: dict[tuple[int, int], list[int]] = {}
         self._d2_checked: set[tuple[int, int]] = set()
 
@@ -330,66 +344,65 @@ class CobarComplex(BigradedComplex):
             for lr in self.splits[lid]:
                 yield head + lr + tail
 
-    def _blocks(self, g: int, s: int) -> tuple[list[int], list[tuple]]:
-        """The offsets of (g, s), s >= 1, and per letter a the data of the
-        rule in ``boundary_bits``: the rows of a's tails (None where they
-        are not kept), up[a] and mask[a], the split terms l1|l2 of a for
-        the tail of index 0."""
-        key = (g, s)
-        plan = self._blocks_cache.get(key)
-        if plan is None:
-            off, up = self._offsets(g, s), self._offsets(g, s + 1)
-            blocks = []
-            for a, lg in enumerate(self.letter_grading):
-                tails, m = [], 0
-                if off[a + 1] > off[a]:
-                    # the top two gradings of the window keep no rows: a
-                    # row's width grows with its layer, so those two
-                    # would hold most of the cache
-                    tails = (self._tail_rows(g - lg, s - 1)
-                             if g - lg < self.g_max - 1 else None)
-                    for l1, l2 in self.splits[a]:
-                        m ^= 1 << (up[l1] + self._offsets(g - self.letter_grading[l1], s)[l2])
-                blocks.append((tails, up[a], m))
-            plan = self._blocks_cache[key] = (off, blocks)
-        return plan
+    # an attribute of the class itself, which perfbench/tracer.py wraps
+    boundary_bits = BigradedComplex.boundary_bits
+
+    def _blocks(self, g: int, s: int) -> list[tuple[int, int, int, int]]:
+        """Per letter a that begins words of (g, s), s >= 1, the data of
+        the rule in ``_build_row_fn``: (a, the grading g - |a| of its
+        tails, up[a], mask[a]), mask[a] the split terms l1|l2 of a for the
+        tail of index 0."""
+        off, up = self._offsets(g, s), self._offsets(g, s + 1)
+        blocks = []
+        for a, lg in enumerate(self.letter_grading):
+            if off[a + 1] > off[a]:
+                m = 0
+                for l1, l2 in self.splits[a]:
+                    m ^= 1 << (up[l1] + self._offsets(g - self.letter_grading[l1], s)[l2])
+                blocks.append((a, g - lg, up[a], m))
+        return blocks
 
     def _tail_rows(self, g: int, s: int) -> list[int]:
         """Every boundary row of (g, s), g < g_max - 1, built block by
-        block from the rows of its own tails, and kept."""
+        block from the rows of its own tails, and kept; the layer's row
+        function becomes the list's own lookup."""
         if s == 0:
             return [0]  # the empty word at (0, 0)
         rows = self._rows_cache.get((g, s))
         if rows is None:
             rows = []
-            for tails, sh, m in self._blocks(g, s)[1]:
-                rows += [(t << sh) ^ (m << j) for j, t in enumerate(tails)]
+            for _, tg, sh, m in self._blocks(g, s):
+                rows += [(t << sh) ^ (m << j) for j, t in enumerate(self._tail_rows(tg, s - 1))]
             self._rows_cache[(g, s)] = rows
+            self._row_fns[(g, s)] = rows.__getitem__
         return rows
 
-    def boundary_bits(self, g: int, s: int, i: int) -> int:
+    def _build_row_fn(self, g: int, s: int) -> Callable[[int], int]:
         """d(a|w) = a|d(w) + (sum of the splits l1|l2 of a)|w, so with
         i = off[a] + j for w the j-th word of (g - |a|, s - 1),
 
             d(a|w) = (d(w) << up[a]) ^ (mask[a] << j),
 
         up being the offsets of (g, s + 1).  Only layers read as tails
-        below g_max - 1 keep their rows; any other row is built from its
-        tail's row, kept or built the same way, and not stored."""
+        below g_max - 1 keep their rows (``_tail_rows``); the rows of any
+        other layer are built from their tails' rows when read, kept or
+        built the same way, and not stored."""
         if s == 0:
-            return 0
-        rows = self._rows_cache.get((g, s))
-        if rows is not None:
-            return rows[i]
-        off, blocks = self._blocks(g, s)
-        a = bisect_right(off, i) - 1
-        j = i - off[a]
-        tails, sh, m = blocks[a]
-        if tails is None:
-            t = self.boundary_bits(g - self.letter_grading[a], s - 1, j)
-        else:
-            t = tails[j]
-        return (t << sh) ^ (m << j)
+            return [0].__getitem__  # the empty word at (0, 0)
+        off = self._offsets(g, s)
+        # per letter a: (off[a], the row function of a's tails, up[a], mask[a])
+        blocks: list = [None] * len(self.letters)
+        for a, tg, sh, m in self._blocks(g, s):
+            tails = (self._tail_rows(tg, s - 1).__getitem__ if tg < self.g_max - 1
+                     else self.row_fn(tg, s - 1))
+            blocks[a] = (off[a], tails, sh, m)
+
+        def row(i: int) -> int:
+            start, tails, sh, m = blocks[bisect_right(off, i) - 1]
+            j = i - start
+            return (tails(j) << sh) ^ (m << j)
+
+        return row
 
     def boundary_matrix(self, g: int, s: int) -> F2Matrix:
         m = super().boundary_matrix(g, s)
@@ -463,16 +476,23 @@ class ConeComplex(BigradedComplex):
     def chain_dim(self, g: int, s: int) -> int:
         return self.base._dim(g, s) + self.base._dim(g - 1, s)
 
-    def boundary_bits(self, g: int, s: int, i: int) -> int:
-        nx = self.base._dim(g, s)
-        if i < nx:
-            return self.base.boundary_bits(g, s, i)
+    boundary_bits = BigradedComplex.boundary_bits  # as in CobarComplex
+
+    def _build_row_fn(self, g: int, s: int) -> Callable[[int], int]:
         # zl|w for the j-th word w of (g - 1, s) is word up[zl] + j of
         # (g, s + 1), zl having grading 1, so z.w = zmask << j
-        j, up, zmask = i - nx, self.base._offsets(g, s + 1), 0
+        nx, up = self.base._dim(g, s), self.base._offsets(g, s + 1)
+        x_row, y_row, shift, zmask = self.base.row_fn(g, s), self.base.row_fn(g - 1, s), up[-1], 0
         for zl in self.z_letters:
             zmask ^= 1 << up[zl]
-        return (zmask << j) ^ (self.base.boundary_bits(g - 1, s, j) << up[-1])
+
+        def row(i: int) -> int:
+            if i < nx:
+                return x_row(i)
+            j = i - nx
+            return (zmask << j) ^ (y_row(j) << shift)
+
+        return row
 
     def split_chain(self, g: int, s: int, chain: int) -> tuple[int, int]:
         nx = self.base._dim(g, s)

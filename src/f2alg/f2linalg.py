@@ -58,26 +58,29 @@ def _reduce(pivots: Pivots, v: int, tag: int, keep: bool) -> tuple[int, int]:
     return 0, tag
 
 
-def pair_rows(row: Callable[[int], int], order: Iterable[int],
-              cleared: Iterable[int], masks: list[int]) -> list[tuple[int, int]]:
-    """The (row, column) pairs of an elimination: each row i in order,
-    fetched as row(i), is reduced against the residues kept before it,
-    and a nonzero residue is kept and paired with its pivot column.
+def pair_rows(row: Callable[[int], int], runs: Iterable[tuple[Iterable[int], list[int]]],
+              cleared: Iterable[int]) -> list[tuple[int, int]]:
+    """The (row, column) pairs of an elimination: each row i, fetched as
+    row(i), is reduced against the residues kept before it, and a nonzero
+    residue is kept and paired with its pivot column.
 
-    Columns are ordered by masks, one per filtration in descending
-    filtration, whose union holds every row's bits: a residue pivots on
-    the top bit of v & m for the first mask m it meets.  With no
-    filtration masks is [-1], one all-columns mask, and this is the
-    top-bit pivot of ``_reduce``.  The last mask is never read, since a
-    residue that meets no mask before it lies inside it.
+    The rows come in runs (order, masks), taken in turn.  A residue of a
+    row of the run pivots on the top bit of v & m for the first m of masks
+    it meets, and on its own top bit when it meets none.  In a filtered
+    complex the masks are the columns of each filtration, in descending
+    filtration, so that a residue pivots on its first column in
+    descending (filtration, index) order.  A run's masks then start at
+    the filtration of its rows, since the boundary never raises
+    filtration, and leave out the lowest, inside which a residue that
+    meets no mask before it lies.  With no filtration there is one run
+    with no masks, and this is the top-bit pivot of ``_reduce``.
 
     The rows in cleared are skipped.  Each must be a sum of rows before
-    it in order, so that it would reduce to zero and pair nothing: in a
-    complex, a chain paired by the elimination of the differential below
-    (the same ordering, one degree down) is such a row ("clearing").
+    it, so that it would reduce to zero and pair nothing: in a complex, a
+    chain paired by the elimination of the differential below (the same
+    ordering, one degree down) is such a row ("clearing").
     """
     skip = set(cleared)
-    higher = masks[:-1]
     # pivot column + 1 -> the residue, or ~i for a row i kept as it came,
     # fetched again on a hit.  Only with clearing: then nearly every row
     # is kept as it came and few are hit again (916 XOR steps over 154k
@@ -85,25 +88,25 @@ def pair_rows(row: Callable[[int], int], order: Iterable[int],
     # rows reduce to zero, each through several hits.
     kept: dict[int, int] = {}
     out: list[tuple[int, int]] = []
-    for i in order:
-        if i in skip:
-            continue
-        v, reduced = row(i), False
-        while v:
-            top = v.bit_length()
-            if higher:
-                for m in higher:
+    for order, masks in runs:
+        for i in order:
+            if i in skip:
+                continue
+            v, reduced = row(i), False
+            while v:
+                top = v.bit_length()
+                for m in masks:
                     t = (v & m).bit_length()
                     if t:
                         top = t
                         break
-            hit = kept.get(top)
-            if hit is None:
-                kept[top] = ~i if skip and not reduced else v
-                out.append((i, top - 1))
-                break
-            v ^= hit if hit > 0 else row(~hit)
-            reduced = True
+                hit = kept.get(top)
+                if hit is None:
+                    kept[top] = ~i if skip and not reduced else v
+                    out.append((i, top - 1))
+                    break
+                v ^= hit if hit > 0 else row(~hit)
+                reduced = True
     return out
 
 
@@ -156,7 +159,7 @@ class F2Matrix:
         return out
 
     def rank(self) -> int:
-        return len(pair_rows(self.data.__getitem__, range(self.rows), (), [-1]))
+        return len(pair_rows(self.data.__getitem__, [(range(self.rows), [])], ()))
 
     def left_kernel(self) -> "Subspace":
         """Combinations of rows summing to zero: {v : v^T.M = 0}."""

@@ -362,8 +362,8 @@ class TensoredComplex(BigradedComplex):
             return 0
         return self.bars[g - s].rows if s else len(self.incoming)
 
-    def boundary_bits(self, g: int, s: int, i: int) -> int:
-        return self.bars[g - s].data[i] if s else self.incoming[i]
+    def _build_row_fn(self, g: int, s: int) -> Callable[[int], int]:
+        return self.bars[g - s].data.__getitem__ if s else self.incoming.__getitem__
 
 
 def homology_dims(res: Resolution) -> tuple:
@@ -418,10 +418,16 @@ def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):
 def induced_map(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d: int) -> F2Matrix:
     """Matrix of H_d(source) -> H_d(target): row i is the image of the
     i-th source homology basis vector in target coordinates."""
-    src, tgt = r_src.tensored, r_tgt.tensored
-    if not 0 <= d <= min(src.top, tgt.top):
+    if not 0 <= d <= min(r_src.tensored.top, r_tgt.tensored.top):
         raise ValueError(f"H_{d} needs resolutions built through degree {d}")
-    lifts = chain_lift(hom, r_src, r_tgt, d)
+    return _read_map(hom, chain_lift(hom, r_src, r_tgt, d), r_src, r_tgt, d)
+
+
+def _read_map(hom: GroupHom, lifts: list, r_src: Resolution, r_tgt: Resolution,
+              d: int) -> F2Matrix:
+    """The matrix of ``induced_map`` at degree d, read off a chain lift
+    through degree d or further, so that one lift serves every degree."""
+    src, tgt = r_src.tensored, r_tgt.tensored
     reps = src.homology(src.g_max, d).reps
     images = []
     for v in reps:
@@ -510,6 +516,12 @@ def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
     r_p = resolve(p_group, d_max)
     dims = homology_dims(r_p)
     table, members = group.table, sorted(sub)
+
+    def maps(hom: GroupHom, r_q: Resolution) -> list[F2Matrix]:
+        """hom_*: H_d(Q_w) -> H_d(P) for d = 0 .. d_max, from one lift."""
+        lifts = chain_lift(hom, r_q, r_p, d_max)
+        return [_read_map(hom, lifts, r_q, r_p, d) for d in range(d_max + 1)]
+
     # per d, the rows incl_* - (c_w)_* over every w; per Q_w, its
     # resolution and its inclusion's matrices
     stacks: list[list[int]] = [[] for _ in dims]
@@ -528,14 +540,13 @@ def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
                 _, q_gens = _generated(group, q)
                 q_group = PermGroup(group.degree, [group.elements[t] for t in q_gens])
                 r_q = resolve(q_group, d_max)
-            incl = GroupHom(q_group, p_group, lambda p: p)
-            seen[q] = (q_group, r_q, [induced_map(incl, r_q, r_p, d) for d in range(d_max + 1)])
+            seen[q] = (q_group, r_q, maps(GroupHom(q_group, p_group, lambda p: p), r_q))
         q_group, r_q, incl_maps = seen[q]
         w_perm, w_inv_perm = group.elements[w], group.elements[w_inv]
         conj = GroupHom(q_group, p_group, lambda p: compose(compose(w_inv_perm, p), w_perm))
+        c_maps = maps(conj, r_q)
         for d in range(1, d_max + 1):
-            c_map = induced_map(conj, r_q, r_p, d)
-            stacks[d] += map(int.__xor__, incl_maps[d].data, c_map.data)
+            stacks[d] += map(int.__xor__, incl_maps[d].data, c_maps[d].data)
     return tuple(dim - F2Matrix(len(rows), dim, rows).rank() for dim, rows in zip(dims, stacks))
 
 

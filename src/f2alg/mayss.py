@@ -17,16 +17,22 @@ where z_s(r, p) = dim { x in fil_p : dx in fil_{p-r} }.  Every z is read
 off one rank profile per (g, s): rows sorted by ascending filtration,
 columns by descending filtration, online elimination pivoting on each
 row's first column; the pivot (row_filt, col_filt) pairs then give every
-submatrix rank at once.  Each profile's pairs and each layer's
-filtrations are counted once (a handful of distinct values against
-thousands of chains), and every z is read from those counts.  Pages are
-computed from these first principles, never by propagating declared
-differentials.
+submatrix rank at once.  One cumulative table per (g, s) (``RankTable``)
+holds the number of chains of filtration <= p and of pairs with
+row_filt <= p and col_filt > q, for every p and q in the filtration
+ranges (a handful of values against thousands of chains), so every z is
+two lookups.  Pages are computed from these first principles, never by
+propagating declared differentials.
 
+A layer keeps its filtrations as one signed byte per chain, its chains
+in ascending (filtration, index) order and one bitset mask per
+filtration, each made in one pass over the bytes (``bytes.translate``).
 The pairs come from ``f2linalg.pair_rows`` in canonical coordinates,
-with one mask per filtration of the target layer: a residue pivots on
-the top bit of v & mask_f for the highest filtration f it meets, which
-is its first column in descending (filtration, index) order.  Ties
+with the masks of the target layer: a residue pivots on the top bit of
+v & mask_f for the highest filtration f it meets, which is its first
+column in descending (filtration, index) order.  The rows run one
+filtration at a time, and the masks above a run's own filtration are
+never read, since the boundary never raises filtration.  Ties
 inside one filtration (ascending index for rows, descending for
 columns) are free, since the number of pivot pairs with row_filt <= p
 and col_filt > q is the rank of that submatrix, which no order inside a
@@ -51,12 +57,13 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from functools import partial
+from functools import cache
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 from .cobar import BigradedComplex, CobarComplex, ConeComplex, CotorClass
 from .f2linalg import Echelon, F2Matrix, Subspace, bits_of, pair_rows
-from .hopf import PolyHopf
+from .hopf import PolyHopf, WindowError
 
 
 def augmentation_depths(h: PolyHopf) -> dict[tuple[int, int], int]:
@@ -68,44 +75,79 @@ def augmentation_depths(h: PolyHopf) -> dict[tuple[int, int], int]:
             for i, m in enumerate(h.monomials[g])}
 
 
+# Filtrations are kept one signed byte per chain.  A letter's depth is at
+# most its grading, so a word at grading g has filtration >= -g, and the
+# cone's y-part one less: windows up to FILT_MAX_G fit.
+FILT_MAX_G = 126
+
+
+@cache
+def _lower(k: int) -> bytes:
+    """Translation table of signed bytes: b -> b - k."""
+    return bytes((b - k) & 0xFF for b in range(256))
+
+
+@cache
+def _ones(b: int) -> bytes:
+    """Translation table: byte b -> "1", every other byte -> "0"."""
+    return bytes(48 + (x == b) for x in range(256))
+
+
+def _lowered(filts: array, k: int) -> array:
+    """The filtrations filts, each lowered by k, in one pass."""
+    out = array("b")
+    out.frombytes(filts.tobytes().translate(_lower(k)))
+    return out
+
+
 class Layer(NamedTuple):
-    filts: list[int]  # canonical index -> filtration
-    row_order: list[int]  # canonical indices, ascending (filtration, index)
+    filts: array  # canonical index -> filtration, signed bytes
+    row_order: array  # canonical indices, ascending (filtration, index)
     masks: dict[int, int]  # filtration -> bitset of its chains, descending
-    filt_counts: Counter  # filtration -> number of chains
+
+
+class RankTable(NamedTuple):
+    """Cumulative counts of one layer (g, s) and its pivot pairs: fil[k] is
+    the number of chains of filtration <= lo + k, and cut[k][l] the number
+    of pairs with row_filt <= lo + k and col_filt > q_lo + l (the rank of
+    fil_{lo+k} -> (g, s+1)/fil_{q_lo+l}).  Read clamped: past the last k
+    or l the last entry holds, before the first l the first; p < lo has
+    no chains."""
+
+    lo: int
+    fil: list[int]
+    q_lo: int
+    cut: list[list[int]]
 
 
 class FilteredComplex:
     """A bigraded word complex together with a per-chain filtration.
 
     ``filts(g, s)`` returns the filtrations of the whole layer (g, s),
-    indexed by canonical chain index; it is called once per layer, and
-    ``layer(g, s).filts`` is the cached copy every reader uses.
+    indexed by canonical chain index, as a signed-byte array; it is called
+    once per layer, and ``layer(g, s).filts`` is the cached copy every
+    reader uses.
     """
 
-    def __init__(self, complex: BigradedComplex, filts: Callable[[int, int], list[int]]):
+    def __init__(self, complex: BigradedComplex, filts: Callable[[int, int], array]):
         self.complex = complex
         self.filts = filts
         self._layer_cache: dict[tuple[int, int], Layer] = {}
-        self._pivot_counts: dict[tuple[int, int], Counter] = {}
+        self._tables: dict[tuple[int, int], RankTable] = {}
         self._paired_cols: dict[tuple[int, int], array] = {}
         self._spot_cache: dict = {}
 
     def layer(self, g: int, s: int) -> Layer:
         key = (g, s)
         if key not in self._layer_cache:
-            filts = self.filts(g, s) if self.complex._dim(g, s) else []
-            counts = Counter(filts)
-            blocks: dict[int, list[int]] = {f: [] for f in sorted(counts)}
-            for i, f in enumerate(filts):
-                blocks[f].append(i)
-            row_order = [i for block in blocks.values() for i in block]
+            filts = self.filts(g, s) if self.complex._dim(g, s) else array("b")
+            row_order = array("I", sorted(range(len(filts)), key=filts.__getitem__))
             # bit i of a mask is chain i, so its string lists the chains
             # from the last
-            rev = filts[::-1]
-            masks = {f: int("".join(["1" if x == f else "0" for x in rev]), 2)
-                     for f in reversed(blocks)}
-            self._layer_cache[key] = Layer(filts, row_order, masks, counts)
+            rev = filts.tobytes()[::-1]
+            distinct = sorted({b - 256 if b > 127 else b for b in set(rev)}, reverse=True)
+            masks = {f: int(rev.translate(_ones(f & 0xFF)), 2) for f in distinct}
+            self._layer_cache[key] = Layer(filts, row_order, masks)
         return self._layer_cache[key]
 
     def pivots(self, g: int, s: int) -> list[tuple[int, int]]:
@@ -115,12 +157,24 @@ class FilteredComplex:
         (filtration, index) order: the top bit of v & mask_f for the
         highest filtration f it meets.  The chains paired at (g, s-1) are
         skipped (clearing), so that layer's pairs are computed first.  Not
-        cached: the counts and the paired columns are."""
+        cached: the rank table and the paired columns are."""
         src, tgt = self.layer(g, s), self.layer(g, s + 1)
-        pairs = pair_rows(partial(self.complex.boundary_bits, g, s), src.row_order,
-                          self._cleared(g, s), list(tgt.masks.values()))
+        pairs = pair_rows(self.complex.row_fn(g, s), self.runs(g, s), self._cleared(g, s))
         self._paired_cols[(g, s)] = array("I", [c for _, c in pairs])
         return [(src.filts[i], tgt.filts[c]) for i, c in pairs]
+
+    def runs(self, g: int, s: int) -> list[tuple[array, list[int]]]:
+        """row_order cut into one run per filtration f, each with the masks
+        of (g, s+1) its residues are pivoted with: those of filtration <= f,
+        which hold every bit of its rows, less the lowest (``pair_rows``)."""
+        src, tgt = self.layer(g, s), self.layer(g, s + 1)
+        higher = list(tgt.masks.items())[:-1]
+        out, start = [], 0
+        for f in reversed(src.masks):
+            end = start + src.masks[f].bit_count()
+            out.append((src.row_order[start:end], [m for t, m in higher if t <= f]))
+            start = end
+        return out
 
     def _cleared(self, g: int, s: int):
         """The chains of (g, s) paired at (g, s-1), whose boundary rows are
@@ -129,23 +183,53 @@ class FilteredComplex:
         sum of the d(e_c')."""
         if s <= 0:
             return ()
-        key = (g, s - 1)
-        if key not in self._paired_cols:
-            self._pivot_counts[key] = Counter(self.pivots(g, s - 1))
-        return self._paired_cols[key]
+        if (g, s - 1) not in self._paired_cols:
+            self.rank_table(g, s - 1)
+        return self._paired_cols[(g, s - 1)]
 
     # -- rank bookkeeping
+    def rank_table(self, g: int, s: int) -> RankTable:
+        """The cumulative counts of (g, s), built once from its filtrations
+        and its pivot pairs."""
+        key = (g, s)
+        table = self._tables.get(key)
+        if table is None:
+            pairs = Counter(self.pivots(g, s))
+            src, tgt = self.layer(g, s).masks, self.layer(g, s + 1).masks
+            lo, hi = (min(src), max(src)) if src else (0, 0)
+            q_lo, q_hi = (min(tgt) - 1, max(tgt)) if tgt else (0, 0)
+            fil = list(accumulate(src.get(f, 0).bit_count() for f in range(lo, hi + 1)))
+            width = q_hi - q_lo + 1
+            # cut[k][l] = cut[k - 1][l] + pairs of row_filt lo + k with
+            # col_filt > q_lo + l, summed from the top column filtration
+            cut, above = [], [0] * width
+            for rf in range(lo, hi + 1):
+                run = 0
+                for l in reversed(range(width - 1)):
+                    run += pairs.get((rf, q_lo + 1 + l), 0)
+                    above[l] += run
+                cut.append(above[:])
+            table = self._tables[key] = RankTable(lo, fil, q_lo, cut)
+        return table
+
     def fil_dim(self, g: int, s: int, p: int) -> int:
-        return sum(c for f, c in self.layer(g, s).filt_counts.items() if f <= p)
+        """dim fil_p(g, s)."""
+        t = self._tables.get((g, s)) or self.rank_table(g, s)
+        k = p - t.lo
+        return 0 if k < 0 else t.fil[k if k < len(t.fil) else -1]
 
     def restricted_rank(self, g: int, s: int, p: int, q: int) -> int:
         """rank of fil_p(g, s) -> (g, s+1)/fil_q."""
-        key = (g, s)
-        if key not in self._pivot_counts:
-            self._pivot_counts[key] = Counter(self.pivots(g, s))
-        return sum(c for (rf, cf), c in self._pivot_counts[key].items() if rf <= p and cf > q)
+        t = self._tables.get((g, s)) or self.rank_table(g, s)
+        k, l = p - t.lo, q - t.q_lo
+        if k < 0:
+            return 0
+        row = t.cut[k if k < len(t.cut) else -1]
+        return row[0 if l < 0 else l if l < len(row) else -1]
 
     def z(self, g: int, s: int, r: int, p: int) -> int:
+        """dim { x in fil_p(g, s) : dx in fil_{p-r} }: two lookups in the
+        rank table."""
         if s < 0 or g < 0:
             return 0
         return self.fil_dim(g, s, p) - self.restricted_rank(g, s, p, p - r)
@@ -163,10 +247,10 @@ class FilteredComplex:
         )
 
     def filt_range(self, g: int, s: int) -> Optional[tuple[int, int]]:
-        filts = self.layer(g, s).filts
-        if not filts:
+        masks = self.layer(g, s).masks
+        if not masks:
             return None
-        return min(filts), max(filts)
+        return min(masks), max(masks)
 
     # -- explicit subquotients
     def ztilde(self, g: int, s: int, r: int, p: int) -> Subspace:
@@ -176,7 +260,8 @@ class FilteredComplex:
             return Subspace(max(n, 0), [])
         members = [i for i, f in enumerate(self.layer(g, s).filts) if f <= p]
         kill = ~sum(m for f, m in self.layer(g, s + 1).masks.items() if f <= p - r)
-        rows = [self.complex.boundary_bits(g, s, i) & kill for i in members]
+        row = self.complex.row_fn(g, s)
+        rows = [row(i) & kill for i in members]
         cols = self.complex._dim(g, s + 1)
         combos = F2Matrix(len(rows), cols, rows).left_kernel()
         basis = []
@@ -221,22 +306,25 @@ class FilteredComplex:
 
 
 def build_filtered(h: PolyHopf, g_max: int = 20, s_max: int = 20) -> FilteredComplex:
+    if g_max > FILT_MAX_G:
+        raise WindowError(f"filtrations are kept as signed bytes: g_max {g_max} "
+                          f"exceeds {FILT_MAX_G}")
     base = CobarComplex(h, g_max, s_max)
     depth = augmentation_depths(h)
     letter_depth = [depth[gi] for gi in base.letters]
 
-    cache: dict[tuple[int, int], list[int]] = {}
+    cache: dict[tuple[int, int], array] = {}
 
-    def filts(g: int, s: int) -> list[int]:
+    def filts(g: int, s: int) -> array:
         # filt(a|w) = filt(w) - depth(a), in the canonical order: words
         # are listed by first letter and then by tail
         if s <= 0 or g < s:
-            return [0] if g == s == 0 else []
+            return array("b", [0] if g == s == 0 else [])
         key = (g, s)
         if key not in cache:
-            out: list[int] = []
+            out = array("b")
             for lg, dp in zip(base.letter_grading, letter_depth):
-                out += [f - dp for f in filts(g - lg, s - 1)]
+                out += _lowered(filts(g - lg, s - 1), dp)
             cache[key] = out
         return cache[key]
 
@@ -251,8 +339,8 @@ def filtered_cone(fc: FilteredComplex, z: CotorClass) -> FilteredComplex:
         raise TypeError("filtered cone needs a filtered cobar complex")
     cone = ConeComplex(base, z)
 
-    def filts(g: int, s: int) -> list[int]:
-        return fc.layer(g, s).filts + [f - 1 for f in fc.layer(g - 1, s).filts]
+    def filts(g: int, s: int) -> array:
+        return fc.filts(g, s) + _lowered(fc.filts(g - 1, s), 1)
 
     return FilteredComplex(cone, filts)
 

@@ -21,7 +21,7 @@ from f2alg.cobar import (
     build_cobar,
 )
 from f2alg.f2linalg import pair_rows
-from f2alg.grouphom import TensoredComplex, builtin_group, resolve
+from f2alg.grouphom import TensoredComplex, builtin_group, resolve, tensored_boundary
 from f2alg.minres import ring_chart_names
 from f2alg.hopf import HopfAlgebra, build_a1_star, build_cgl_to_a1_map, build_delta_cgl
 
@@ -111,21 +111,18 @@ def word_model_row(cx, g, s, w):
     return out
 
 
-@pytest.mark.parametrize("build,g_max", [(build_a1_star, 10), (build_delta_cgl, 5)])
-def test_rows_from_tails_match_word_model(build, g_max):
-    # ascending g, every row is first built from kept tails without being
-    # stored; the second pass reads the layers below g_max - 1 as kept
-    # tails, and builds those at g_max - 1 and g_max row by row
-    cx = build_cobar(build(), g_max, g_max)
-    for _ in range(2):
-        for g in range(g_max + 1):
-            for s in range(g + 2):
-                words = cx.words(g, s)
-                assert cx.chain_dim(g, s) == len(words), (g, s)
-                for i, w in enumerate(words):
-                    assert cx.boundary_bits(g, s, i) == word_model_row(cx, g, s, w), (g, s, i)
-    assert any(key[0] < g_max - 1 for key in cx._rows_cache)
-    assert all(key[0] < g_max - 1 for key in cx._rows_cache)
+def cone_model_row(cone, g, s, i):
+    """Row i of the cone at (g, s) from the word model: d(x) for the x-part,
+    z.y + d(y) for the y-part."""
+    base = cone.base
+    nx = base.chain_dim(g, s)
+    if i < nx:
+        return word_model_row(base, g, s, base.words(g, s)[i])
+    w, idx = base.words(g - 1, s)[i - nx], base.word_index(g, s + 1)
+    zw = 0
+    for zl in cone.z_letters:
+        zw ^= 1 << idx[(zl,) + w]
+    return zw ^ (word_model_row(base, g - 1, s, w) << base.chain_dim(g, s + 1))
 
 
 def test_cone_y_rows_match_word_model(a1):
@@ -133,14 +130,53 @@ def test_cone_y_rows_match_word_model(a1):
     cone = ConeComplex(base, base.unique_class(1, 0))
     for g in range(1, 11):
         for s in range(g + 1):
-            nx, up = base.chain_dim(g, s), base.chain_dim(g, s + 1)
-            idx = base.word_index(g, s + 1)
-            for j, w in enumerate(base.words(g - 1, s)):
-                zw = 0
-                for zl in cone.z_letters:
-                    zw ^= 1 << idx[(zl,) + w]
-                want = zw ^ (word_model_row(base, g - 1, s, w) << up)
-                assert cone.boundary_bits(g, s, nx + j) == want, (g, s, j)
+            nx = base.chain_dim(g, s)
+            for i in range(nx, nx + base.chain_dim(g - 1, s)):
+                assert cone.boundary_bits(g, s, i) == cone_model_row(cone, g, s, i), (g, s, i)
+
+
+@pytest.mark.parametrize("build,g_max", [(build_a1_star, 10), (build_delta_cgl, 5)])
+def test_rows_from_tails_match_word_model(build, g_max):
+    # every chain of every layer, read through the row functions of the
+    # cobar complex and of its cone: first with no layer kept, when each
+    # row is built from its tails' rows, kept or built the same way, then
+    # once the layers below g_max - 1 are kept and their row functions are
+    # their lists' lookups; g_max - 1 and g_max are never kept
+    cx = build_cobar(build(), g_max, g_max)
+    cone = ConeComplex(cx, cx.unique_class(1, 0))
+    assert not cx._rows_cache
+    for kept in (False, True):
+        for g in range(g_max + 1):
+            for s in range(g + 2):
+                assert ((g, s) in cx._rows_cache) == (kept and 1 <= s <= g < g_max - 1), (g, s)
+                row = cx.row_fn(g, s)
+                if (g, s) in cx._rows_cache:
+                    assert row == cx._rows_cache[(g, s)].__getitem__, (g, s)
+                words = cx.words(g, s)
+                assert cx.chain_dim(g, s) == len(words), (g, s)
+                for i, w in enumerate(words):
+                    assert row(i) == word_model_row(cx, g, s, w), (g, s, i)
+                crow = cone.row_fn(g, s)
+                for i in range(cone.chain_dim(g, s)):
+                    assert crow(i) == cone_model_row(cone, g, s, i), (g, s, i)
+        for g in range(g_max - 1):
+            for s in range(1, g + 1):
+                cx._tail_rows(g, s)
+    assert all(key[0] < g_max - 1 for key in cx._rows_cache)
+
+
+def test_row_fn_tensored_matches_boundaries():
+    # d = top + 1 - s: the tensored boundary of degree d, and at s = 0 the
+    # incoming boundaries of the top degree
+    res = resolve(builtin_group("S3"), 4)
+    cx = res.tensored
+    g = cx.g_max
+    for s in range(g + 1):
+        want = tensored_boundary(res, g - s).data if s else res.kernels[cx.top]
+        row = cx.row_fn(g, s)
+        assert cx.chain_dim(g, s) == len(want)
+        assert [row(i) for i in range(len(want))] == want, s
+        assert all(cx.boundary_bits(g, s, i) == v for i, v in enumerate(want))
 
 
 def test_window_errors(cx):
@@ -185,8 +221,8 @@ def _assert_clearing_keeps_pairs(cx):
         below: list[int] = []
         for s in range(g + 1):
             rows, order = partial(cx.boundary_bits, g, s), range(cx._dim(g, s))
-            full = pair_rows(rows, order, (), [-1])
-            assert Counter(pair_rows(rows, order, below, [-1])) == Counter(full), (g, s)
+            full = pair_rows(rows, [(order, [])], ())
+            assert Counter(pair_rows(rows, [(order, [])], below)) == Counter(full), (g, s)
             assert s == 0 or (g, s - 1) in cx._paired_cache
             assert cx.rank_d(g, s) == len(full), (g, s)
             assert sorted(cx._paired_cache[(g, s)]) == sorted(c for _, c in full), (g, s)
@@ -219,18 +255,17 @@ def _assert_image_echelon_keeps_pairs(make):
         for s in range(1, g + 1):
             cx = make()
             cx.image_echelon(g, s)
-            full = pair_rows(partial(cx.boundary_bits, g, s - 1), range(cx._dim(g, s - 1)),
-                             (), [-1])
+            full = pair_rows(cx.row_fn(g, s - 1), [(range(cx._dim(g, s - 1)), [])], ())
             paired = set(cx._paired_cache[(g, s - 1)])
             assert sorted(paired) == sorted(c for _, c in full), (g, s)
-            fetched = []
+            fetched, row = [], cx.row_fn(g, s)
 
-            def counted(g1, s1, i, rows=cx.boundary_bits, at=(g, s)):
-                if (g1, s1) == at:
-                    fetched.append(i)
-                return rows(g1, s1, i)
+            def counted(i):
+                fetched.append(i)
+                return row(i)
 
-            cx.boundary_bits = counted
+            # every fetch of a row of (g, s) goes through its row function
+            cx._row_fns[(g, s)] = counted
             assert cx.rank_d(g, s) == fresh.rank_d(g, s), (g, s)
             assert not paired & set(fetched), (g, s)
             if fetched:

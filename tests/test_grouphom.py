@@ -25,6 +25,7 @@ from f2alg.grouphom import (
     assert_resolution,
     augmentation_kernel,
     builtin_group,
+    chain_lift,
     compose,
     double_cosets,
     homology_dims,
@@ -596,6 +597,29 @@ def test_sylow_route_resolves_each_subgroup_once_through_dmax(monkeypatch, name,
     assert {d for _, d in seen} == {3}
     assert [len(elements) for elements, _ in seen] == resolved
     assert len({elements for elements, _ in seen}) == len(seen)
+
+
+def test_sylow_route_lifts_each_homomorphism_once(monkeypatch):
+    # one chain lift through d_max per homomorphism: the inclusion of each
+    # distinct Q_w and the conjugation of each w outside P with Q_w != 1,
+    # every degree's matrix read off that one lift
+    lifted = []
+
+    def spy(hom, r_src, r_tgt, d_max):
+        lifted.append((hom, d_max))
+        return chain_lift(hom, r_src, r_tgt, d_max)
+
+    monkeypatch.setattr(grouphom, "chain_lift", spy)
+    g = builtin_group("GL(3,2)")
+    assert sylow_homology_dims(g, 4) == (1, 0, 1, 2, 1)
+    sub, gens = sylow_subgroup(g)
+    inv = [row.index(g.identity) for row in g.table]
+    q_ws = [frozenset(p for p in sub if g.mult(g.mult(inv[w], p), w) in sub)
+            for w, _ in double_cosets(g, sub, gens) if w not in sub]
+    q_ws = [q for q in q_ws if len(q) > 1]
+    assert len(lifted) == len(set(q_ws)) + len(q_ws)
+    assert len({id(hom) for hom, _ in lifted}) == len(lifted)
+    assert {d for _, d in lifted} == {4}
 
 
 # subgroups of these, generated by a few random elements: orders up to 168

@@ -6,6 +6,7 @@ explicit subquotient path (ztilde/left-kernel), which shares no code with
 the rank-profile formula.
 """
 
+from array import array
 from collections import Counter
 from functools import partial
 
@@ -91,7 +92,8 @@ def test_filtrations_from_tails_match_word_sums(build, g_max):
     for g in range(g_max + 1):
         for s in range(g + 1):
             want = [-sum(depth[base.letters[lid]] for lid in w) for w in base.words(g, s)]
-            assert small.layer(g, s).filts == want, (g, s)
+            filts = small.layer(g, s).filts
+            assert isinstance(filts, array) and list(filts) == want, (g, s)
 
 
 def test_page_keeps_no_words_and_no_top_rows(a1):
@@ -133,33 +135,44 @@ def oracle_restricted_rank(fc, g, s, p, q):
     return F2Matrix(len(rows), base._dim(g, s + 1), rows).rank()
 
 
+def _assert_rank_table(c):
+    """fil_dim, restricted_rank and z, read off the cumulative rank table,
+    equal a direct count and the masked-matrix rank, for p and q one step
+    past each end of the filtration ranges (where the table is read
+    clamped), empty layers included."""
+    for g in range(7):
+        for s in range(g + 2):
+            filts = c.layer(g, s).filts
+            src = c.filt_range(g, s) or (0, 0)
+            tgt = c.filt_range(g, s + 1) or (0, 0)
+            for p in range(src[0] - 1, src[1] + 2):
+                dim = sum(1 for f in filts if f <= p)
+                assert c.fil_dim(g, s, p) == dim, (g, s, p)
+                for q in range(tgt[0] - 2, tgt[1] + 2):
+                    rank = oracle_restricted_rank(c, g, s, p, q)
+                    assert c.restricted_rank(g, s, p, q) == rank, (g, s, p, q)
+                    assert c.z(g, s, p - q, p) == dim - rank, (g, s, p, q)
+
+
 def test_rank_profile_matches_bruteforce(fc):
-    for g in range(1, 7):
-        for s in range(0, g + 1):
-            rng = fc.filt_range(g, s)
-            if rng is None:
-                continue
-            for p in range(rng[0] - 1, rng[1] + 2):
-                for q in range(p - 5, p + 2):
-                    assert fc.restricted_rank(g, s, p, q) == oracle_restricted_rank(
-                        fc, g, s, p, q
-                    ), (g, s, p, q)
+    _assert_rank_table(fc)
 
 
 def test_cone_rank_profile_matches_bruteforce(fcc):
     # the y-part of the cone carries the shifted filtration filt(y) - 1
-    for g in range(1, 7):
-        for s in range(0, g + 1):
-            rng = fcc.filt_range(g, s)
-            if rng is None:
-                continue
-            filts = fcc.layer(g, s).filts
-            for p in range(rng[0] - 1, rng[1] + 2):
-                assert fcc.fil_dim(g, s, p) == sum(1 for f in filts if f <= p), (g, s, p)
-                for q in range(p - 5, p + 2):
-                    assert fcc.restricted_rank(g, s, p, q) == oracle_restricted_rank(
-                        fcc, g, s, p, q
-                    ), (g, s, p, q)
+    _assert_rank_table(fcc)
+
+
+def test_layers_are_compact(fc, fcc):
+    # one signed byte of filtration and one 4-byte index per chain, and no
+    # per-filtration index lists
+    for c in (fc, fcc):
+        for g in range(8):
+            for s in range(g + 2):
+                lay = c.layer(g, s)
+                assert lay.filts.typecode == "b" and lay.row_order.typecode == "I"
+                assert all(isinstance(m, int) for m in lay.masks.values())
+                assert sorted(lay.row_order) == list(range(len(lay.filts)))
 
 
 def reference_pivots(fc, g, s, row_order, col_order):
@@ -196,8 +209,9 @@ def test_masked_pivots_match_reference(a1):
 
 @pytest.mark.parametrize("cone", [False, True])
 def test_clearing_keeps_every_pair(a1, cone):
-    # skipping the chains paired at (g, s - 1) pairs the same rows with the
-    # same columns as the elimination of every row
+    # skipping the chains paired at (g, s - 1), and the masks above each
+    # row's own filtration, pairs the same rows with the same columns as
+    # the elimination of every row against every mask
     small = build_filtered(a1, g_max=8, s_max=8)
     if cone:
         small = filtered_cone(small, small.complex.unique_class(1, 0))
@@ -206,11 +220,10 @@ def test_clearing_keeps_every_pair(a1, cone):
         for s in range(g + 1):
             src, tgt = small.layer(g, s), small.layer(g, s + 1)
             rows = partial(small.complex.boundary_bits, g, s)
-            masks = list(tgt.masks.values())
-            full = pair_rows(rows, src.row_order, (), masks)
+            full = pair_rows(rows, [(src.row_order, list(tgt.masks.values())[:-1])], ())
             cleared = small._cleared(g, s)
             skipped += len(cleared)
-            assert Counter(pair_rows(rows, src.row_order, cleared, masks)) == Counter(full), (g, s)
+            assert Counter(pair_rows(rows, small.runs(g, s), cleared)) == Counter(full), (g, s)
             assert Counter(small.pivots(g, s)) == Counter(
                 (src.filts[i], tgt.filts[c]) for i, c in full), (g, s)
     assert skipped
