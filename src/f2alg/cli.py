@@ -45,8 +45,9 @@ FAMILY_WINDOW = (43, 28)
 #   spot takes 0.7 s and 34 MB at (g, d) = (20, 20), 4.2 s and 132 MB at
 #   (24, 24); wbasis --g --d 0.55 s and 30 MB at (18, 18) and 1.4 s and
 #   57 MB at (20, 20) on all four generators;
-# - wbasis --quotient on all four generators takes 1.0 s at --gmax 14
-#   --dmax 12, 2.6 s at (14, 14), 5.0 s at (14, 16), 6.7 s at (20, 12);
+# - wbasis --quotient on all four generators takes 0.35 s at --gmax 14
+#   --dmax 12 and 0.55 s at (14, 14), start-up included; in process 0.25 s
+#   at (14, 14), 0.65 s at (14, 16) and 0.3 s at (20, 12);
 # - adem and nishida read at most dl.MAX_CLASS_FACTORS = 500 factors per
 #   monomial: s^500 takes 0.04 s, nishida --a 1000 on Q[1](s)^500 0.5 s;
 # - nishida is zero once --a passes the class's homological degree, found

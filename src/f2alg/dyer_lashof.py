@@ -33,6 +33,7 @@ Classes are written in one text syntax, ``Q[2,1](s) + s^2*q[1](s)``:
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import cache
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
@@ -311,20 +312,21 @@ def normal_factors(gen: Generator, g_max: int, d_max: int) -> list[Factor]:
 
 def box_bases(gens: list[Generator], g_max: int, d_max: int):
     """The normal towers on gens inside the box, sorted by ``factor_key``,
-    and every monomial inside the box, per bidegree in canonical order:
-    one walk extends a prefix only by a tower at or after its last factor
-    and lists each monomial when visited, which is in that order."""
+    and every monomial inside the box as the nondecreasing tuple of its
+    towers' indices, per bidegree in canonical order: one walk extends a
+    prefix only by a tower at or after its last factor and lists each
+    monomial when visited, which is in that order."""
     towers = sorted((f for x in gens for f in normal_factors(x, g_max, d_max)), key=factor_key)
     sizes = [factor_bidegree(f) for f in towers]
-    bases: dict[tuple[int, int], list[Monomial]] = {
+    bases: dict[tuple[int, int], list[tuple[int, ...]]] = {
         (g, d): [] for g in range(g_max + 1) for d in range(d_max + 1)}
 
-    def visit(start: int, m: Monomial, g: int, d: int):
+    def visit(start: int, m: tuple[int, ...], g: int, d: int):
         bases[(g, d)].append(m)
         for i in range(start, len(towers)):
             fg, fd = sizes[i]
             if g + fg <= g_max and d + fd <= d_max:
-                visit(i, m + (towers[i],), g + fg, d + fd)
+                visit(i, m + (i,), g + fg, d + fd)
 
     if bases:
         visit(0, (), 0, 0)
@@ -333,7 +335,8 @@ def box_bases(gens: list[Generator], g_max: int, d_max: int):
 
 def free_basis(gens: list[Generator], g: int, d: int) -> list[Monomial]:
     """All monomials of bidegree exactly (g, d), in canonical order."""
-    return box_bases(gens, g, d)[1].get((g, d), [])
+    towers, bases = box_bases(gens, g, d)
+    return [tuple(towers[i] for i in m) for m in bases.get((g, d), [])]
 
 
 # ---------------------------------------------------------------- ideal quotients
@@ -347,58 +350,66 @@ def ideal_quotient_dims(
     """dim of free/(ideal) per bidegree in the box.
 
     The ideal is the span of the relations closed under multiplication by
-    all monomials and all Q^s, discarding anything landing outside the box.
-    Closing under multiplication by the generators' normal towers spans
-    the same ideal: a monomial is a product of towers whose partial
-    products stay in the box, and Q^s is additive.  Every relation must
-    be a class on ``gens``; ValueError otherwise, before the box is
-    enumerated.
+    all monomials and all Q^s.  Products and Q^s never lower (g, d), so
+    what lands outside the box is dropped without loss.  Multiplying by
+    the generators' normal towers spans the same ideal: a monomial is a
+    product of towers whose partial products stay in the box.
+
+    Q^s is applied only to seeds, the relations and the residues of
+    Q-images, and only for s > d (Q^s is 0 below the degree d and squares
+    at it); residues of tower products are only multiplied by towers.  The
+    final span J, the tower-product closure of the seeds, is closed under
+    Q: for x = sum m_k t_k (m_k monomials, t_k seeds) the Cartan formula
+    and additivity give Q^s(x) = sum_k sum_i Q^i(m_k) Q^{s-i}(t_k), and
+    each Q^{s-i}(t_k) is 0, t_k^2 or a seed image, all in J.  Monomials
+    stay tuples of tower indices (``box_bases``); classes are symbolic
+    only where Q is applied.
+
+    Every relation must be a class on ``gens``; ValueError otherwise,
+    before the box is enumerated.
     """
     for p in relations:
         if any(gen not in gens for m in p for gen, _ in m):
             raise ValueError(f"relation {render(p)} is not a class on the given generators")
     towers, bases = box_bases(gens, g_max, d_max)
-    index = {bd: {m: i for i, m in enumerate(b)} for bd, b in bases.items()}
+    sizes = [factor_bidegree(f) for f in towers]
+    at = {f: i for i, f in enumerate(towers)}
+    # a monomial's position in the list of its bidegree
+    where = {m: i for b in bases.values() for i, m in enumerate(b)}
 
-    def to_vec(p: Poly, bd) -> int:
+    def to_vec(p: Poly) -> int:
         v = 0
         for m in p:
-            v |= 1 << index[bd][m]
+            v |= 1 << where[tuple(at[f] for f in m)]
         return v
 
-    def to_poly(v: int, bd) -> Poly:
-        return frozenset(bases[bd][i] for i in bits_of(v))
-
     ech: dict[tuple[int, int], Echelon] = {bd: Echelon() for bd in bases}
-    work: list[tuple[tuple[int, int], int]] = []
+    work: list[tuple[tuple[int, int], int, bool]] = []  # (bidegree, residue, seed)
 
-    def insert(bd, v):
-        if not v:
-            return
-        r, _ = ech[bd].add(v)
-        if r:
-            work.append((bd, r))
+    def insert(bd, v, seed):
+        if v:
+            r, _ = ech[bd].add(v)
+            if r:
+                work.append((bd, r, seed))
 
     for p in relations:
-        if not p:
-            continue
-        bd = poly_bidegree(p)
-        if bd in bases:
-            insert(bd, to_vec(p, bd))
+        if p and (bd := poly_bidegree(p)) in bases:
+            insert(bd, to_vec(p), True)
 
     while work:
-        (g, d), v = work.pop()
-        p = to_poly(v, (g, d))
-        for f in towers:
-            fg, fd = factor_bidegree(f)
-            if g + fg <= g_max and d + fd <= d_max:
-                prod = frozenset(mono_mul(m, (f,)) for m in p)
-                insert((g + fg, d + fd), to_vec(prod, (g + fg, d + fd)))
-        if 2 * g <= g_max:
-            for s in range(1, d_max - d + 1):
-                img = apply_q(s, p)
-                if img:
-                    insert((2 * g, d + s), to_vec(img, (2 * g, d + s)))
+        (g, d), v, seed = work.pop()
+        monos = [bases[(g, d)][i] for i in bits_of(v)]
+        for t, (tg, td) in enumerate(sizes):
+            if g + tg <= g_max and d + td <= d_max:
+                w = 0
+                for m in monos:
+                    j = bisect_right(m, t)
+                    w |= 1 << where[m[:j] + (t,) + m[j:]]
+                insert((g + tg, d + td), w, False)
+        if seed and 2 * g <= g_max:
+            p = frozenset(tuple(towers[i] for i in m) for m in monos)
+            for s in range(d + 1, d_max - d + 1):
+                insert((2 * g, d + s), to_vec(apply_q(s, p)), True)
 
     return {bd: len(bases[bd]) - ech[bd].rank for bd in sorted(bases)}
 

@@ -213,15 +213,18 @@ def _echelonize(rows: list[int]) -> list[int]:
                 pivots[low] = r
                 break
             r ^= hit
-    # back-substitute so each pivot bit appears in exactly one row
-    keys = sorted(pivots)
-    for idx in range(len(keys) - 1, 0, -1):
-        r = pivots[keys[idx]]
-        bit = 1 << (keys[idx] - 1)
-        for q in keys[:idx]:
-            if pivots[q] & bit:
-                pivots[q] ^= r
-    return [pivots[p] for p in keys]
+    # back-substitute, highest pivot first: a row's bits lie at or above
+    # its pivot, so the rows of higher pivots are already reduced and each
+    # XOR clears exactly one pivot bit of the row
+    keys = sorted(pivots, reverse=True)
+    above = 0  # the pivot bits of the rows reduced so far
+    for p in keys:
+        r = pivots[p]
+        for q in bits_of(r & above):
+            r ^= pivots[q + 1]
+        pivots[p] = r
+        above |= 1 << (p - 1)
+    return [pivots[p] for p in reversed(keys)]
 
 
 class Subspace:

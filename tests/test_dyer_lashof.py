@@ -6,6 +6,7 @@ independently of the package's pruned enumeration.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,10 +371,45 @@ def quotient_reference(gens, relations, g_max, d_max):
 @pytest.mark.parametrize("names,g_max,d_max", [("s,n1,n2", 8, 4), ("s,b", 9, 6)])
 def test_quotient_matches_closure_under_all_monomials(names, g_max, d_max):
     gens = [dl.ALPHABET[n] for n in names.split(",")]
-    rels = [P(r) for r in ("s*Q[1](s)", "s*Q[3](s)", "s^2*Q[2](s)", "s*n1", "s*n2")]
+    # the last relation is not a monomial
+    rels = [P(r) for r in ("s*Q[1](s)", "s*Q[3](s)", "s^2*Q[2](s)", "s*n1", "s*n2",
+                           "Q[2,1](s) + s*n1")]
     rels = [p for p in rels if all(gen in gens for m in p for gen, _ in m)]
     assert ideal_quotient_dims(gens, rels, g_max, d_max) == quotient_reference(
         gens, rels, g_max, d_max)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("names", ["s", "s,b", "s,n1", "s,n1,n2"])
+def test_quotient_of_random_sums_matches_closure(names, seed):
+    # Q is applied only to seeds; sums of monomials test that on ideals
+    # that are not monomial
+    gens = [dl.ALPHABET[n] for n in names.split(",")]
+    rng = random.Random(f"{names}/{seed}")
+    spots = [b for g in range(1, 9) for d in range(6) if len(b := free_basis(gens, g, d)) > 1]
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        basis = rng.choice(spots)
+        rels.append(poly(*rng.sample(basis, rng.randint(2, len(basis)))))
+    assert ideal_quotient_dims(gens, rels, 8, 5) == quotient_reference(gens, rels, 8, 5)
+
+
+def test_quotient_applies_q_to_residues_of_q_images():
+    # Q[4,2,1](s) at (8, 7) is Q^4 of Q[2,1](s), the image of the relation
+    # under Q^2, and no product: it dies only if Q-images are seeds too
+    rels = [P("Q[1](s)")]
+    assert ideal_quotient_dims([SIGMA], rels, 8, 7) == quotient_reference([SIGMA], rels, 8, 7)
+
+
+def test_quotient_applies_q_only_to_seeds(monkeypatch):
+    # s,n1,n2 at (14, 8) took 323 calls when every residue was a seed; the
+    # count depends on the order of the work list, so only a ceiling is pinned
+    calls = []
+    q = dl.apply_q
+    monkeypatch.setattr(dl, "apply_q", lambda s, p: calls.append(s) or q(s, p))
+    rels = [P(r) for r in ("s*Q[1](s)", "s*Q[3](s)", "s^2*Q[2](s)", "s*n1", "s*n2")]
+    ideal_quotient_dims([SIGMA, NU1, NU2], rels, 14, 8)
+    assert 0 < len(calls) < 100
 
 
 def test_quotient_free_when_no_relations():

@@ -15,7 +15,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from f2alg import f2linalg
 from f2alg.f2linalg import Echelon, F2Matrix, Subspace, bits_of
+from f2alg.grouphom import parse_group, resolve
 
 
 # ---------------------------------------------------------------- oracles
@@ -388,3 +390,43 @@ def test_add_reps_tags_are_coordinates(seed):
             if rng.getrandbits(1):
                 v ^= r
         assert e.reduce(v) == (0, combo)
+
+
+# ---------------------------------------------------------------- reduced echelon form
+
+def pairwise_rref(rows):
+    """The lowest-set-bit forward pass, then back-substitution from the
+    highest pivot down that tests every lower row against it."""
+    pivots: dict = {}
+    for r in rows:
+        low_insert(pivots, r, 0)
+    keys = sorted(pivots)
+    out = {k: pivots[k][0] for k in keys}
+    for i in range(len(keys) - 1, 0, -1):
+        for q in keys[:i]:
+            if out[q] & keys[i]:
+                out[q] ^= out[keys[i]]
+    return [out[k] for k in keys]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_echelonize_matches_pairwise_back_substitution(seed):
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 120), rng.randint(1, 120)
+    rows = random_rows(rng, n_rows, n_cols)
+    assert Subspace.span(n_cols, rows).basis == pairwise_rref(rows)
+
+
+def test_echelonize_matches_pairwise_back_substitution_on_resolution_kernels(monkeypatch):
+    spans = []
+    echelonize = f2linalg._echelonize
+
+    def recorded(rows):
+        spans.append((rows, echelonize(rows)))
+        return spans[-1][1]
+
+    monkeypatch.setattr(f2linalg, "_echelonize", recorded)
+    resolve(parse_group("UT(4,2)"), 4)
+    assert len(spans) == 3  # the kernels of degrees 1 to 3
+    for rows, basis in spans:
+        assert basis == pairwise_rref(rows)
