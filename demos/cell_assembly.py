@@ -1,7 +1,7 @@
 """Assemble the grading-5 stability Hopf algebra from its ordered cell
 presentation, show the per-cell log and the rule-reading flags, and
-confirm the result agrees with the direct construction, including the
-dual algebra relations.
+confirm the result agrees with the direct construction, satisfies the
+Hopf axioms at every basis element, and has the dual algebra relations.
 
 Run:  python3 demos/cell_assembly.py
 """
@@ -21,6 +21,10 @@ for line in pres.flags:
 
 ref = build_delta_cgl()
 print("\nagrees with the direct construction:", pres.hopf.same_tables(ref))
+# construction checks the axioms at the generators only; this checks them
+# at every basis element, and raises AssertionError if one fails
+pres.hopf.assert_axioms()
+print("Hopf axioms at every basis element: ok")
 print("generators:", pres.generators)
 for g in range(1, 6):
     print(f"  grading {g}: {pres.hopf.basis[g]}")

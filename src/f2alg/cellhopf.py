@@ -172,8 +172,8 @@ class DeltaPresentation(NamedTuple):
 
 def delta_of_cells(spec: CellSpec, bound: int) -> DeltaPresentation:
     """Process the cells in order and assemble the resulting polynomial
-    Hopf algebra up to the grading bound (Hopf axioms asserted); only the
-    generators within the bound are listed."""
+    Hopf algebra up to the grading bound (Hopf axioms checked, at its
+    generators); only the generators within the bound are listed."""
     gens: list[tuple[str, int]] = []
     # reduced coproducts as lists of (left, right) exponent dicts by name
     reduced: dict[str, list] = {}

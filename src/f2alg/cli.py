@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import cellfilt, cellhopf, dyer_lashof as dl, grouphom, mayss
 from .dyer_lashof import ALPHABET, eval_expr
@@ -58,11 +59,12 @@ FAMILY_WINDOW = (43, 28)
 #   splits at --a 25, 0.005 s for 1326 at 50, 0.007 s for 1953 at 61 (0.006 s
 #   on Q[1000](s)^3), 0.017 s for 5151 at 100 and 0.25 s for 80601 at 400,
 #   and Q[1000](s)*Q[1001](s) 0.05 s for its 1001 splits at --a 1000; one
-#   deep tower has a single split, yet Q[64,32,16,8,4,2,1](s) takes 22 s at
-#   --a 30;
+#   deep tower has a single split, yet Q[64,32,16,8,4,2,1](s) takes 3.4-4.3 s
+#   at --a 30;
 # - families --no-verify takes 0.2 s and 23 MB at --max-i 1000, 1.0 s and
 #   91 MB at 10^4, 84 s and 7.6 GB at 10^6;
-# - delta on cgl.cells takes 1.7 s at bound 20, 9.5 s at 26;
+# - delta on cgl.cells takes 0.07 s and 22 MB at bound 20, 0.13-0.22 s at 26
+#   and 1.2-1.8 s and 86 MB at 40, in process, where it writes 3 MB of JSON;
 # - grouphom resolves only a Sylow 2-subgroup and its intersections with
 #   its conjugates (``grouphom.sylow_homology_dims``): --dmax 6 takes 0.22 s
 #   and 17 MB on GL(3,2), 0.5 s and 20 MB on S6 (order 720), most of it
@@ -80,7 +82,7 @@ MAX_QUOTIENT_GD = 14
 MAX_NISHIDA_A = 1000
 MAX_NISHIDA_SPLITS = 2000
 MAX_FAMILY_I = 1000
-MAX_DELTA_BOUND = 20
+MAX_DELTA_BOUND = 40
 
 
 # ---------------------------------------------------------------- output plumbing
@@ -337,87 +339,89 @@ def _window(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, command, arguments as (flag, add_argument keywords), the
+# formats it writes, the first being the default), in usage order
+SUBCOMMANDS = {
+    "cotor": ("Cotor chart of a named Hopf algebra", cmd_cotor, [
+        ("--algebra", dict(default="a1")),
+        ("--gmax", dict(type=_window, default=17)),
+        ("--dmax", dict(type=_window, default=10))], ("tsv", "json")),
+    "cone": ("chart and module actions of the h10 cone", cmd_cone, [
+        ("--gmax", dict(type=_window, default=8)),
+        ("--dmax", dict(type=_window, default=6))], ("tsv", "json")),
+    "may": ("filtration spectral sequence page dims", cmd_may, [
+        ("--page", dict(type=int, default=1)),
+        ("--gmax", dict(type=_window, default=14)),
+        ("--dmax", dict(type=_window, default=10)),
+        ("--cone", dict(action="store_true"))], ("tsv", "json")),
+    "adem": ("normalize a class expression", cmd_adem, [
+        ("expr", {})], ("tsv",)),
+    "nishida": ("dual Steenrod action Sq^a_*", cmd_nishida, [
+        ("--a", dict(type=int, required=True)),
+        ("expr", {})], ("tsv",)),
+    "wbasis": ("free or quotient basis dims", cmd_wbasis, [
+        ("--gens", dict(default="s")),
+        ("--g", dict(type=_window, default=0)),
+        ("--d", dict(type=_window, default=0)),
+        ("--quotient", dict(action="store_true")),
+        ("--gmax", dict(type=_window, default=6)),
+        ("--dmax", dict(type=_window, default=3))], ("tsv", "json")),
+    "cellss": ("cell chart survivor report", cmd_cellss, [
+        ("--spots", dict(default="12,8,-4;13,8,-5")),
+        ("--decls", dict(default=None))], ("tsv", "json")),
+    "delta": ("stability Hopf algebra from a cell spec", cmd_delta, [
+        ("--cells", dict(default="cgl.cells")),
+        ("--bound", dict(type=_window, default=5))], ("json",)),
+    "grouphom": ("group homology dims", cmd_grouphom, [
+        ("group", {}),
+        ("--dmax", dict(type=_window, default=4))], ("tsv", "json")),
+    "families": ("periodic family bidegree table", cmd_families, [
+        ("--max-i", dict(type=_window, default=1)),
+        ("--no-verify", dict(action="store_true"))], ("tsv", "json")),
+}
+
+
+def build_parser(cmd=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of cmd alone, with the same
+    usage line."""
     ap = argparse.ArgumentParser(prog="f2alg", fromfile_prefix_chars="@",
                                  description=__doc__)
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(p, formats=("tsv", "json")):
-        # only the formats the subcommand produces; the first is the default
+    sub = ap.add_subparsers(dest="cmd", required=True,
+                            metavar=cmd and "{" + ",".join(SUBCOMMANDS) + "}")
+    for name in SUBCOMMANDS if cmd is None else [cmd]:
+        help_, fn, arguments, formats = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", default=None)
-
-    p = sub.add_parser("cotor", help="Cotor chart of a named Hopf algebra")
-    p.add_argument("--algebra", default="a1")
-    p.add_argument("--gmax", type=_window, default=17)
-    p.add_argument("--dmax", type=_window, default=10)
-    common(p)
-    p.set_defaults(fn=cmd_cotor)
-
-    p = sub.add_parser("cone", help="chart and module actions of the h10 cone")
-    p.add_argument("--gmax", type=_window, default=8)
-    p.add_argument("--dmax", type=_window, default=6)
-    common(p)
-    p.set_defaults(fn=cmd_cone)
-
-    p = sub.add_parser("may", help="filtration spectral sequence page dims")
-    p.add_argument("--page", type=int, default=1)
-    p.add_argument("--gmax", type=_window, default=14)
-    p.add_argument("--dmax", type=_window, default=10)
-    p.add_argument("--cone", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_may)
-
-    p = sub.add_parser("adem", help="normalize a class expression")
-    p.add_argument("expr")
-    common(p, ("tsv",))
-    p.set_defaults(fn=cmd_adem)
-
-    p = sub.add_parser("nishida", help="dual Steenrod action Sq^a_*")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("expr")
-    common(p, ("tsv",))
-    p.set_defaults(fn=cmd_nishida)
-
-    p = sub.add_parser("wbasis", help="free or quotient basis dims")
-    p.add_argument("--gens", default="s")
-    p.add_argument("--g", type=_window, default=0)
-    p.add_argument("--d", type=_window, default=0)
-    p.add_argument("--quotient", action="store_true")
-    p.add_argument("--gmax", type=_window, default=6)
-    p.add_argument("--dmax", type=_window, default=3)
-    common(p)
-    p.set_defaults(fn=cmd_wbasis)
-
-    p = sub.add_parser("cellss", help="cell chart survivor report")
-    p.add_argument("--spots", default="12,8,-4;13,8,-5")
-    p.add_argument("--decls", default=None)
-    common(p)
-    p.set_defaults(fn=cmd_cellss)
-
-    p = sub.add_parser("delta", help="stability Hopf algebra from a cell spec")
-    p.add_argument("--cells", default="cgl.cells")
-    p.add_argument("--bound", type=_window, default=5)
-    common(p, ("json",))
-    p.set_defaults(fn=cmd_delta)
-
-    p = sub.add_parser("grouphom", help="group homology dims")
-    p.add_argument("group")
-    p.add_argument("--dmax", type=_window, default=4)
-    common(p)
-    p.set_defaults(fn=cmd_grouphom)
-
-    p = sub.add_parser("families", help="periodic family bidegree table")
-    p.add_argument("--max-i", type=_window, default=1)
-    p.add_argument("--no-verify", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_families)
-
+        p.set_defaults(fn=fn)
     return ap
 
 
+def _first_arg(argv) -> Optional[str]:
+    """The first argument after @file expansion, read as argparse reads
+    an @file (one argument per line, nested @files expanded); None when
+    there is none or a file cannot be read."""
+    for arg in argv:
+        if not arg.startswith("@"):
+            return arg
+        try:
+            first = _first_arg(Path(arg[1:]).read_text().splitlines())
+        except (OSError, ValueError):
+            return None
+        if first is not None:
+            return first
+    return None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the named subcommand's parser is built; with none named, the
+    # full parser gives the help, usage and error text
+    cmd = _first_arg(argv)
+    ap = build_parser(cmd if cmd in SUBCOMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -33,9 +33,9 @@ tags over the representatives, and the representatives are the
 reduced-echelon kernel basis vectors (``_echelonize``) independent
 modulo boundaries and the earlier ones.  A streamed rank pairs rows
 with columns (``pair_rows``), as does the image echelon, and both keep
-the paired columns, so that the rank one degree up skips those chains:
-d(e_c) of a paired column c is a sum of earlier rows (clearing, as in
-``mayss``).
+the paired columns, so that the rank and the image echelon one degree
+up skip those chains: d(e_c) of a paired column c is a sum of earlier
+rows (clearing, as in ``mayss``).
 """
 
 from __future__ import annotations
@@ -174,14 +174,22 @@ class BigradedComplex:
         """Echelon of the boundaries landing in (g, s), i.e. d of (g, s-1).
         Its rows join in order with top-bit pivots, as in ``pair_rows``,
         so it keeps the rank and, as its pivot columns, the columns
-        paired at (g, s - 1), with which rank_d(g, s) clears."""
+        paired at (g, s - 1), with which rank_d(g, s) clears.  It skips
+        the chains paired at (g, s - 2) (from ``rank_d``), whose rows
+        reduce to zero and leave the pivots as they are (clearing)."""
         key = (g, s)
         if key not in self._imech_cache:
             ech = Echelon()
             if s >= 1 and self._dim(g, s - 1):
                 self.check_window(g, s - 1)
-                for v in map(self.row_fn(g, s - 1), range(self._dim(g, s - 1))):
-                    ech.add(v, 0)
+                cleared = ()
+                if s >= 2:
+                    self.rank_d(g, s - 2)  # pairs (g, s - 2) unless its rank is known
+                    cleared = set(self._paired_cache.get((g, s - 2), ()))
+                row = self.row_fn(g, s - 1)
+                for i in range(self._dim(g, s - 1)):
+                    if i not in cleared:
+                        ech.add(row(i), 0)
             self._imech_cache[key] = ech
             self._rank_cache.setdefault((g, s - 1), ech.rank)
             self._paired_cache.setdefault((g, s - 1), array("I", [k - 1 for k in ech.pivots]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from typing import Optional
 
 from .f2linalg import bits_of
@@ -259,21 +260,59 @@ class HopfAlgebra:
 
 
 class PolyHopf(HopfAlgebra):
-    """Truncated polynomial Hopf algebra built from generator data, its
-    axioms asserted on construction.
+    """Truncated polynomial Hopf algebra P = F2[x_1, ..., x_n]/(x_k^b_k)
+    through grading N = max_grading, built from generator data.
 
     Remembers the monomial structure so coalgebra maps can be extended
     multiplicatively from generator images.
+
+    The basis is the monomials of grading <= N whose exponents stay below
+    their power bounds b_k (None for no bound).  The product adds
+    exponents and is 0 once one reaches its bound: P's product cut to
+    gradings <= N, so associative, commutative and unital.  The coproduct
+    D of a monomial is the product in P (x) P of its generators' given
+    coproducts, one factor per unit of exponent.  The counit e, the
+    projection onto grading 0, is an algebra map, P being connected.
+
+    Construction checks, by ``_check_generators``, only each generator x
+    with a basis element (grading g <= N and bound b >= 2):
+      (1) counit: (e (x) 1) D(x) = x = (1 (x) e) D(x);
+      (2) coassociativity: (D (x) 1) D(x) = (1 (x) D) D(x);
+      (3) D(x)^b = 0 in P (x) P, when b g <= N.
+    These imply every axiom ``assert_axioms`` tests, all in gradings <= N:
+      - compatibility, D(m m') = D(m) D(m') for basis monomials with
+        |m| + |m'| <= N: if m m' is nonzero in P, D is built so (P (x) P
+        is commutative); otherwise some e_k + e'_k reaches b_k, and
+        D(m) D(m') has the factor D(x_k)^b_k, with b_k |x_k| <= N, that
+        (3) makes 0.  So D, and with it D (x) 1 and 1 (x) D on P (x) P,
+        is multiplicative through grading N;
+      - counit and coassociativity: (e (x) 1) D, (1 (x) e) D and the
+        identity, and (D (x) 1) D and (1 (x) D) D, are then multiplicative
+        through grading N.  Each basis monomial other than 1 is a
+        generator times a basis monomial of lower grading, so by
+        induction on grading, maps that (1) and (2) make agree on the
+        generators agree on the whole basis.
+    Conversely each check is one ``assert_axioms`` makes: (1) and (2) at
+    x, and (3) is compatibility at (x, x^(b-1)), whose product is 0.  So
+    a presentation is refused here exactly when ``assert_axioms``, which
+    stays the oracle, refuses its tables.  Like it, nothing is checked
+    past grading N: a relation with b g > N lies in the unknown gradings
+    of a truncated algebra, and a complete algebra's products past N are
+    0 as declared.
     """
 
     def __init__(self, gens, gen_coproducts, max_grading, truncated):
         """gens: list of (name, grading, power_bound or None).
         gen_coproducts: per generator, list of (exps_left, exps_right) pairs
-        (exponent tuples over the generators), the full coproduct.
+        (exponent tuples over the generators), the full coproduct; a pair
+        whose gradings do not add up to the generator's is a ValueError.
         """
         self.gens = list(gens)
-        self._bounds = [b for (_, _, b) in gens]
+        self._bounded = [(k, b) for k, (_, _, b) in enumerate(gens) if b is not None]
         self._gradings = [g for (_, g, _) in gens]
+        for (name, g, _), cop in zip(self.gens, gen_coproducts):
+            if any(self._mon_grading(l) + self._mon_grading(r) != g for l, r in cop):
+                raise ValueError(f"coproduct of {name} is not of grading {g}")
         mons = self._enumerate_monomials(max_grading)
         # canonical order: lexicographic on label within each grading
         self.monomials: list[list[tuple[int, ...]]] = []
@@ -282,9 +321,9 @@ class PolyHopf(HopfAlgebra):
             layer = sorted(mons[g], key=self._label)
             self.monomials.append(layer)
             basis.append([self._label(m) for m in layer])
-        self._index = {
-            (g, m): i for g in range(max_grading + 1) for i, m in enumerate(self.monomials[g])
-        }
+        # monomial -> (grading, index)
+        self._index = {m: (g, i) for g, layer in enumerate(self.monomials)
+                       for i, m in enumerate(layer)}
         mult = {}
         for g1, g2 in itertools.product(range(max_grading + 1), repeat=2):
             if g1 + g2 > max_grading:
@@ -293,13 +332,56 @@ class PolyHopf(HopfAlgebra):
                 for j, m2 in enumerate(self.monomials[g2]):
                     p = self._mon_mul(m1, m2)
                     if p is not None:
-                        mult[(g1, i, g2, j)] = 1 << self._index[(g1 + g2, p)]
+                        mult[(g1, i, g2, j)] = 1 << self._index[p][1]
+        # D(m) as a set of exponent pairs, the product of D(m / x_k) and
+        # D(x_k) for the last generator x_k of m
+        zero = (0,) * len(self.gens)
+        gen_cops = [self._tensor_mul({(zero, zero)}, cop) for cop in gen_coproducts]
+        cops: dict[tuple[int, ...], set] = {zero: {(zero, zero)}}
         comult = {}
-        for g in range(max_grading + 1):
-            for i, m in enumerate(self.monomials[g]):
-                comult[(g, i)] = self._mon_coproduct(m, gen_coproducts)
+        for g, layer in enumerate(self.monomials):
+            for i, m in enumerate(layer):
+                if m != zero:
+                    k = max(j for j, e in enumerate(m) if e)
+                    cops[m] = self._tensor_mul(cops[m[:k] + (m[k] - 1,) + m[k + 1:]],
+                                               gen_cops[k])
+                comult[(g, i)] = tuple(sorted((self._index[l], self._index[r])
+                                              for l, r in cops[m]))
         super().__init__(basis, mult, comult, truncation=max_grading if truncated else None)
-        self.assert_axioms()
+        self._check_generators(cops)
+
+    def _check_generators(self, cops) -> None:
+        """Checks (1)-(3) of the class docstring on D, given per basis
+        monomial as a set of exponent pairs; raises AssertionError, as
+        ``assert_axioms`` does, naming the axiom and the basis elements
+        it fails at."""
+
+        def fail(name: str, witness: tuple) -> None:
+            raise AssertionError(f"Hopf axiom {name} fails at {witness}")
+
+        n = len(self.gens)
+        # the generators in the basis, as (exponents, grading, bound); one
+        # past grading N or of bound 1 has no basis element
+        gens = [(x, g, b) for k, (_, g, b) in enumerate(self.gens)
+                if (x := tuple(int(j == k) for j in range(n))) in cops]
+        for x, _, _ in gens:
+            if ({r for l, r in cops[x] if not any(l)} != {x}
+                    or {l for l, r in cops[x] if not any(r)} != {x}):
+                fail("unit/counit", self._index[x])
+        for x, _, _ in gens:
+            lhs, rhs = set(), set()
+            for l, r in cops[x]:
+                for l1, l2 in cops[l]:
+                    lhs ^= {(l1, l2, r)}
+                for r1, r2 in cops[r]:
+                    rhs ^= {(l, r1, r2)}
+            if lhs != rhs:
+                fail("coassociativity", self._index[x])
+        for x, g, b in gens:
+            if b is not None and b * g <= self.known_bound:
+                power = tuple((b - 1) * e for e in x)
+                if self._tensor_mul(cops[power], cops[x]):
+                    fail("compatibility", (self._index[x], self._index[power]))
 
     # -- monomial helpers
 
@@ -315,13 +397,23 @@ class PolyHopf(HopfAlgebra):
         return "*".join(parts)
 
     def _mon_grading(self, m) -> int:
-        return sum(e * g for e, g in zip(m, self._gradings))
+        return sum(map(operator.mul, m, self._gradings))
 
     def _mon_mul(self, m1, m2) -> Optional[tuple[int, ...]]:
-        out = tuple(a + b for a, b in zip(m1, m2))
-        for e, b in zip(out, self._bounds):
-            if b is not None and e >= b:
+        out = tuple(map(operator.add, m1, m2))
+        for k, b in self._bounded:
+            if out[k] >= b:
                 return None
+        return out
+
+    def _tensor_mul(self, pairs1, pairs2) -> set:
+        """Product in P (x) P of two sums of exponent pairs."""
+        out: set = set()
+        for l1, r1 in pairs1:
+            for l2, r2 in pairs2:
+                l, r = self._mon_mul(l1, l2), self._mon_mul(r1, r2)
+                if l is not None and r is not None:
+                    out ^= {(l, r)}
         return out
 
     def _enumerate_monomials(self, max_grading):
@@ -340,31 +432,10 @@ class PolyHopf(HopfAlgebra):
         rec(0, [], 0)
         return mons
 
-    def _mon_coproduct(self, m, gen_coproducts) -> tuple[Pair, ...]:
-        zero = tuple(0 for _ in self.gens)
-        acc: set[tuple[tuple[int, ...], tuple[int, ...]]] = {(zero, zero)}
-        for gi, e in enumerate(m):
-            for _ in range(e):
-                nxt: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-                for (l, r) in acc:
-                    for dl, dr in gen_coproducts[gi]:
-                        nl = self._mon_mul(l, dl)
-                        nr = self._mon_mul(r, dr)
-                        if nl is None or nr is None:
-                            continue
-                        nxt ^= {(nl, nr)}
-                acc = nxt
-        out = []
-        for (l, r) in acc:
-            gl, gr = self._mon_grading(l), self._mon_grading(r)
-            out.append(((gl, self._index[(gl, l)]), (gr, self._index[(gr, r)])))
-        return tuple(sorted(out))
-
     def gen_element(self, name: str) -> tuple[int, int]:
-        for idx, (n, g, _) in enumerate(self.gens):
+        for idx, (n, _, _) in enumerate(self.gens):
             if n == name:
-                m = tuple(1 if k == idx else 0 for k in range(len(self.gens)))
-                return g, self._index[(g, m)]
+                return self._index[tuple(int(k == idx) for k in range(len(self.gens)))]
         raise KeyError(name)
 
 

@@ -168,6 +168,17 @@ def test_second_quotient_by_removed_generator_rejected():
         delta_of_cells(parse_cells(text), 4)
 
 
+@pytest.mark.parametrize("bound", [2, 5])
+def test_bracket_terms_of_another_grading_rejected(bound):
+    # s*t + t*s cancels in the attaching class, but its bars sb|tb + tb|sb,
+    # of grading 2, would join the coproduct of k, of grading 3 (they are
+    # coassociative, so no axiom fails on them)
+    text = ("gen s (1,0)\ngen t (1,0)\n"
+            "rel k (3,1) attach=s*q[1](s) q=s:q[1](s)+s:t+t:s\n")
+    with pytest.raises(ValueError, match="coproduct of k is not of grading 3"):
+        delta_of_cells(parse_cells(text), bound)
+
+
 def test_off_hypothesis_pair_with_nonzero_bars_rejected():
     al = {"s": SIGMA}
     a, b = parse("q[2](s)", al), parse("q[1](s)", al)

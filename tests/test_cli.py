@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from f2alg import cellfilt, grouphom
-from f2alg.cli import eval_expr, main
+from f2alg.cli import SUBCOMMANDS, _first_arg, build_parser, eval_expr, main
 from f2alg.dyer_lashof import ZERO, free_basis, render
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,6 +158,51 @@ def test_exit_unproduced_format(argv, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+# the fewest arguments each subcommand parses with
+REQUIRED = {"adem": ["s"], "nishida": ["--a", "1", "s"], "grouphom": ["GL(2,2)"]}
+
+
+@pytest.mark.parametrize("argv", [[f"@repro/{p.name}"] for p in sorted(REPRO.glob("*.args"))]
+                         + [[name, *REQUIRED.get(name, [])] for name in SUBCOMMANDS],
+                         ids=" ".join)
+def test_lean_parser_matches_full_parser(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the argument files are repo-relative
+    cmd = _first_arg(argv)
+    assert cmd in SUBCOMMANDS
+    assert build_parser(cmd).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cotor", "--bogus"], ["cotor", "cone"], ["cotor", "--gmax", "-1"], ["adem"],
+    ["nishida", "-h"], ["delta", "--format", "tsv"], ["grouphom", "-h", "x"],
+])
+def test_lean_parser_prints_what_the_full_parser_prints(argv):
+    def parse(ap):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as e:
+            ap.parse_args(argv)
+        return e.value.code, out.getvalue(), err.getvalue()
+
+    assert parse(build_parser(argv[0])) == parse(build_parser())
+
+
+def test_lean_parser_knows_only_its_subcommand():
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+        build_parser("cotor").parse_args(["cone"])
+    assert build_parser("cone").parse_args(["cone"]).cmd == "cone"
+
+
+def test_first_arg_reads_nested_files(tmp_path):
+    (tmp_path / "empty").write_text("")
+    (tmp_path / "inner").write_text("cone\n--gmax\n3\n")
+    (tmp_path / "outer").write_text(f"@{tmp_path / 'empty'}\n@{tmp_path / 'inner'}\n")
+    assert _first_arg([f"@{tmp_path / 'outer'}", "--dmax", "2"]) == "cone"
+    assert _first_arg([f"@{tmp_path / 'empty'}", "cotor"]) == "cotor"
+    assert _first_arg([f"@{tmp_path / 'missing'}", "cotor"]) is None
+    assert _first_arg([]) is None
+    assert main([f"@{tmp_path / 'outer'}", "--dmax", "2"]) == 0
+
+
 def test_may_json_columns_match_tsv():
     argv = ["may", "--page", "2", "--gmax", "3", "--dmax", "2"]
     code1, tsv = run(argv)
@@ -296,7 +341,8 @@ def test_exit_budget_exceeded():
     assert run(["cotor", "--gmax", "40"])[0] == 3
     assert run(["cotor", "--algebra", "cgl", "--gmax", "6"])[0] == 3  # its truncation is 5
     for argv in (["cellss", "--spots", "99,60,0"], ["cellss", "--spots", "12,8,-4;60,40,0"],
-                 ["cellss", "--spots", "12,21,0"], ["delta", "--bound", "45"],
+                 ["cellss", "--spots", "12,21,0"], ["delta", "--bound", "41"],
+                 ["delta", "--bound", "45"],
                  ["may", "--gmax", "19"], ["wbasis", "--gens", "s,b", "--g", "20", "--d", "20"],
                  ["wbasis", "--gens", "s,b", "--g", "30", "--d", "30"],
                  ["wbasis", "--gens", "s,b", "--g", "1", "--d", "19"],
@@ -318,6 +364,7 @@ def test_exit_budget_exceeded():
     ["nishida", "--a", "12", "n1^8"],
     ["nishida", "--a", "20", "n1^10"],
     ["families", "--max-i", "1000", "--no-verify"],
+    ["delta", "--bound", "40"],
     # a monomial of the class syntax has at most 500 factors
     ["adem", "s^500"],
     ["nishida", "--a", "1000", "Q[1](s)^500"],

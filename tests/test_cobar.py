@@ -20,7 +20,7 @@ from f2alg.cobar import (
     WindowError,
     build_cobar,
 )
-from f2alg.f2linalg import pair_rows
+from f2alg.f2linalg import Echelon, pair_rows
 from f2alg.grouphom import TensoredComplex, builtin_group, resolve, tensored_boundary
 from f2alg.minres import ring_chart_names
 from f2alg.hopf import HopfAlgebra, build_a1_star, build_cgl_to_a1_map, build_delta_cgl
@@ -287,6 +287,35 @@ def test_image_echelon_clears_cone(a1):
 def test_image_echelon_clears_tensored():
     res = resolve(builtin_group("S3"), 4)
     _assert_image_echelon_keeps_pairs(lambda: TensoredComplex(res))
+
+
+def _assert_image_echelon_matches_uncleared(make):
+    """The pivots of image_echelon(g, s), which skips the chains paired at
+    (g, s - 2), equal those of an echelon of every row of d(g, s - 1),
+    with s taken ascending on one complex (the pairs come from the image
+    echelon one degree down) and descending on another (from rank_d)."""
+    skipped = 0
+    for order in (lambda g: range(1, g + 2), lambda g: range(g + 1, 0, -1)):
+        cx = make()
+        for g in range(cx.g_max + 1):
+            for s in order(g):
+                ref = Echelon()
+                for v in map(cx.row_fn(g, s - 1), range(cx._dim(g, s - 1))):
+                    ref.add(v, 0)
+                assert cx.image_echelon(g, s).pivots == ref.pivots, (g, s)
+                skipped += len(cx._paired_cache.get((g, s - 2), ()))
+    assert skipped
+
+
+def test_image_echelon_matches_uncleared_cobar(a1):
+    _assert_image_echelon_matches_uncleared(lambda: build_cobar(a1, g_max=12))
+
+
+def test_image_echelon_matches_uncleared_cone(a1):
+    def make():
+        base = build_cobar(a1, g_max=12)
+        return ConeComplex(base, base.unique_class(1, 0))
+    _assert_image_echelon_matches_uncleared(make)
 
 
 def test_rank_d_uncleared_after_homology(a1):

@@ -5,13 +5,18 @@ dual Steenrod algebra F2[x1,x2]/(x1^4,x2^2) and of the grading-5 stability
 Hopf algebra on sb, delta, rho, checked against hand computation.
 """
 
+import itertools
+import random
 import re
+from unittest import mock
 
 import pytest
 
+from f2alg import cellhopf, hopf
 from f2alg.hopf import (
     CoalgebraMap,
     HopfAlgebra,
+    PolyHopf,
     WindowError,
     build_a1_star,
     build_cgl_to_a1_map,
@@ -116,9 +121,112 @@ def test_changed_table_entry_names_its_axiom(axiom, table, key, toggle):
 
 
 def test_axiom_checks_survive_optimize_flag(run_optimized):
-    """The tests above, run again in a python -O subprocess."""
+    """The tests above and the generator check's, but for the draws at
+    bound 20, run again in a python -O subprocess."""
     run_optimized("import test_hopf; [test_hopf.test_changed_table_entry_names_its_axiom(*c) "
-                  "for c in test_hopf.CORRUPTIONS]; test_hopf.test_map_fails_multiplicativity()")
+                  "for c in test_hopf.CORRUPTIONS]; test_hopf.test_map_fails_multiplicativity(); "
+                  "[test_hopf.test_generator_check_refuses_as_the_full_check(*d) "
+                  "for d in test_hopf.DRAWS if d[0] != 'delta20']")
+
+
+# ---------------------------------------------------------------- generator check
+
+BUILDS = {
+    "a1": build_a1_star,
+    "cgl": build_delta_cgl,
+    "delta5": lambda: cellhopf.delta_of_cells(cellhopf.load_cells("cgl.cells"), 5),
+    "delta20": lambda: cellhopf.delta_of_cells(cellhopf.load_cells("cgl.cells"), 20),
+}
+
+# (build, seed, mutations): a seeded draw of changed presentations; the
+# full check takes about a second on each algebra at bound 20
+DRAWS = [(name, 2600, 120) for name in ("a1", "cgl", "delta5")] + [("delta20", 2600, 6)]
+
+
+def presentation(name):
+    """The (gens, gen_coproducts, max_grading, truncated) that a build
+    passes to PolyHopf."""
+    seen = []
+
+    class Capture(PolyHopf):
+        def __init__(self, *args, **kwargs):
+            seen.append(tuple(args) + tuple(kwargs.values()))
+            super().__init__(*args, **kwargs)
+
+    with mock.patch.object(hopf, "PolyHopf", Capture), \
+            mock.patch.object(cellhopf, "PolyHopf", Capture):
+        BUILDS[name]()
+    return seen[0]
+
+
+class Deferred(PolyHopf):
+    """The tables of a presentation, its generator check kept as check()."""
+
+    def _check_generators(self, cops):
+        self.check = lambda: PolyHopf._check_generators(self, cops)
+
+
+def refusal(check):
+    """The axiom a check names when it refuses, or None."""
+    try:
+        check()
+    except AssertionError as e:
+        m = re.match(r"Hopf axiom (unit/counit|associativity|coassociativity|compatibility) "
+                     r"fails at \(", str(e))
+        if not m:
+            pytest.fail(f"refused without naming an axiom: {e}")
+        return m.group(1)
+    return None
+
+
+def mutate(pres, rng):
+    """One or two changes: a generator's power bound redrawn, or one
+    term (left, right) of its coproduct, of its grading, toggled."""
+    gens, cops, max_grading, truncated = pres
+    gens, cops = list(gens), [list(c) for c in cops]
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(len(gens))
+        name, g, bound = gens[k]
+        if rng.random() < 0.3:
+            gens[k] = (name, g, rng.choice([None, 2, 3, 4, 5]))
+            continue
+        grading = lambda m: sum(e * h for e, (_, h, _) in zip(m, gens))
+        mons = [m for m in itertools.product(*(range(g // h + 1) for _, h, _ in gens))
+                if grading(m) <= g]
+        terms = [(l, r) for l in mons for r in mons if grading(l) + grading(r) == g]
+        # mostly a term with two nonzero sides, else counit fails first
+        inner = [(l, r) for l, r in terms if any(l) and any(r)]
+        cops[k] = sorted(set(cops[k]) ^ {rng.choice(inner if inner and rng.random() < 0.8
+                                                    else terms)})
+    return gens, cops, max_grading, truncated
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_full_check_passes_on_built_algebras(name):
+    built = BUILDS[name]()
+    getattr(built, "hopf", built).assert_axioms()
+
+
+@pytest.mark.parametrize("name, seed, draws", DRAWS)
+def test_generator_check_refuses_as_the_full_check(name, seed, draws):
+    """Changed presentations: PolyHopf refuses one, naming an axiom,
+    exactly when assert_axioms refuses its tables.  No assert statement
+    here, so that python -O runs every comparison."""
+    rng = random.Random(seed)
+    pres = presentation(name)
+    named = set()
+    for _ in range(draws):
+        gens, cops, max_grading, truncated = mutate(pres, rng)
+        h = Deferred(gens, cops, max_grading, truncated)
+        full, fast = refusal(h.assert_axioms), refusal(h.check)
+        if (full is None) != (fast is None):
+            pytest.fail(f"full check {full}, generator check {fast}: {gens} {cops}")
+        if fast is not None:
+            with pytest.raises(AssertionError, match=f"^Hopf axiom {re.escape(fast)} fails at "):
+                PolyHopf(gens, cops, max_grading, truncated)
+        named.add(fast)
+    if None not in named or len(named) == 1:
+        pytest.fail(f"the draw should both keep and refuse presentations: {named}")
 
 
 # ---------------------------------------------------------------- stability Hopf algebra
