@@ -53,10 +53,6 @@ class Cell(NamedTuple):
     q: tuple  # of (Poly, Poly) pairs
 
 
-class CellSpec(NamedTuple):
-    cells: tuple
-
-
 # ---------------------------------------------------------------- spec files
 
 _GEN = re.compile(r"^gen\s+(\w+)\s+\((\d+),(\d+)\)$")
@@ -82,7 +78,7 @@ def _parse_q(text: str, alphabet) -> tuple:
     )
 
 
-def parse_cells(text: str) -> CellSpec:
+def parse_cells(text: str) -> tuple[Cell, ...]:
     cells = []
     alphabet: dict[str, Generator] = {}
     names = set()
@@ -107,10 +103,10 @@ def parse_cells(text: str) -> CellSpec:
             cells.append(Cell(name, g, d, "rel", attach, q))
         else:
             raise ValueError(f"bad cell line: {raw!r}")
-    return CellSpec(tuple(cells))
+    return tuple(cells)
 
 
-def load_cells(name: str) -> CellSpec:
+def load_cells(name: str) -> tuple[Cell, ...]:
     """A spec packaged in ``f2alg.data``, by file name."""
     data = resources.files("f2alg.data")
     known = sorted(p.name for p in data.iterdir() if p.name.endswith(".cells"))
@@ -170,14 +166,14 @@ class DeltaPresentation(NamedTuple):
     log: tuple
 
 
-def delta_of_cells(spec: CellSpec, bound: int) -> DeltaPresentation:
+def delta_of_cells(cells: tuple[Cell, ...], bound: int) -> DeltaPresentation:
     """Process the cells in order and assemble the resulting polynomial
     Hopf algebra up to the grading bound (Hopf axioms checked, at its
     generators); only the generators within the bound are listed."""
     gens: list[tuple[str, int]] = []
     # reduced coproducts as lists of (left, right) exponent dicts by name
     reduced: dict[str, list] = {}
-    barred_to_gen: dict[str, str] = {}  # barred alphabet name -> hopf gen name
+    primitives: set[str] = set()  # the adjoined primitives, by barred name
     flags: list[str] = []
     log: list[str] = []
 
@@ -187,23 +183,22 @@ def delta_of_cells(spec: CellSpec, bound: int) -> DeltaPresentation:
         generator already present."""
         out: dict[str, int] = {}
         for gen, seq in p_mono:
-            if seq or gen.name not in barred_to_gen:
+            if seq or gen.name not in primitives:
                 raise ValueError(
                     f"bar value involves {gen.name} with Q-tower {seq}; "
                     "not expressible in the diagonal presentation"
                 )
-            name = barred_to_gen[gen.name]
-            out[name] = out.get(name, 0) + 1
+            out[gen.name] = out.get(gen.name, 0) + 1
         return out
 
-    for cell in spec.cells:
+    for cell in cells:
         rule = _rule_for(cell.g, cell.d)
         if cell.kind == "gen":
             if cell.d == cell.g - 1:
                 bname = cell.name + "b"
                 gens.append((bname, cell.g))
                 reduced[bname] = []
-                barred_to_gen[cell.name + "b"] = bname
+                primitives.add(bname)
                 log.append(f"gen {cell.name}: adjoined primitive {bname}")
             elif cell.d >= cell.g:
                 log.append(f"gen {cell.name}: above the diagonal, no effect")

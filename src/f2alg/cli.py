@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import cellfilt, cellhopf, dyer_lashof as dl, grouphom, mayss
 from .dyer_lashof import ALPHABET, eval_expr
@@ -63,13 +63,15 @@ FAMILY_WINDOW = (43, 28)
 #   at --a 30;
 # - families --no-verify takes 0.2 s and 23 MB at --max-i 1000, 1.0 s and
 #   91 MB at 10^4, 84 s and 7.6 GB at 10^6;
-# - delta on cgl.cells takes 0.07 s and 22 MB at bound 20, 0.13-0.22 s at 26
-#   and 1.2-1.8 s and 86 MB at 40, in process, where it writes 3 MB of JSON;
+# - delta on cgl.cells takes 0.03-0.04 s and 24 MB at bound 20, 0.11-0.12 s
+#   at 26 and 0.72-0.78 s and 84 MB at 40, in process, where it writes 3 MB
+#   of JSON;
 # - grouphom resolves only a Sylow 2-subgroup and its intersections with
-#   its conjugates (``grouphom.sylow_homology_dims``): --dmax 6 takes 0.22 s
-#   and 17 MB on GL(3,2), 0.5 s and 20 MB on S6 (order 720), most of it
-#   start-up; a 2-group is its own Sylow subgroup and is resolved whole, so
-#   UT(4,2) (order 64) takes 3.5 s and 24 MB at --dmax 5;
+#   its conjugates (``grouphom.sylow_homology_dims``) and never tabulates
+#   G: --dmax 6 takes 0.013 s and 17 MB on GL(3,2), 0.07-0.09 s and 17 MB
+#   on S6 (order 720), in process; a 2-group is its own Sylow subgroup and
+#   is resolved whole, so UT(4,2) (order 64) takes 1.5-1.6 s and 24 MB at
+#   --dmax 5;
 # - may --page 5 --dmax 10 takes 0.3-0.4 s and 26 MB at g <= 16 (0.3-0.5 s
 #   and 29 MB with --cone), 0.5-0.8 s and 48 MB at 17 (0.8-1.3 s and 54 MB
 #   with --cone), 1.4-2.0 s and 129 MB at 18 (1.8-3.1 s and 139 MB with
@@ -251,7 +253,7 @@ def cmd_delta(args) -> str:
         "generators": [list(g) for g in pres.generators],
         "flags": list(pres.flags),
         "log": list(pres.log),
-        "hopf": json.loads(pres.hopf.to_json()),
+        "hopf": pres.hopf.to_doc(),
     })
 
 
@@ -399,29 +401,38 @@ def build_parser(cmd=None) -> argparse.ArgumentParser:
     return ap
 
 
-def _first_arg(argv) -> Optional[str]:
-    """The first argument after @file expansion, read as argparse reads
-    an @file (one argument per line, nested @files expanded); None when
-    there is none or a file cannot be read."""
+def _expand(argv, chain=()) -> list[str]:
+    """argv with each @file replaced by its lines, expanded in turn, as
+    argparse expands them (one argument per line); an @file that names
+    itself, directly or through other files, is a ValueError, on which
+    argparse would recurse without end."""
+    out = []
     for arg in argv:
         if not arg.startswith("@"):
-            return arg
-        try:
-            first = _first_arg(Path(arg[1:]).read_text().splitlines())
-        except (OSError, ValueError):
-            return None
-        if first is not None:
-            return first
-    return None
+            out.append(arg)
+            continue
+        path = os.path.realpath(arg[1:])
+        if path in chain:
+            raise ValueError(f"argument file {arg[1:]!r} names itself")
+        out += _expand(Path(arg[1:]).read_text().splitlines(), chain + (path,))
+    return out
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # only the named subcommand's parser is built; with none named, the
-    # full parser gives the help, usage and error text
-    cmd = _first_arg(argv)
-    ap = build_parser(cmd if cmd in SUBCOMMANDS else None)
+    # the @files are expanded once, here, and only the named subcommand's
+    # parser is built; with none named, the full parser gives the help,
+    # usage and error text, and with a file it cannot read, argparse
+    # names the file
+    try:
+        argv = _expand(argv)
+    except OSError:
+        pass
+    except ValueError as e:
+        print(f"error: invalid input: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    ap = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

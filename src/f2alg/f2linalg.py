@@ -230,8 +230,8 @@ def _echelonize(rows: list[int]) -> list[int]:
 class Subspace:
     """Subspace of F2^ambient_dim with reduced-echelon basis.
 
-    Basis rows are nonzero with strictly increasing pivot positions;
-    membership testing is deterministic reduction.
+    Basis rows are nonzero with strictly increasing pivot positions, so
+    equal subspaces have equal bases.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -247,13 +247,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def reduce(self, v: int) -> int:
-        for r in self.basis:
-            low = r & -r
-            if v & low:
-                v ^= r
-        return v
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

@@ -6,7 +6,9 @@ it is H_*(P) modulo the images of incl_* - (c_w)_* from
 H_*(P n wPw^-1), one w per double coset PwP, the dual of the
 stable-element theorem of Cartan-Eilenberg (*Homological Algebra*,
 1956, XII.10).  So only P and those intersections, all 2-groups, are
-resolved, and G itself only when it is a 2-group.
+resolved, and G itself only when it is a 2-group.  The route composes
+G's permutations and never tabulates G: a group's multiplication table
+is built when it is first resolved or mapped.
 
 A free resolution of the trivial module over the group algebra is built
 degree by degree: each boundary's kernel, read off the elimination that
@@ -57,9 +59,10 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 class PermGroup:
     """Finite permutation group: elements enumerated and canonically
-    ordered lexicographically; multiplication by composition, tabulated
-    once (``table[i][j]`` is the index of i*j; at most MAX_ORDER^2
-    entries)."""
+    ordered lexicographically; multiplication by composition.  Its table
+    (``table[i][j]`` is the index of i*j; at most MAX_ORDER^2 entries) is
+    built on first use, so only a group that is resolved or mapped has
+    one."""
 
     def __init__(self, degree: int, generators: list[Perm], name: str = ""):
         self.degree = degree
@@ -78,61 +81,63 @@ class PermGroup:
                         raise WindowError("group order exceeds budget")
                     found[q] = (k, p)
                     order.append(q)
+        del found[ident]
+        self._steps = found  # the (k, p) of each q, kept for the table
         self.generators = gens
-        self.elements = tuple(sorted(found))
+        self.elements = tuple(sorted(order))
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.identity = self.index[ident]
         self.order = len(self.elements)
+
+    @cached_property
+    def table(self) -> list:
         # the row of q = gens[k] * p is the row of p relabelled by left
         # multiplication with gens[k], so only the generators compose
-        left = [[self.index[compose(g, q)] for q in self.elements] for g in gens]
-        self.table: list = [None] * self.order
-        self.table[self.identity] = list(range(self.order))
-        for q in order[1:]:
-            k, p = found[q]
-            self.table[self.index[q]] = list(map(left[k].__getitem__, self.table[self.index[p]]))
+        left = [[self.index[compose(g, q)] for q in self.elements] for g in self.generators]
+        table: list = [None] * self.order
+        table[self.identity] = list(range(self.order))
+        for q, (k, p) in self._steps.items():
+            table[self.index[q]] = list(map(left[k].__getitem__, table[self.index[p]]))
+        return table
 
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
 
 
-def _generate(group: PermGroup, sub: set[int], gens: list[int], s: int) -> None:
-    """Grow sub, the subgroup (as element indices) generated by gens, to
-    the one generated by gens and s, in place; s joins gens.
+def _generate(sub: set[Perm], gens: list[Perm], s: Perm) -> None:
+    """Grow sub, the subgroup generated by gens, to the one generated by
+    gens and s, in place; s joins gens.
 
     Every new element is an old one times a word in the generators that
     starts with s (a finite group's words need no inverses), and an old
     element times an old generator is old, so the search starts from the
     right translates of sub by s."""
-    table = group.table
     gens.append(s)
-    frontier = [b for b in (table[a][s] for a in sub) if b not in sub]
+    frontier = [b for b in (compose(a, s) for a in sub) if b not in sub]
     sub.update(frontier)
     for a in frontier:
-        row = table[a]
         for t in gens:
-            b = row[t]
+            b = compose(a, t)
             if b not in sub:
                 sub.add(b)
                 frontier.append(b)
 
 
-def _generated(group: PermGroup, elements: Iterable[int]) -> tuple[set[int], list[int]]:
-    """The subgroup generated by the elements, and the ones that generate
-    it: each element not generated by those before it."""
-    sub, gens = {group.identity}, []
+def _generated(group: PermGroup, elements: Iterable[Perm]) -> tuple[set[Perm], list[Perm]]:
+    """The subgroup of group generated by the elements, and the ones that
+    generate it: each element not generated by those before it."""
+    sub, gens = {tuple(range(group.degree))}, []
     for s in elements:
         if s not in sub:
-            _generate(group, sub, gens, s)
+            _generate(sub, gens, s)
     return sub, gens
 
 
-def _inverse(group: PermGroup, i: int) -> int:
-    p = group.elements[i]
-    inv = [0] * group.degree
+def _inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
     for x, y in enumerate(p):
         inv[y] = x
-    return group.index[tuple(inv)]
+    return tuple(inv)
 
 
 # ---------------------------------------------------------------- built-ins
@@ -440,8 +445,9 @@ def _read_map(hom: GroupHom, lifts: list, r_src: Resolution, r_tgt: Resolution,
 
 # ---------------------------------------------------------------- Sylow route
 
-def sylow_subgroup(group: PermGroup) -> tuple[set[int], list[int]]:
-    """A Sylow 2-subgroup P, as element indices, and generators of it.
+def sylow_subgroup(group: PermGroup) -> tuple[set[Perm], list[Perm]]:
+    """A Sylow 2-subgroup P, as a set of permutations, and generators of
+    it.
 
     P grows from {1} by index-2 steps: a 2-subgroup P that is not Sylow
     has N_G(P)/P of even order, so some g outside P normalizes P and has
@@ -449,51 +455,46 @@ def sylow_subgroup(group: PermGroup) -> tuple[set[int], list[int]]:
     takes the first such g in canonical order.  A 2-group is its own P."""
     n = group.order
     if n & (n - 1) == 0:
-        return set(range(n)), [group.index[g] for g in group.generators]
-    table = group.table
-    sub, gens = {group.identity}, []
+        return set(group.elements), list(group.generators)
+    sub, gens = {tuple(range(group.degree))}, []
     while len(sub) < n & -n:
-        for g in range(n):
-            if g in sub or table[g][g] not in sub:
+        for g in group.elements:
+            if g in sub or compose(g, g) not in sub:
                 continue
-            g_inv = _inverse(group, g)
-            if all(table[table[g_inv][t]][g] in sub for t in gens):
+            g_inv = _inverse(g)
+            if all(compose(compose(g_inv, t), g) in sub for t in gens):
                 break
         else:
             raise AssertionError("a 2-subgroup that is not Sylow has no normalizing step")
-        _generate(group, sub, gens, g)
+        _generate(sub, gens, g)
     return sub, gens
 
 
-def double_cosets(group: PermGroup, sub: set[int], gens: list[int]) -> list[tuple[int, int]]:
+def double_cosets(group: PermGroup, sub: set[Perm], gens: list[Perm]) -> list[tuple[Perm, int]]:
     """The double cosets P w P of a subgroup P generated by gens, as
     (first element w, |PwP|), in the order of their first elements.
 
     P w P is the union of the left cosets in the orbit of wP under left
     multiplication by P, so it is found by applying the generators to one
     element of each left coset reached, never by forming P w P itself."""
-    table = group.table
-    members = sorted(sub)
-    seen = [False] * group.order
+    seen: set[Perm] = set()
     out = []
 
-    def reach(x: int) -> None:
+    def reach(x: Perm) -> None:
         """Mark the left coset xP seen, x its element in the frontier."""
-        row = table[x]
-        for p in members:
-            seen[row[p]] = True
+        seen.update(compose(x, p) for p in sub)
         frontier.append(x)
 
-    for w in range(group.order):
-        if seen[w]:
+    for w in group.elements:
+        if w in seen:
             continue
-        frontier: list[int] = []
+        frontier: list[Perm] = []
         reach(w)
         for r in frontier:
             for t in gens:
-                if not seen[x := table[t][r]]:
+                if (x := compose(t, r)) not in seen:
                     reach(x)
-        out.append((w, len(frontier) * len(members)))
+        out.append((w, len(frontier) * len(sub)))
     return out
 
 
@@ -512,10 +513,9 @@ def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
     sub, gens = sylow_subgroup(group)
     if len(sub) == group.order:
         return homology_dims(resolve(group, d_max))
-    p_group = PermGroup(group.degree, [group.elements[g] for g in gens])
+    p_group = PermGroup(group.degree, gens)
     r_p = resolve(p_group, d_max)
     dims = homology_dims(r_p)
-    table, members = group.table, sorted(sub)
 
     def maps(hom: GroupHom, r_q: Resolution) -> list[F2Matrix]:
         """hom_*: H_d(Q_w) -> H_d(P) for d = 0 .. d_max, from one lift."""
@@ -529,21 +529,19 @@ def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
     for w, _ in double_cosets(group, sub, gens):
         if w in sub:
             continue
-        w_inv = _inverse(group, w)
-        q = tuple(p for p in members if table[table[w_inv][p]][w] in sub)
+        w_inv = _inverse(w)
+        q = tuple(p for p in p_group.elements if compose(compose(w_inv, p), w) in sub)
         if len(q) == 1:
             continue
         if q not in seen:
             if len(q) == len(sub):  # w normalizes P
                 q_group, r_q = p_group, r_p
             else:
-                _, q_gens = _generated(group, q)
-                q_group = PermGroup(group.degree, [group.elements[t] for t in q_gens])
+                q_group = PermGroup(group.degree, _generated(group, q)[1])
                 r_q = resolve(q_group, d_max)
             seen[q] = (q_group, r_q, maps(GroupHom(q_group, p_group, lambda p: p), r_q))
         q_group, r_q, incl_maps = seen[q]
-        w_perm, w_inv_perm = group.elements[w], group.elements[w_inv]
-        conj = GroupHom(q_group, p_group, lambda p: compose(compose(w_inv_perm, p), w_perm))
+        conj = GroupHom(q_group, p_group, lambda p: compose(compose(w_inv, p), w))
         c_maps = maps(conj, r_q)
         for d in range(1, d_max + 1):
             stacks[d] += map(int.__xor__, incl_maps[d].data, c_maps[d].data)
@@ -553,14 +551,14 @@ def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
 # ---------------------------------------------------------------- oracles
 
 def abelianization_f2_dim(group: PermGroup) -> int:
-    """dim over F2 of the abelianization tensored with F2, from the
-    multiplication table: index of the subgroup generated by squares.
+    """dim over F2 of the abelianization tensored with F2: log2 of the
+    index of the subgroup generated by squares.
 
     That subgroup is normal (conjugates of squares are squares), and the
     quotient by it has exponent 2, hence is abelian; so it already
     contains every commutator and equals [G, G] G^2.  It is grown one
     square at a time, each square joining only if it is not yet in it."""
-    sub, _ = _generated(group, sorted({group.mult(i, i) for i in range(group.order)}))
+    sub, _ = _generated(group, sorted({compose(p, p) for p in group.elements}))
     quot = group.order // len(sub)
     dim = quot.bit_length() - 1
     if 1 << dim != quot:

@@ -121,7 +121,8 @@ class HopfAlgebra:
     def assert_axioms(self) -> None:
         """Exact checks of the bialgebra axioms up to the known bound, in
         the order unit/counit, associativity, coassociativity and
-        compatibility; raises AssertionError at the first violation."""
+        compatibility, the last past the bound too for a complete algebra;
+        raises AssertionError at the first violation."""
 
         def fail(name: str, witness: tuple) -> None:
             raise AssertionError(f"Hopf axiom {name} fails at {witness}")
@@ -161,10 +162,11 @@ class HopfAlgebra:
             if lhs != rhs:
                 fail("coassociativity", (g, i))
 
-        # psi(ab) = psi(a) psi(b)
+        # psi(ab) = psi(a) psi(b); a complete algebra's products past the
+        # bound are 0, and so must be psi(a) psi(b) there
         for ga, a in elems:
             for gb, b in elems:
-                if ga + gb > bound:
+                if ga + gb > bound and self.truncation is not None:
                     break
                 lhs = self.coproduct_combo(ga + gb, self.product(ga, 1 << a, gb, 1 << b))
                 rhs = set()
@@ -211,8 +213,8 @@ class HopfAlgebra:
 
     # ------------------------------------------------------------ serialization
 
-    def to_json(self) -> str:
-        """Canonical byte-stable JSON: sorted sparse triples."""
+    def to_doc(self) -> dict:
+        """The tables as a JSON document: sorted sparse triples."""
         mult_rows = sorted(
             [g1, i, g2, j, sorted(bits_of(v))]
             for (g1, i, g2, j), v in self.mult.items()
@@ -222,14 +224,17 @@ class HopfAlgebra:
             [g, i, sorted([g1, i1, g2, i2] for ((g1, i1), (g2, i2)) in pairs)]
             for (g, i), pairs in self.comult.items()
         )
-        doc = {
+        return {
             "max_grading": self.max_grading,
             "truncation": self.truncation,
             "basis": self.basis,
             "mult": mult_rows,
             "comult": comult_rows,
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        """Canonical byte-stable JSON of ``to_doc``."""
+        return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "HopfAlgebra":
@@ -278,14 +283,25 @@ class PolyHopf(HopfAlgebra):
     with a basis element (grading g <= N and bound b >= 2):
       (1) counit: (e (x) 1) D(x) = x = (1 (x) e) D(x);
       (2) coassociativity: (D (x) 1) D(x) = (1 (x) D) D(x);
-      (3) D(x)^b = 0 in P (x) P, when b g <= N.
-    These imply every axiom ``assert_axioms`` tests, all in gradings <= N:
+      (3) D(x)^b = 0 in P (x) P, when b g <= N;
+      (4) for a complete algebra, D(x) D(m) = 0 in P (x) P, a term with a
+          side of grading > N counting as 0, for each basis monomial m
+          with g + |m| > N, except when g + |m / y| > N for a generator y
+          dividing m, or x m = 0 by the bound b with b g <= N.
+    These imply every axiom ``assert_axioms`` tests:
       - compatibility, D(m m') = D(m) D(m') for basis monomials with
         |m| + |m'| <= N: if m m' is nonzero in P, D is built so (P (x) P
         is commutative); otherwise some e_k + e'_k reaches b_k, and
         D(m) D(m') has the factor D(x_k)^b_k, with b_k |x_k| <= N, that
         (3) makes 0.  So D, and with it D (x) 1 and 1 (x) D on P (x) P,
         is multiplicative through grading N;
+      - for a complete algebra, D(m) D(m') = 0 when |m| + |m'| > N.  First
+        for m = x, by induction on |m'|: if g + |m' / y| > N, D(x) D(m') =
+        D(x) D(m' / y) D(y) is 0 by induction; if x m' = 0 by the bound b
+        with b g <= N, D(x) D(m') has the factor D(x)^b that (3) makes 0;
+        otherwise (4) makes it 0.  Then for m = x m'', D(m) D(m') =
+        D(x) D(m'') D(m'), and D(m'') D(m') is 0 by induction on |m| if
+        |m''| + |m'| > N, else D(m'' m') with m'' m' a basis monomial or 0;
       - counit and coassociativity: (e (x) 1) D, (1 (x) e) D and the
         identity, and (D (x) 1) D and (1 (x) D) D, are then multiplicative
         through grading N.  Each basis monomial other than 1 is a
@@ -293,12 +309,11 @@ class PolyHopf(HopfAlgebra):
         induction on grading, maps that (1) and (2) make agree on the
         generators agree on the whole basis.
     Conversely each check is one ``assert_axioms`` makes: (1) and (2) at
-    x, and (3) is compatibility at (x, x^(b-1)), whose product is 0.  So
-    a presentation is refused here exactly when ``assert_axioms``, which
-    stays the oracle, refuses its tables.  Like it, nothing is checked
-    past grading N: a relation with b g > N lies in the unknown gradings
-    of a truncated algebra, and a complete algebra's products past N are
-    0 as declared.
+    x, and (3) and (4) are compatibility at (x, x^(b-1)) and at (x, m),
+    whose products are 0.  So a presentation is refused here exactly when
+    ``assert_axioms``, which stays the oracle, refuses its tables.  Like
+    it, nothing past grading N is checked of a truncated algebra: a
+    relation with b g > N lies in its unknown gradings.
     """
 
     def __init__(self, gens, gen_coproducts, max_grading, truncated):
@@ -351,7 +366,7 @@ class PolyHopf(HopfAlgebra):
         self._check_generators(cops)
 
     def _check_generators(self, cops) -> None:
-        """Checks (1)-(3) of the class docstring on D, given per basis
+        """Checks (1)-(4) of the class docstring on D, given per basis
         monomial as a set of exponent pairs; raises AssertionError, as
         ``assert_axioms`` does, naming the axiom and the basis elements
         it fails at."""
@@ -382,6 +397,19 @@ class PolyHopf(HopfAlgebra):
                 power = tuple((b - 1) * e for e in x)
                 if self._tensor_mul(cops[power], cops[x]):
                     fail("compatibility", (self._index[x], self._index[power]))
+        if self.truncation is None:
+            top = self.max_grading
+            for x, g, b in gens:
+                for m, (h, _) in self._index.items():
+                    past = g + h - top
+                    if not 0 < past <= min(k for k, e in zip(self._gradings, m) if e):
+                        continue
+                    if b is not None and b * g <= top and self._mon_mul(x, m) is None:
+                        continue
+                    # a term with a side outside the basis is 0
+                    if any(l in self._index and r in self._index
+                           for l, r in self._tensor_mul(cops[x], cops[m])):
+                        fail("compatibility", (self._index[x], self._index[m]))
 
     # -- monomial helpers
 

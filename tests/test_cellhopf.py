@@ -111,7 +111,7 @@ def test_parser_rejects_bad_input():
 
 def test_parser_comments_and_blanks():
     spec = parse_cells("# header\n\ngen s (1,0)  # trailing\n")
-    assert [c.name for c in spec.cells] == ["s"]
+    assert [c.name for c in spec] == ["s"]
 
 
 # ---------------------------------------------------------------- diagnostics

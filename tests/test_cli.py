@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from f2alg import cellfilt, grouphom
-from f2alg.cli import SUBCOMMANDS, _first_arg, build_parser, eval_expr, main
+from f2alg.cli import SUBCOMMANDS, _expand, build_parser, eval_expr, main
 from f2alg.dyer_lashof import ZERO, free_basis, render
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,7 +167,7 @@ REQUIRED = {"adem": ["s"], "nishida": ["--a", "1", "s"], "grouphom": ["GL(2,2)"]
                          ids=" ".join)
 def test_lean_parser_matches_full_parser(argv, monkeypatch):
     monkeypatch.chdir(ROOT)  # the argument files are repo-relative
-    cmd = _first_arg(argv)
+    cmd = _expand(argv)[0]
     assert cmd in SUBCOMMANDS
     assert build_parser(cmd).parse_args(argv) == build_parser().parse_args(argv)
 
@@ -196,11 +196,34 @@ def test_first_arg_reads_nested_files(tmp_path):
     (tmp_path / "empty").write_text("")
     (tmp_path / "inner").write_text("cone\n--gmax\n3\n")
     (tmp_path / "outer").write_text(f"@{tmp_path / 'empty'}\n@{tmp_path / 'inner'}\n")
-    assert _first_arg([f"@{tmp_path / 'outer'}", "--dmax", "2"]) == "cone"
-    assert _first_arg([f"@{tmp_path / 'empty'}", "cotor"]) == "cotor"
-    assert _first_arg([f"@{tmp_path / 'missing'}", "cotor"]) is None
-    assert _first_arg([]) is None
+    assert _expand([f"@{tmp_path / 'outer'}", "--dmax", "2"]) == \
+        ["cone", "--gmax", "3", "--dmax", "2"]
+    assert _expand([f"@{tmp_path / 'empty'}", "cotor"]) == ["cotor"]
+    # a file named twice, but not inside itself, is read twice
+    assert _expand([f"@{tmp_path / 'inner'}"] * 2) == ["cone", "--gmax", "3"] * 2
+    with pytest.raises(OSError):
+        _expand([f"@{tmp_path / 'missing'}", "cotor"])
+    assert _expand([]) == []
     assert main([f"@{tmp_path / 'outer'}", "--dmax", "2"]) == 0
+    # argparse names the file it cannot read
+    with redirect_stderr(io.StringIO()) as err:
+        assert main(["cotor", f"@{tmp_path / 'missing'}"]) == 2
+    assert "No such file" in err.getvalue()
+
+
+@pytest.mark.parametrize("files", [
+    {"selfref.args": "@selfref.args"},
+    {"selfref.args": "grouphom\n@selfref.args"},
+    {"a.args": "@b.args", "b.args": "cotor\n@c.args", "c.args": "@./a.args"},
+], ids=["itself", "after-a-subcommand", "through-a-chain"])
+def test_self_referencing_argument_file_exits_2(tmp_path, monkeypatch, capsys, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    assert main([f"@{next(iter(files))}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid input:") and captured.err.count("\n") == 1
 
 
 def test_may_json_columns_match_tsv():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2alg import grouphom
+from f2alg.cli import main
 from f2alg.cobar import WindowError
 from f2alg.f2linalg import Echelon, F2Matrix, Subspace, bits_of
 from f2alg.grouphom import (
@@ -551,6 +552,7 @@ def test_sylow_route_gl3_through_h6():
 def test_sylow_subgroup_order_and_closure(name):
     g = route_group(name)
     sub, gens = sylow_subgroup(g)
+    sub, gens = {g.index[p] for p in sub}, [g.index[p] for p in gens]
     assert len(sub) == g.order & -g.order
     assert all(g.mult(a, b) in sub for a in sub for b in sub)
     # the generators generate it: close them under multiplication
@@ -567,9 +569,10 @@ def test_sylow_subgroup_order_and_closure(name):
 def test_double_cosets_partition(name):
     g = route_group(name)
     sub, gens = sylow_subgroup(g)
+    cosets = [(g.index[w], size) for w, size in double_cosets(g, sub, gens)]
+    sub = {g.index[p] for p in sub}
     inv = [row.index(g.identity) for row in g.table]
     covered = set()
-    cosets = double_cosets(g, sub, gens)
     for w, size in cosets:
         pwp = {g.mult(g.mult(p, w), q) for p in sub for q in sub}
         assert min(pwp) == w and len(pwp) == size
@@ -613,13 +616,51 @@ def test_sylow_route_lifts_each_homomorphism_once(monkeypatch):
     g = builtin_group("GL(3,2)")
     assert sylow_homology_dims(g, 4) == (1, 0, 1, 2, 1)
     sub, gens = sylow_subgroup(g)
+    firsts = [g.index[w] for w, _ in double_cosets(g, sub, gens)]
+    sub = {g.index[p] for p in sub}
     inv = [row.index(g.identity) for row in g.table]
     q_ws = [frozenset(p for p in sub if g.mult(g.mult(inv[w], p), w) in sub)
-            for w, _ in double_cosets(g, sub, gens) if w not in sub]
+            for w in firsts if w not in sub]
     q_ws = [q for q in q_ws if len(q) > 1]
     assert len(lifted) == len(set(q_ws)) + len(q_ws)
     assert len({id(hom) for hom, _ in lifted}) == len(lifted)
     assert {d for _, d in lifted} == {4}
+
+
+@pytest.mark.parametrize("name", ["GL(3,2)", "S6"])
+def test_route_never_tabulates_g(name):
+    # the route and the abelianization oracle compose G's permutations;
+    # a table, a cached_property, would sit in the instance's vars
+    g = builtin_group(name)
+    assert sylow_homology_dims(g, 6)[1] == abelianization_f2_dim(g)
+    assert "table" not in vars(g)
+
+
+@pytest.mark.parametrize("name", ["GL(3,2)", "S4"])
+def test_grouphom_command_tabulates_only_p_and_q_w(monkeypatch, capsys, name):
+    # the tables built are those of P and of each distinct nontrivial Q_w,
+    # each once, found here from G's own table
+    g = builtin_group(name)
+    sub, gens = sylow_subgroup(g)
+    firsts = [g.index[w] for w, _ in double_cosets(g, sub, gens)]
+    sub = {g.index[p] for p in sub}
+    inv = [row.index(g.identity) for row in g.table]
+    q_ws = {frozenset(p for p in sub if g.mult(g.mult(inv[w], p), w) in sub)
+            for w in firsts if w not in sub}
+    want = {frozenset(g.elements[p] for p in q) for q in q_ws | {frozenset(sub)} if len(q) > 1}
+    table = PermGroup.table.func
+    built = []
+
+    def counted(group):
+        built.append(frozenset(group.elements))
+        return table(group)
+
+    prop = cached_property(counted)
+    prop.__set_name__(PermGroup, "table")
+    monkeypatch.setattr(PermGroup, "table", prop)
+    assert main(["grouphom", name, "--dmax", "3"]) == 0
+    assert len(built) == len(set(built)) and set(built) == want
+    assert frozenset(g.elements) not in want
 
 
 # subgroups of these, generated by a few random elements: orders up to 168

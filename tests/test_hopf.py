@@ -126,7 +126,9 @@ def test_axiom_checks_survive_optimize_flag(run_optimized):
     run_optimized("import test_hopf; [test_hopf.test_changed_table_entry_names_its_axiom(*c) "
                   "for c in test_hopf.CORRUPTIONS]; test_hopf.test_map_fails_multiplicativity(); "
                   "[test_hopf.test_generator_check_refuses_as_the_full_check(*d) "
-                  "for d in test_hopf.DRAWS if d[0] != 'delta20']")
+                  "for d in test_hopf.DRAWS if d[0] != 'delta20']; "
+                  "[test_hopf.test_generator_check_refuses_as_the_full_check_when_complete(t) "
+                  "for t in test_hopf.COMPLETE_TOPS]")
 
 
 # ---------------------------------------------------------------- generator check
@@ -207,13 +209,11 @@ def test_full_check_passes_on_built_algebras(name):
     getattr(built, "hopf", built).assert_axioms()
 
 
-@pytest.mark.parametrize("name, seed, draws", DRAWS)
-def test_generator_check_refuses_as_the_full_check(name, seed, draws):
+def check_draws(pres, seed, draws):
     """Changed presentations: PolyHopf refuses one, naming an axiom,
     exactly when assert_axioms refuses its tables.  No assert statement
     here, so that python -O runs every comparison."""
     rng = random.Random(seed)
-    pres = presentation(name)
     named = set()
     for _ in range(draws):
         gens, cops, max_grading, truncated = mutate(pres, rng)
@@ -227,6 +227,37 @@ def test_generator_check_refuses_as_the_full_check(name, seed, draws):
         named.add(fast)
     if None not in named or len(named) == 1:
         pytest.fail(f"the draw should both keep and refuse presentations: {named}")
+
+
+@pytest.mark.parametrize("name, seed, draws", DRAWS)
+def test_generator_check_refuses_as_the_full_check(name, seed, draws):
+    check_draws(presentation(name), seed, draws)
+
+
+# gradings at which A(1)* is declared complete: below 6 a product past
+# them is nonzero in the full algebra, so both checks test past them
+COMPLETE_TOPS = [4, 5, 7, 9]
+
+
+@pytest.mark.parametrize("top", COMPLETE_TOPS)
+def test_generator_check_refuses_as_the_full_check_when_complete(top):
+    gens, cops, _, _ = presentation("a1")
+    check_draws((gens, cops, top, False), 2600 + top, 120)
+
+
+def test_complete_algebra_checked_past_max_grading():
+    """A(1)* declared complete at grading 5 claims x1 * x1^2*x2 = 0, yet
+    D(x1) D(x1^2*x2) is nonzero in gradings <= 5; F2[x]/(x^3), x
+    primitive, declared complete at 2 has x^3 = 0, yet D(x)^3 has the
+    term x^2 (x) x.  Both checks refuse each, naming compatibility, while
+    the truncated presentations pass."""
+    gens, cops, _, _ = presentation("a1")
+    cube = ([("x", 1, 3)], [[((1,), (0,)), ((0,), (1,))]])
+    for gens, cops, top in [(gens, cops, 5), (*cube, 2)]:
+        with pytest.raises(AssertionError, match="^Hopf axiom compatibility fails at "):
+            PolyHopf(gens, cops, top, False)
+        assert refusal(Deferred(gens, cops, top, False).assert_axioms) == "compatibility"
+        PolyHopf(gens, cops, top, True).assert_axioms()
 
 
 # ---------------------------------------------------------------- stability Hopf algebra
