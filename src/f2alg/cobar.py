@@ -89,8 +89,8 @@ class BigradedComplex:
         self.g_max = g_max
         self.s_max = s_max
         self._row_fns: dict[tuple[int, int], Callable[[int], int]] = {}
-        self._rank_cache: dict[tuple[int, int], int] = {}
-        self._paired_cache: dict[tuple[int, int], array] = {}  # paired columns
+        # per (g, s), the columns paired by d(g, s); the rank is their count
+        self._paired_cache: dict[tuple[int, int], array] = {}
         self._matrix_cache: dict[tuple[int, int], F2Matrix] = {}
         self._imech_cache: dict[tuple[int, int], Echelon] = {}
         self._homology_cache: dict[tuple[int, int], Homology] = {}
@@ -155,28 +155,25 @@ class BigradedComplex:
 
         The rows are paired with their top-bit columns (``pair_rows``)
         and the paired columns are kept, so that rank_d(g, s + 1) skips
-        those chains, whose rows reduce to zero (clearing).  A rank of
-        (g, s - 1) read off ``homology`` has no columns (``image_echelon``
-        keeps its own), and this elimination then runs uncleared."""
+        those chains, whose rows reduce to zero (clearing)."""
         key = (g, s)
-        if key not in self._rank_cache:
-            cols = array("I")
+        cols = self._paired_cache.get(key)
+        if cols is None:
+            cols = self._paired_cache[key] = array("I")
             if self._dim(g, s) and self._dim(g, s + 1):
                 self.check_window(g, s)
                 cols.extend(c for _, c in pair_rows(
                     self.row_fn(g, s), [(range(self._dim(g, s)), [])],
                     self._paired_cache.get((g, s - 1), ())))
-            self._paired_cache[key] = cols
-            self._rank_cache[key] = len(cols)
-        return self._rank_cache[key]
+        return len(cols)
 
     def image_echelon(self, g: int, s: int) -> Echelon:
         """Echelon of the boundaries landing in (g, s), i.e. d of (g, s-1).
         Its rows join in order with top-bit pivots, as in ``pair_rows``,
-        so it keeps the rank and, as its pivot columns, the columns
-        paired at (g, s - 1), with which rank_d(g, s) clears.  It skips
-        the chains paired at (g, s - 2) (from ``rank_d``), whose rows
-        reduce to zero and leave the pivots as they are (clearing)."""
+        so its pivot columns are the columns paired at (g, s - 1), which
+        it keeps for rank_d.  It skips the chains paired at (g, s - 2),
+        whose rows reduce to zero and leave the pivots as they are
+        (clearing)."""
         key = (g, s)
         if key not in self._imech_cache:
             ech = Echelon()
@@ -184,14 +181,13 @@ class BigradedComplex:
                 self.check_window(g, s - 1)
                 cleared = ()
                 if s >= 2:
-                    self.rank_d(g, s - 2)  # pairs (g, s - 2) unless its rank is known
-                    cleared = set(self._paired_cache.get((g, s - 2), ()))
+                    self.rank_d(g, s - 2)  # pairs (g, s - 2) unless already paired
+                    cleared = set(self._paired_cache[(g, s - 2)])
                 row = self.row_fn(g, s - 1)
                 for i in range(self._dim(g, s - 1)):
                     if i not in cleared:
                         ech.add(row(i), 0)
             self._imech_cache[key] = ech
-            self._rank_cache.setdefault((g, s - 1), ech.rank)
             self._paired_cache.setdefault((g, s - 1), array("I", [k - 1 for k in ech.pivots]))
         return self._imech_cache[key]
 
@@ -214,10 +210,7 @@ class BigradedComplex:
             ech = self.image_echelon(g, s).copy()
             reps: list[int] = []
             if self._dim(g, s):
-                kernel = self.boundary_matrix(g, s).left_kernel()
-                # the one elimination of d(g, s) also gives its rank
-                self._rank_cache.setdefault((g, s), self._dim(g, s) - kernel.dim)
-                reps = ech.add_reps(kernel.basis)
+                reps = ech.add_reps(self.boundary_matrix(g, s).left_kernel().basis)
             if len(reps) != self.homology_dim(g, d):
                 raise AssertionError(f"homology bookkeeping off at ({g},{d})")
             self._homology_cache[key] = Homology(reps, ech)

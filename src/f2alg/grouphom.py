@@ -6,9 +6,9 @@ it is H_*(P) modulo the images of incl_* - (c_w)_* from
 H_*(P n wPw^-1), one w per double coset PwP, the dual of the
 stable-element theorem of Cartan-Eilenberg (*Homological Algebra*,
 1956, XII.10).  So only P and those intersections, all 2-groups, are
-resolved, and G itself only when it is a 2-group.  The route composes
-G's permutations and never tabulates G: a group's multiplication table
-is built when it is first resolved or mapped.
+resolved; a 2-group is its own P, and its one double coset adds no row.
+The route composes G's permutations and never tabulates G: a group's
+multiplication table is built when it is first resolved or mapped.
 
 A free resolution of the trivial module over the group algebra is built
 degree by degree: each boundary's kernel, read off the elimination that
@@ -206,12 +206,12 @@ _CYCLES = re.compile(r"(?:\s*\([\d\s,]*\))+\s*")
 def parse_group(text: str) -> PermGroup:
     """Permutation generators in cycle notation, one per line, or a
     built-in name.  A line is a run of cycles in which each point
-    occurs at most once."""
+    occurs at most once.  The k points named become 0 .. k - 1 in order;
+    the rest are fixed by all, and dropping them keeps the elements' order."""
     text = text.strip()
     if "(" not in text or re.fullmatch(r"\w+\(\d+,\d+\)", text):
         return builtin_group(text)
     perms = []
-    degree = 0
     for line in text.splitlines():
         line = line.partition("#")[0].strip()
         if not line:
@@ -223,16 +223,16 @@ def parse_group(text: str) -> PermGroup:
         pts = [a for c in cycles for a in c]
         if len(pts) != len(set(pts)):
             raise ValueError(f"a point occurs twice in cycles {line!r}")
-        degree = max(degree, max(pts, default=-1) + 1)
         perms.append(cycles)
+    label = {a: i for i, a in enumerate(sorted({a for c in perms for pts in c for a in pts}))}
     out = []
     for cycles in perms:
-        p = list(range(degree))
+        p = list(range(len(label)))
         for pts in cycles:
             for a, b in zip(pts, pts[1:] + pts[:1]):
-                p[a] = b
+                p[label[a]] = label[b]
         out.append(tuple(p))
-    return PermGroup(degree, out)
+    return PermGroup(len(label), out)
 
 
 # ---------------------------------------------------------------- resolutions
@@ -294,8 +294,7 @@ def resolve(group: PermGroup, d_max: int) -> Resolution:
     kernels = [[_collapse(group, v, 1) for v in kernel.basis]]
     for d in range(1, d_max + 1):
         # the n translates of each new generator
-        rows, tags, _ = complement([], kernel.basis, kernel.dim,
-                                   lambda v: _translates(group, v, range(n)))
+        rows, tags, _ = complement([], kernel.basis, lambda v: _translates(group, v, range(n)))
         ranks.append(len(rows) // n)
         boundaries.append(F2Matrix(len(rows), boundaries[-1].rows, rows))
         kernels.append([_collapse(group, v, ranks[d]) for v in tags])
@@ -470,9 +469,9 @@ def sylow_subgroup(group: PermGroup) -> tuple[set[Perm], list[Perm]]:
     return sub, gens
 
 
-def double_cosets(group: PermGroup, sub: set[Perm], gens: list[Perm]) -> list[tuple[Perm, int]]:
-    """The double cosets P w P of a subgroup P generated by gens, as
-    (first element w, |PwP|), in the order of their first elements.
+def double_cosets(group: PermGroup, sub: set[Perm], gens: list[Perm]) -> list[Perm]:
+    """The first elements w of the double cosets P w P of a subgroup P
+    generated by gens, in order.
 
     P w P is the union of the left cosets in the orbit of wP under left
     multiplication by P, so it is found by applying the generators to one
@@ -494,7 +493,7 @@ def double_cosets(group: PermGroup, sub: set[Perm], gens: list[Perm]) -> list[tu
             for t in gens:
                 if (x := compose(t, r)) not in seen:
                     reach(x)
-        out.append((w, len(frontier) * len(sub)))
+        out.append(w)
     return out
 
 
@@ -509,10 +508,9 @@ def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
     *Homological Algebra*, XII.10).  So dim H_d(G) is dim H_d(P) less the
     rank of those differences, stacked over w.  Only P and the distinct
     Q_w are resolved, each through d_max; w in P (c_w inner) and a
-    trivial Q_w (no H_{>0}) add no row."""
+    trivial Q_w (no H_{>0}) add no row.  For a 2-group, P = G and the
+    one double coset's first element, the identity, lies in P."""
     sub, gens = sylow_subgroup(group)
-    if len(sub) == group.order:
-        return homology_dims(resolve(group, d_max))
     p_group = PermGroup(group.degree, gens)
     r_p = resolve(p_group, d_max)
     dims = homology_dims(r_p)
@@ -526,7 +524,7 @@ def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
     # resolution and its inclusion's matrices
     stacks: list[list[int]] = [[] for _ in dims]
     seen: dict[tuple, tuple] = {}
-    for w, _ in double_cosets(group, sub, gens):
+    for w in double_cosets(group, sub, gens):
         if w in sub:
             continue
         w_inv = _inverse(w)

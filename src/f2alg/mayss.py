@@ -264,13 +264,14 @@ class FilteredComplex:
         rows = [row(i) & kill for i in members]
         cols = self.complex._dim(g, s + 1)
         combos = F2Matrix(len(rows), cols, rows).left_kernel()
+        # members increases, so the mapped reduced echelon basis is one
         basis = []
         for tag in combos.basis:
             v = 0
             for b in bits_of(tag):
                 v |= 1 << members[b]
             basis.append(v)
-        return Subspace.span(n, basis)
+        return Subspace(n, basis)
 
     def spot(self, r: int, g: int, d: int, f: int):
         """Representatives and coordinate echelon of E^r at (g, d, f)."""

@@ -30,16 +30,16 @@ is a coboundary, and a class (``ExtClass``) is nonzero exactly when its
 functional is.  The Yoneda action of Ext_A(F2, F2) on Ext_A(M, F2)
 (``MinimalResolution.yoneda``) lifts a class z to a chain map from the
 resolution of M to the resolution of F2, one generator at a time, each
-step an ``F2Matrix.solve`` against d of the resolution of F2, and
-composes it with y.
+step a reduction against the elimination that built d of the resolution
+of F2 in that degree (kept by ``_extend``), and composes it with y.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
-from .f2linalg import Echelon, F2Matrix, Subspace, bits_of
+from .f2linalg import Echelon, Subspace, bits_of
 from .hopf import HopfAlgebra, WindowError
 
 
@@ -52,16 +52,17 @@ class ExtClass(NamedTuple):
     bits: int
 
 
-def complement(rows: list[int], vectors: Iterable[int], dim: int,
+def complement(rows: list[int], vectors: list[int],
                translates: Callable[[int], list[int]]) -> tuple[list[int], list[int], Echelon]:
     """The step that extends a free resolution: the rows (images of the
     earlier generators) start a span, and each vector outside it becomes
-    a generator whose translates join the span, until it has dimension
-    dim.  Every row joins tagged with its own unit vector, rows first, so
-    the zero residues' tags are a basis of the left kernel of the
-    boundary built, rows then translates.  Returns the translates added,
-    generator by generator (a generator's own image first when the
-    identity is its first translate), those tags and the span."""
+    a generator whose translates join the span, until it has the
+    dimension of the vectors, a basis.  Every row joins tagged with its
+    own unit vector, rows first, so the zero residues' tags are a basis
+    of the left kernel of the boundary built, rows then translates.
+    Returns the translates added, generator by generator (a generator's
+    own image first when the identity is its first translate), those
+    tags and the span."""
     span, added, kernel = Echelon(), [], []
 
     def join(ws: list[int]) -> None:
@@ -72,7 +73,7 @@ def complement(rows: list[int], vectors: Iterable[int], dim: int,
 
     join(rows)
     for v in vectors:
-        if span.rank == dim:
+        if span.rank == len(vectors):
             break
         if span.residue(v):
             join(ws := translates(v))
@@ -94,6 +95,9 @@ class MinimalResolution:
         # by the generators of the level below: (k, bitset over A_{t_j - t_k})
         self.degrees: list[list[int]] = [[0]]
         self.images: list[list[list[tuple[int, int]]]] = [[[]]]
+        # per (level, t) where d is nonzero, the elimination of d there
+        # (``complement``'s span); yoneda reads a missing one as empty
+        self.spans: dict[tuple[int, int], Echelon] = {}
         self.ext: dict[tuple[int, int], int] = {}
         for t in range(t_max + 1):
             self._extend(t)
@@ -145,7 +149,7 @@ class MinimalResolution:
                 self.degrees.append([])
                 self.images.append([])
             rows = self._rows(level, t, list(accumulate(sizes, initial=0)))
-            new, tags, span = complement(rows, kernel.basis, kernel.dim, lambda v: [v])
+            new, tags, span = complement(rows, kernel.basis, lambda v: [v])
             # exact at F_{s-1}: the image of d_s is the kernel of d_{s-1}
             if span.rank != kernel.dim or any(map(span.residue, kernel.basis)):
                 raise AssertionError(f"im d_{s} != ker d_{s - 1} in degree {t}")
@@ -153,6 +157,8 @@ class MinimalResolution:
                 self.degrees[level].append(t)
                 self.images[level].append(self._blocks(level - 1, t, v))
             self.ext[(s, t)] = len(new)
+            if span.rank:
+                self.spans[(level, t)] = span
             # tags over the rows of d_s in degree t, rows + new
             kernel = Subspace.span(len(rows) + len(new), tags)
             sizes = self._sizes(level, t)
@@ -184,9 +190,10 @@ class MinimalResolution:
         z lifts to a chain map f_k : F_{z.s + k} -> (ring's F_k) of degree
         -z.t, and y.z = y o f_{y.s}.  f_0 sends the generators z is 1 on to
         the generator of ring's F_0 and every other generator to 0; f_k on
-        a generator e is a solution x of d_k(x) = f_{k-1}(d e).  Only
-        generators of degree at most z.t + y.t - (y.s - k) are lifted, as
-        d raises degree.  A lift with no solution means the resolutions
+        a generator e is a solution x of d_k(x) = f_{k-1}(d e), read as the
+        tag of f_{k-1}(d e) reduced against the elimination that built d_k
+        in that degree (``spans``).  Only generators of degree at most
+        z.t + y.t - (y.s - k) are lifted, as d raises degree.  A lift with no solution means the resolutions
         are not exact, and raises AssertionError."""
         t_top = z.t + y.t
         if t_top > self.t_max or y.t > ring.t_max:
@@ -208,9 +215,8 @@ class MinimalResolution:
                         rhs ^= ring._times(k, tj - below[i], a, below[i] - z.t, f[i], offsets)
                 if not rhs:
                     continue
-                rows = ring._rows(k + 1, w, offsets)
-                x = F2Matrix(len(rows), offsets[-1], rows).solve(rhs)
-                if x is None:
+                r, x = ring.spans.get((k + 1, w), Echelon()).reduce(rhs)
+                if r:
                     raise AssertionError(f"no lift of {z} to F_{k} in degree {w}")
                 lifted[j] = ring._blocks(k + 1, w, x)
             f = lifted

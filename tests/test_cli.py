@@ -351,6 +351,15 @@ def test_grouphom_s6_through_sylow():
     assert [int(line.split("\t")[2]) for line in out.splitlines()[1:5]] == [1, 1, 2, 4]
 
 
+def test_grouphom_large_point_label():
+    # the points named set the degree, so a label of 10^9 costs nothing
+    start = time.perf_counter()
+    code, out = run(["grouphom", "(0,1000000000)", "--dmax", "3"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert [int(line.split("\t")[2]) for line in out.splitlines()[1:5]] == [1, 1, 1, 1]
+
+
 def test_grouphom_gl3_through_h6():
     code, out = run(["grouphom", "GL(3,2)", "--dmax", "6"])
     assert code == 0

@@ -13,6 +13,7 @@ from functools import partial
 import pytest
 
 from f2alg.cobar import (
+    BigradedComplex,
     CobarComplex,
     CobarMap,
     ConeComplex,
@@ -20,7 +21,7 @@ from f2alg.cobar import (
     WindowError,
     build_cobar,
 )
-from f2alg.f2linalg import Echelon, pair_rows
+from f2alg.f2linalg import Echelon, F2Matrix, Subspace, pair_rows
 from f2alg.grouphom import TensoredComplex, builtin_group, resolve, tensored_boundary
 from f2alg.minres import ring_chart_names
 from f2alg.hopf import HopfAlgebra, build_a1_star, build_cgl_to_a1_map, build_delta_cgl
@@ -190,11 +191,11 @@ def test_window_errors(cx):
 
 def _assert_streamed_ranks(fresh, other, g_max):
     """rank_d on ``fresh`` (computed by its own streamed elimination, not
-    served from the cache that boundary_matrix/image_echelon fill) equals
-    the rank of the stored boundary matrix of ``other``."""
+    served from the columns that image_echelon keeps) equals the rank of
+    the stored boundary matrix of ``other``."""
     for g in range(g_max + 1):
         for s in range(g + 1):
-            assert (g, s) not in fresh._rank_cache, (g, s)
+            assert (g, s) not in fresh._paired_cache, (g, s)
             expected = other.boundary_matrix(g, s).rank() if other._dim(g, s) else 0
             assert fresh.rank_d(g, s) == expected, (g, s)
 
@@ -244,19 +245,20 @@ def test_clearing_keeps_pairs_tensored():
     _assert_clearing_keeps_pairs(resolve(builtin_group("S3"), 4).tensored)
 
 
-def _assert_image_echelon_keeps_pairs(make):
-    """After image_echelon(g, s) on a fresh complex from make(), the
-    columns kept at (g, s - 1) are those of an uncleared pair_rows run,
-    and rank_d(g, s) then fetches none of their rows and equals the rank
-    on a complex of its own."""
+def _assert_kept_pairs_clear(make, first=BigradedComplex.image_echelon):
+    """After first(cx, g, s) on a fresh complex from make(), the columns
+    kept at (g, s - 1) are those of an uncleared pair_rows run, and
+    rank_d(g, s) then fetches none of their rows and equals the rank on a
+    complex of its own."""
     fresh = make()
     skipped = 0
     for g in range(fresh.g_max + 1):
         for s in range(1, g + 1):
             cx = make()
-            cx.image_echelon(g, s)
+            first(cx, g, s)
+            assert (g, s) not in cx._paired_cache, (g, s)
             full = pair_rows(cx.row_fn(g, s - 1), [(range(cx._dim(g, s - 1)), [])], ())
-            paired = set(cx._paired_cache[(g, s - 1)])
+            paired = set(cx._paired_cache.get((g, s - 1), ()))
             assert sorted(paired) == sorted(c for _, c in full), (g, s)
             fetched, row = [], cx.row_fn(g, s)
 
@@ -274,19 +276,19 @@ def _assert_image_echelon_keeps_pairs(make):
 
 
 def test_image_echelon_clears_cobar(a1):
-    _assert_image_echelon_keeps_pairs(lambda: build_cobar(a1, g_max=9))
+    _assert_kept_pairs_clear(lambda: build_cobar(a1, g_max=9))
 
 
 def test_image_echelon_clears_cone(a1):
     def make():
         base = build_cobar(a1, g_max=8)
         return ConeComplex(base, base.unique_class(1, 0))
-    _assert_image_echelon_keeps_pairs(make)
+    _assert_kept_pairs_clear(make)
 
 
 def test_image_echelon_clears_tensored():
     res = resolve(builtin_group("S3"), 4)
-    _assert_image_echelon_keeps_pairs(lambda: TensoredComplex(res))
+    _assert_kept_pairs_clear(lambda: TensoredComplex(res))
 
 
 def _assert_image_echelon_matches_uncleared(make):
@@ -318,19 +320,54 @@ def test_image_echelon_matches_uncleared_cone(a1):
     _assert_image_echelon_matches_uncleared(make)
 
 
-def test_rank_d_uncleared_after_homology(a1):
-    # homology at (g, s - 1) stores the ranks of d there and one step down
-    # with no paired columns, so rank_d(g, s) runs uncleared
-    fresh = build_cobar(a1, g_max=7)
-    for g in range(1, 8):
-        for s in range(2, g + 1):
-            if not fresh._dim(g, s - 1):
-                continue
-            cx = build_cobar(a1, g_max=7)
-            cx.homology(g, g - s + 1)
-            assert (g, s - 1) in cx._rank_cache and (g, s - 1) not in cx._paired_cache
-            assert (g, s) not in cx._rank_cache
-            assert cx.rank_d(g, s) == fresh.rank_d(g, s), (g, s)
+def test_rank_d_clears_after_homology(a1):
+    # homology at (g, s - 1) keeps the columns paired there by rank_d
+    _assert_kept_pairs_clear(lambda: build_cobar(a1, g_max=7),
+                             lambda cx, g, s: cx.homology(g, g - s + 1))
+
+
+def _assert_homology_check_catches_short_kernel(monkeypatch, make, g_max):
+    """With left_kernel dropping its last basis vector, homology raises
+    at exactly the spots where the representatives the short kernel
+    leaves are fewer than homology_dim of an unpatched complex; returns
+    their number."""
+    ref, cx, short_kernel = make(), make(), F2Matrix.left_kernel
+    want = {}
+    for g in range(g_max + 1):
+        for s in range(g + 1):
+            if ref._dim(g, s):
+                kernel = ref.boundary_matrix(g, s).left_kernel().basis
+                want[(g, g - s)] = (ref.map_rank_mod_boundaries(g, g - s, kernel[:-1])
+                                    != ref.homology_dim(g, g - s))
+    monkeypatch.setattr(F2Matrix, "left_kernel",
+                        lambda m: Subspace(m.rows, short_kernel(m).basis[:-1]))
+    raised = {}
+    for g, d in want:
+        try:
+            cx.homology(g, d)
+            raised[(g, d)] = False
+        except AssertionError as e:
+            assert str(e) == f"homology bookkeeping off at ({g},{d})"
+            raised[(g, d)] = True
+    assert raised == want
+    return sum(want.values())
+
+
+def test_homology_check_catches_short_kernel_cobar(monkeypatch, a1):
+    assert _assert_homology_check_catches_short_kernel(
+        monkeypatch, lambda: build_cobar(a1, g_max=12), 12) >= 1
+
+
+def test_homology_check_catches_short_kernel_cone(monkeypatch, a1):
+    def make():
+        base = build_cobar(a1, g_max=8)
+        return ConeComplex(base, base.unique_class(1, 0))
+    _assert_homology_check_catches_short_kernel(monkeypatch, make, 8)
+
+
+def test_homology_check_catches_short_kernel_tensored(monkeypatch):
+    res = resolve(builtin_group("S3"), 4)
+    _assert_homology_check_catches_short_kernel(monkeypatch, lambda: TensoredComplex(res), 4)
 
 
 # ---------------------------------------------------------------- cotor dims

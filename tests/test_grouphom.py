@@ -249,9 +249,9 @@ def test_resolve_kernels_match_left_kernel(monkeypatch, name, relabel):
         g, _ = relabelled(g)
     passed = []
 
-    def recorded(rows, vectors, dim, translates):
+    def recorded(rows, vectors, translates):
         passed.append(list(vectors))
-        return complement(rows, passed[-1], dim, translates)
+        return complement(rows, passed[-1], translates)
 
     monkeypatch.setattr(grouphom, "complement", recorded)
     res = resolve(g, 4)
@@ -465,6 +465,15 @@ def test_parse_cycle_notation():
     assert homology_dims(resolve(g, 2)) == (1, 1, 1)
 
 
+def test_parse_relabels_named_points():
+    # 10, 20, 30 become 0, 1, 2, in order, and the points no line names
+    # are dropped; a 1-cycle names its point
+    g = parse_group("(10 30)\n(30 20 10)\n")
+    assert g.degree == 3 and g.generators == [(2, 1, 0), (2, 0, 1)]
+    assert parse_group("(10 30)\n(30 20 10)(5)\n").elements == \
+        parse_group("(1 3)(0)\n(3 2 1)\n").elements
+
+
 @pytest.mark.parametrize("text", ["(0 1)(0 2)", "(0 1)(1 2 2)", "(a b)", "(0 1)(2"])
 def test_parse_refuses_bad_cycles(text):
     with pytest.raises(ValueError, match=re.escape(text)):
@@ -569,19 +578,19 @@ def test_sylow_subgroup_order_and_closure(name):
 def test_double_cosets_partition(name):
     g = route_group(name)
     sub, gens = sylow_subgroup(g)
-    cosets = [(g.index[w], size) for w, size in double_cosets(g, sub, gens)]
+    firsts = [g.index[w] for w in double_cosets(g, sub, gens)]
     sub = {g.index[p] for p in sub}
     inv = [row.index(g.identity) for row in g.table]
     covered = set()
-    for w, size in cosets:
+    for w in firsts:
         pwp = {g.mult(g.mult(p, w), q) for p in sub for q in sub}
-        assert min(pwp) == w and len(pwp) == size
+        assert min(pwp) == w
         assert not covered & pwp
         covered |= pwp
         q_w = [p for p in sub if g.mult(g.mult(inv[w], p), w) in sub]
-        assert size * len(q_w) == len(sub) ** 2
+        assert len(pwp) * len(q_w) == len(sub) ** 2
     assert covered == set(range(g.order))
-    assert [w for w, _ in cosets] == sorted(w for w, _ in cosets)
+    assert firsts == sorted(firsts)
 
 
 @pytest.mark.parametrize("name,resolved", [("GL(3,2)", [8, 4, 4, 2, 2]), ("A4", [4]), ("C6", [2])])
@@ -616,7 +625,7 @@ def test_sylow_route_lifts_each_homomorphism_once(monkeypatch):
     g = builtin_group("GL(3,2)")
     assert sylow_homology_dims(g, 4) == (1, 0, 1, 2, 1)
     sub, gens = sylow_subgroup(g)
-    firsts = [g.index[w] for w, _ in double_cosets(g, sub, gens)]
+    firsts = [g.index[w] for w in double_cosets(g, sub, gens)]
     sub = {g.index[p] for p in sub}
     inv = [row.index(g.identity) for row in g.table]
     q_ws = [frozenset(p for p in sub if g.mult(g.mult(inv[w], p), w) in sub)
@@ -642,7 +651,7 @@ def test_grouphom_command_tabulates_only_p_and_q_w(monkeypatch, capsys, name):
     # each once, found here from G's own table
     g = builtin_group(name)
     sub, gens = sylow_subgroup(g)
-    firsts = [g.index[w] for w, _ in double_cosets(g, sub, gens)]
+    firsts = [g.index[w] for w in double_cosets(g, sub, gens)]
     sub = {g.index[p] for p in sub}
     inv = [row.index(g.identity) for row in g.table]
     q_ws = {frozenset(p for p in sub if g.mult(g.mult(inv[w], p), w) in sub)

@@ -13,9 +13,10 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f2alg.f2linalg import F2Matrix, bits_of, pair_rows
+from f2alg.f2linalg import F2Matrix, Subspace, bits_of, pair_rows
 from f2alg.hopf import build_a1_star, build_delta_cgl
 from f2alg.mayss import (
+    FilteredComplex,
     augmentation_depths,
     build_filtered,
     einfty_report,
@@ -260,6 +261,27 @@ def test_page_dims_match_subquotient_path(fc):
                 for f in range(rng[0], rng[1] + 1):
                     reps, _ = fc.spot(r, g, d, f)
                     assert len(reps) == fc.page_dim(r, g, d, f)
+
+
+def test_ztilde_basis_is_reduced_echelon(monkeypatch, a1):
+    # at every spot of pages 1, 3 and 5 in criterion 5's window g <= 10,
+    # d <= 8, and the spots of d2(h20) and d4([h20^2])
+    ztilde, seen = FilteredComplex.ztilde, []
+
+    def checked(fc, *spot):
+        sub = ztilde(fc, *spot)
+        assert sub == Subspace.span(sub.ambient_dim, sub.basis), spot
+        seen.append(sub.dim)
+        return sub
+
+    monkeypatch.setattr(FilteredComplex, "ztilde", checked)
+    fc = build_filtered(a1, g_max=10, s_max=10)
+    for r in (1, 3, 5):
+        for (g, d, f) in page(fc, r, 10, 8).dims:
+            fc.spot(r, g, d, f)
+    fc.differential_matrix(2, 3, 2, -1)
+    fc.differential_matrix(4, 6, 4, -2)
+    assert max(seen) > 1
 
 
 # ---------------------------------------------------------------- E1 and differentials

@@ -13,6 +13,7 @@ import itertools
 import pytest
 
 from f2alg import minres
+from f2alg.cli import _detector_spot, _family_rows
 from f2alg.cobar import WindowError, build_cobar
 from f2alg.f2linalg import F2Matrix
 from f2alg.hopf import HopfAlgebra, build_a1_star, build_delta_cgl
@@ -79,6 +80,80 @@ def test_cone_action(a1_ext):
     assert lhs.bits and lhs == cone.yoneda(ring, x["h11"], cone.yoneda(ring, x["h11"], z00))
 
 
+class _Solver:
+    """What ``yoneda`` reads of a kept elimination, ``reduce``, done by
+    F2Matrix.solve on the rows of d rebuilt by ``_rows``: the reference
+    for the kept spans."""
+
+    def __init__(self, ring, level, t):
+        offsets = ring._offsets(level - 1, t)
+        rows = ring._rows(level, t, offsets)
+        self.matrix = F2Matrix(len(rows), offsets[-1], rows)
+
+    def reduce(self, b):
+        x = self.matrix.solve(b)
+        return (b, 0) if x is None else (0, x)
+
+
+class _Solved(dict):
+    def __init__(self, ring):
+        super().__init__()
+        self.ring = ring
+
+    def get(self, key, default=None):
+        return _Solver(self.ring, *key)
+
+
+def _assert_lifts_match_solve(monkeypatch, res, ring, chains):
+    """Along each chain (z, factors), every y.z, factors applied in turn,
+    is the same through the kept spans as through _Solved, and the kept
+    spans rebuild no rows.  Returns the last product of each chain."""
+    rows_calls = []
+    rows = MinimalResolution._rows
+
+    def counted(self, *args):
+        rows_calls.append(args)
+        return rows(self, *args)
+
+    monkeypatch.setattr(MinimalResolution, "_rows", counted)
+    kept, out = ring.spans, []
+    for z, factors in chains:
+        for y in factors:
+            before = len(rows_calls)
+            product = res.yoneda(ring, y, z)
+            assert len(rows_calls) == before, (y, z)
+            ring.spans = _Solved(ring)
+            try:
+                assert product == res.yoneda(ring, y, z), (y, z)
+            finally:
+                ring.spans = kept
+            z = product
+        out.append(z)
+    return out
+
+
+def test_family_lifts_match_solve(monkeypatch):
+    # every detector families --max-i 3 checks, on its resolutions
+    a1 = build_a1_star().dualize()
+    rows = _family_rows(3)
+    ring = MinimalResolution(a1, 0, 12)
+    cone = MinimalResolution(a1, 1, max(_detector_spot(*det)[0] for *_, det in rows))
+    h11, y128 = ring.unique_class(2, 1), ring.unique_class(12, 8)
+    chains = [(cone.unique_class(*_detector_spot(0, 0, base)), [h11] * j + [y128] * i)
+              for *_, (i, j, base) in rows]
+    assert all(z.bits for z in _assert_lifts_match_solve(monkeypatch, cone, ring, chains))
+
+
+def test_cone_fixture_lifts_match_solve(monkeypatch):
+    # the module action cone checks: h10.z32 = h11^2.z00
+    a1 = build_a1_star().dualize()
+    ring, cone = MinimalResolution(a1, 0, 2), MinimalResolution(a1, 1, 8)
+    h10, h11 = ring.unique_class(1, 0), ring.unique_class(2, 1)
+    lhs, rhs = _assert_lifts_match_solve(monkeypatch, cone, ring, [
+        (cone.unique_class(3, 2), [h10]), (cone.unique_class(0, 0), [h11, h11])])
+    assert lhs.bits and lhs == rhs
+
+
 def test_cgl_product_ranks_match_cobar():
     """For every two groups of positive s with t1 + t2 <= 5, the span of
     all products of their basis classes has the same rank in both models
@@ -102,10 +177,10 @@ def test_cgl_product_ranks_match_cobar():
 
 
 def test_complement_adds_translates_of_new_generators():
-    rows, kernel, span = complement([0b001, 0b001], [0b001, 0b010, 0b011, 0b100], 3,
+    rows, kernel, span = complement([0b001, 0b001], [0b001, 0b010, 0b100],
                                     lambda v: [v, v << 4, v ^ v << 4])
     # 0b001 is already in the span; 0b010 and its translates bring it to
-    # dimension 3, so the loop stops before 0b011 and 0b100
+    # dimension 3, that of the three vectors, so the loop stops before 0b100
     assert rows == [0b010, 0b0100000, 0b0100010]
     assert span.rank == 3
     # the left kernel of the boundary built, the given rows and then the
@@ -126,9 +201,9 @@ def test_resolution_kernels_match_left_kernel(monkeypatch, c, t_max):
         calls.append([])
         extend(res, t)
 
-    def recorded(rows, vectors, dim, translates):
+    def recorded(rows, vectors, translates):
         vectors = list(vectors)
-        out = complement(rows, vectors, dim, translates)
+        out = complement(rows, vectors, translates)
         calls[-1].append((rows, vectors, out[0]))
         return out
 
@@ -175,12 +250,20 @@ def test_exactness_check_survives_optimize_flag(run_optimized):
 
 
 def test_lift_check_raises():
-    """With the image of the h10 generator of F_1 erased, d_1 misses
-    x.e0 in degree 1, so h10 cannot lift past F_1 and h10.h10 fails."""
+    """With the image of the h10 generator of F_1 erased, and the kept
+    elimination of d_1 in degree 1 rebuilt from the erased rows, d_1
+    misses x.e0 in degree 1, so h10 cannot lift past F_1 and h10.h10
+    fails."""
     ring = MinimalResolution(build_a1_star().dualize(), 0, 2)
     h10 = ring.unique_class(1, 0)
     assert ring.yoneda(ring, h10, h10).bits
     ring.images[2][ring.degrees[2].index(1)] = []
+    ring.spans[(2, 1)] = complement(ring._rows(2, 1, ring._offsets(1, 1)), [],
+                                    lambda v: [v])[2]
+    with pytest.raises(AssertionError, match=r"no lift of .* to F_1 in degree 1"):
+        ring.yoneda(ring, h10, h10)
+    # a zero d keeps no elimination, and a missing one reads as empty
+    del ring.spans[(2, 1)]
     with pytest.raises(AssertionError, match=r"no lift of .* to F_1 in degree 1"):
         ring.yoneda(ring, h10, h10)
 
