@@ -68,10 +68,10 @@ FAMILY_WINDOW = (43, 28)
 #   of JSON;
 # - grouphom resolves only a Sylow 2-subgroup and its intersections with
 #   its conjugates (``grouphom.sylow_homology_dims``) and never tabulates
-#   G: --dmax 6 takes 0.013 s and 17 MB on GL(3,2), 0.07-0.09 s and 17 MB
-#   on S6 (order 720), in process; a 2-group is its own Sylow subgroup and
-#   is resolved whole, so UT(4,2) (order 64) takes 1.5-1.6 s and 24 MB at
-#   --dmax 5;
+#   G: --dmax 6 takes 0.011-0.02 s and 17 MB on GL(3,2), 0.07-0.08 s and
+#   17 MB on S6 (order 720), in process; a 2-group is its own Sylow
+#   subgroup and is resolved whole, so UT(4,2) (order 64) takes 1.7-2.8 s
+#   and 24 MB at --dmax 5, the spread being the host's;
 # - may --page 5 --dmax 10 takes 0.3-0.4 s and 26 MB at g <= 16 (0.3-0.5 s
 #   and 29 MB with --cone), 0.5-0.8 s and 48 MB at 17 (0.8-1.3 s and 54 MB
 #   with --cone), 1.4-2.0 s and 129 MB at 18 (1.8-3.1 s and 139 MB with

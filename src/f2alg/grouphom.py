@@ -9,6 +9,11 @@ stable-element theorem of Cartan-Eilenberg (*Homological Algebra*,
 resolved; a 2-group is its own P, and its one double coset adds no row.
 The route composes G's permutations and never tabulates G: a group's
 multiplication table is built when it is first resolved or mapped.
+Products go through compiled right actions (``_right``): p -> p*q is
+``itemgetter(*q)``, built once for q and applied to every left factor,
+and a group's elements are walked by right multiplication with its
+generators.  A group on at most one point has only the identity, so
+there the action is ``tuple``, which returns its tuple argument.
 
 A free resolution of the trivial module over the group algebra is built
 degree by degree: each boundary's kernel, read off the elimination that
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .cobar import BigradedComplex
@@ -52,30 +58,39 @@ MAX_DEGREE = 6
 Perm = tuple
 
 
+def _right(q: Perm) -> Callable[[Perm], Perm]:
+    """The right action p -> p*q, compiled once for q.  On at most one
+    point p*q = p, and ``itemgetter`` would return a scalar for one index
+    and refuse none."""
+    return itemgetter(*q) if len(q) > 1 else tuple
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """(p*q)(i) = p(q(i))."""
-    return tuple(map(p.__getitem__, q))
+    return _right(q)(p)
 
 
 class PermGroup:
     """Finite permutation group: elements enumerated and canonically
-    ordered lexicographically; multiplication by composition.  Its table
-    (``table[i][j]`` is the index of i*j; at most MAX_ORDER^2 entries) is
-    built on first use, so only a group that is resolved or mapped has
-    one."""
+    ordered lexicographically; multiplication by composition.  The
+    elements are walked from the identity by right multiplication with
+    the generators, each a compiled right action (``_right``), and
+    ``_steps`` records each new element q = p * gens[k] as (k, p).  Its
+    table (``table[i][j]`` is the index of i*j; at most MAX_ORDER^2
+    entries) is built from those steps on first use, so only a group
+    that is resolved or mapped has one."""
 
     def __init__(self, degree: int, generators: list[Perm], name: str = ""):
         self.degree = degree
         self.name = name
         ident = tuple(range(degree))
         gens = [tuple(g) for g in generators]
-        # breadth first from the identity; a new element q = gens[k] * p
-        # records (k, p)
-        found = {ident: None}
+        actions = [_right(g) for g in gens]
+        found = {ident: None}  # breadth first from the identity
         order = [ident]
         for p in order:
-            for k, g in enumerate(gens):
-                q = compose(g, p)
+            for k, act in enumerate(actions):
+                q = act(p)
                 if q not in found:
                     if len(found) >= MAX_ORDER:
                         raise WindowError("group order exceeds budget")
@@ -91,13 +106,15 @@ class PermGroup:
 
     @cached_property
     def table(self) -> list:
-        # the row of q = gens[k] * p is the row of p relabelled by left
-        # multiplication with gens[k], so only the generators compose
-        left = [[self.index[compose(g, q)] for q in self.elements] for g in self.generators]
+        # q = p * gens[k] sends e to p * (gens[k] * e), so the row of q is
+        # the row of p read at left[k], the indices of the gens[k] * e;
+        # only the generators are multiplied, by each e's right action
+        rights = [_right(e) for e in self.elements]
+        left = [[self.index[r(g)] for r in rights] for g in self.generators]
         table: list = [None] * self.order
         table[self.identity] = list(range(self.order))
         for q, (k, p) in self._steps.items():
-            table[self.index[q]] = list(map(left[k].__getitem__, table[self.index[p]]))
+            table[self.index[q]] = list(map(table[self.index[p]].__getitem__, left[k]))
         return table
 
     def mult(self, i: int, j: int) -> int:
@@ -113,11 +130,12 @@ def _generate(sub: set[Perm], gens: list[Perm], s: Perm) -> None:
     element times an old generator is old, so the search starts from the
     right translates of sub by s."""
     gens.append(s)
-    frontier = [b for b in (compose(a, s) for a in sub) if b not in sub]
+    actions = [_right(t) for t in gens]
+    frontier = [b for b in map(actions[-1], sub) if b not in sub]
     sub.update(frontier)
     for a in frontier:
-        for t in gens:
-            b = compose(a, t)
+        for act in actions:
+            b = act(a)
             if b not in sub:
                 sub.add(b)
                 frontier.append(b)
@@ -478,10 +496,11 @@ def double_cosets(group: PermGroup, sub: set[Perm], gens: list[Perm]) -> list[Pe
     element of each left coset reached, never by forming P w P itself."""
     seen: set[Perm] = set()
     out = []
+    rights = [_right(p) for p in sub]
 
     def reach(x: Perm) -> None:
         """Mark the left coset xP seen, x its element in the frontier."""
-        seen.update(compose(x, p) for p in sub)
+        seen.update(r(x) for r in rights)
         frontier.append(x)
 
     for w in group.elements:
@@ -490,8 +509,8 @@ def double_cosets(group: PermGroup, sub: set[Perm], gens: list[Perm]) -> list[Pe
         frontier: list[Perm] = []
         reach(w)
         for r in frontier:
-            for t in gens:
-                if (x := compose(t, r)) not in seen:
+            for x in map(_right(r), gens):
+                if x not in seen:
                     reach(x)
         out.append(w)
     return out
@@ -527,8 +546,8 @@ def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
     for w in double_cosets(group, sub, gens):
         if w in sub:
             continue
-        w_inv = _inverse(w)
-        q = tuple(p for p in p_group.elements if compose(compose(w_inv, p), w) in sub)
+        w_inv, by_w = _inverse(w), _right(w)
+        q = tuple(p for p in p_group.elements if by_w(compose(w_inv, p)) in sub)
         if len(q) == 1:
             continue
         if q not in seen:
@@ -539,7 +558,7 @@ def sylow_homology_dims(group: PermGroup, d_max: int) -> tuple:
                 r_q = resolve(q_group, d_max)
             seen[q] = (q_group, r_q, maps(GroupHom(q_group, p_group, lambda p: p), r_q))
         q_group, r_q, incl_maps = seen[q]
-        conj = GroupHom(q_group, p_group, lambda p: compose(compose(w_inv, p), w))
+        conj = GroupHom(q_group, p_group, lambda p: by_w(compose(w_inv, p)))
         c_maps = maps(conj, r_q)
         for d in range(1, d_max + 1):
             stacks[d] += map(int.__xor__, incl_maps[d].data, c_maps[d].data)

@@ -367,6 +367,24 @@ def test_grouphom_gl3_through_h6():
         (1, 0, 1, 2, 1, 2, 3)
 
 
+@pytest.mark.parametrize("text", ["()", "(0)"])
+def test_grouphom_on_no_point_and_one_point(text):
+    # the trivial group on 0 and on 1 point: each product is the identity
+    code, out = run(["grouphom", text, "--dmax", "2"])
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split("\t")[1:] for line in lines[1:4]] == [["0", "1"], ["1", "0"], ["2", "0"]]
+    assert lines[4:] == ["# H_1 abelianization cross-check: ok"]
+
+
+def test_grouphom_refuses_parsed_group_over_budget(tmp_path):
+    # S7 (order 5040) from a generator file: no closed form, so the walk
+    # over its elements refuses it
+    path = tmp_path / "s7.perm"
+    path.write_text("(0 1)\n(0 1 2 3 4 5 6)\n")
+    assert run(["grouphom", str(path)])[0] == 3
+
+
 def test_exit_budget_exceeded():
     assert run(["grouphom", "C2000"])[0] == 3
     assert run(["grouphom", "C2", "--dmax", "7"])[0] == 3

@@ -351,12 +351,47 @@ def test_abelianization_squares_suffice(name):
     assert abelianization_f2_dim(g) == abelianization_reference(g)
 
 
-@pytest.mark.parametrize("name", BUILTINS + ["S4", "UT(4,2)"])
+def product_reference(p, q):
+    """(p*q)(i) = p(q(i)), written out apart from the package's kernel."""
+    return tuple(p[i] for i in q)
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["S4", "UT(4,2)", "GL(0,2)", "S0", "UT(1,2)",
+                                             "relabelled GL(3,2)"])
 def test_mult_table_matches_composition(name):
-    g = builtin_group(name)
+    g = route_group(name)
     for i, p in enumerate(g.elements):
         for j, q in enumerate(g.elements):
-            assert g.mult(i, j) == g.index[compose(p, q)], (name, i, j)
+            assert g.mult(i, j) == g.index[product_reference(p, q)], (name, i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 64).flatmap(lambda n: st.tuples(st.permutations(range(n)),
+                                                       st.permutations(range(n)))))
+def test_compose_matches_reference(pair):
+    p, q = map(tuple, pair)
+    assert compose(p, q) == product_reference(p, q)
+
+
+# one group of each built-in family, the trivial ones included
+EVERY_BUILTIN = ["1", "C1", "C2", "C7", "S0", "S1", "S2", "S3", "S5", "S6", "D8",
+                 "GL(0,2)", "GL(1,2)", "GL(2,2)", "GL(3,2)",
+                 "UT(1,2)", "UT(2,2)", "UT(3,2)", "UT(4,2)"]
+
+
+@pytest.mark.parametrize("name", EVERY_BUILTIN)
+def test_elements_match_left_multiplication_walk(name):
+    # the closure of the identity under left multiplication by the
+    # generators is the same set, whichever side the walk multiplies on
+    g = builtin_group(name)
+    found = {tuple(range(g.degree))}
+    frontier = list(found)
+    for p in frontier:
+        for t in g.generators:
+            if (q := product_reference(t, p)) not in found:
+                found.add(q)
+                frontier.append(q)
+    assert g.elements == tuple(sorted(found))
 
 
 def test_h0_and_h1_against_abelianization():
