@@ -111,15 +111,11 @@ def pair_rows(row: Callable[[int], int], runs: Iterable[tuple[Iterable[int], lis
 
 
 class F2Matrix:
-    """Dense bit-packed matrix over F2, row-major.
+    """Dense bit-packed matrix over F2, row-major: ``data[i]`` is row i as
+    an int bitset over the columns, the image of basis vector i (see
+    ``apply_rowspace``)."""
 
-    ``data[i]`` is row i as an int bitset over the columns, and row i is
-    the image of basis vector i (see ``apply_rowspace``).  Immutable by
-    convention: no method changes the matrix after construction; ``solve``
-    keeps its elimination, which is not part of the value (``__eq__``).
-    """
-
-    __slots__ = ("rows", "cols", "data", "_solver")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Optional[list[int]] = None):
         if data is None:
@@ -133,7 +129,6 @@ class F2Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
-        self._solver: Optional[Pivots] = None
 
     def transpose(self) -> "F2Matrix":
         out = [0] * self.cols
@@ -176,14 +171,13 @@ class F2Matrix:
 
         Deterministic: the basic rows are chosen greedily, each row of M
         that is independent of the earlier ones in order; free rows get
-        zero, so x is unique.  The rows are eliminated once, on the first
-        call, and later calls reduce against the same pivots.
+        zero, so x is unique.  Each call eliminates the rows anew; it is the
+        tests' reference for lifts through a kept ``Echelon``.
         """
-        if self._solver is None:
-            self._solver = {}
-            for i, r in enumerate(self.data):
-                _reduce(self._solver, r, 1 << i, True)
-        r, x = _reduce(self._solver, b, 0, False)
+        pivots: Pivots = {}
+        for i, r in enumerate(self.data):
+            _reduce(pivots, r, 1 << i, True)
+        r, x = _reduce(pivots, b, 0, False)
         return None if r else x
 
     def __eq__(self, other) -> bool:

@@ -20,21 +20,22 @@ degree by degree: each boundary's kernel, read off the elimination that
 built the boundary (``minres.complement``), is generated greedily,
 picking the first reduced-echelon kernel vector outside the current
 equivariant span.  Homology is the honest homology of the tensored-down
-complex, so the resolution need not be minimal.  Induced maps along
-group homomorphisms come from explicit chain lifts.
+complex, so the resolution need not be minimal.  Induced maps come
+from chain lifts, each step a reduction against the kept elimination
+that built the target's boundary, as in ``minres`` (Bruner 1993).
 
 Free-module coordinates: rank-r free module over F2[G] has F2 basis
 indexed by (generator k, element e) at bit position k*|G| + e, with G
-acting by left translation on the element coordinate.  Boundaries are
-``F2Matrix`` tables of images: row k*|G| + e is the image of that basis
-vector.  The tensored-down complex is a ``BigradedComplex``, so its
-kernels, homology representatives and coordinates are computed as for
-the cobar complexes.
+acting by left translation on the element coordinate, so a boundary is
+kept as its generators' images (basis vector k*|G| + e maps to the
+translate by e of generator k's).  The tensored-down complex is a
+``BigradedComplex``, so its kernels, homology representatives and
+coordinates are computed as for the cobar complexes.
 
 Every degree through the top built one is read off the resolution as
 built.  The collapse pi: F_d -> F2 (x)_{F2[G]} F_d is onto and commutes
 with d, and the resolution is exact, so the image of 1 (x) d_{top+1} is
-pi(im d_{top+1}) = pi(ker d_top), kept by ``resolve`` for every d:
+pi(im d_{top+1}) = pi(ker d_top), kept by ``resolve`` at the top only:
 ``TensoredComplex`` takes it as the incoming boundaries of the top
 degree, and a caller resolves only to the degree it reads.  That saves
 F_{top+1}, by far the largest free module of the resolution.
@@ -257,16 +258,17 @@ def parse_group(text: str) -> PermGroup:
 
 class Resolution:
     """A free resolution of the trivial module through degree
-    len(ranks) - 1: ranks[d] is the rank of F_d over F2[G],
-    boundaries[d]: F_d -> F_{d-1} has one row per F2 basis vector of F_d
-    ([0] is the augmentation F_0 -> F2), and kernels[d] spans pi(ker d_d)
-    over the generators of F_d."""
+    top = len(ranks) - 1: ranks[d] is the rank of F_d over F2[G],
+    images[d] the images of its generators ([0] is the augmentation's),
+    spans[d] the elimination that built d_d (``minres.complement``; [0]
+    is None), and top_kernel spans pi(ker d_top) over F_top's generators."""
 
-    def __init__(self, group: PermGroup, ranks: tuple, boundaries: tuple, kernels: tuple):
+    def __init__(self, group: PermGroup, ranks: tuple, images: tuple, spans: tuple, top_kernel):
         self.group = group
         self.ranks = ranks
-        self.boundaries = boundaries
-        self.kernels = kernels
+        self.images = images
+        self.spans = spans
+        self.top_kernel = top_kernel
 
     @cached_property
     def tensored(self) -> TensoredComplex:
@@ -302,39 +304,41 @@ def resolve(group: PermGroup, d_max: int) -> Resolution:
     """Free resolution of the trivial module through degree d_max.
 
     Kernel generators are picked greedily, in the order of the
-    reduced-echelon kernel basis."""
+    reduced-echelon kernel basis.  That basis eliminates each kernel's
+    tags again, and it pays: picked from the tags as they come, GL(3,2)
+    has ranks (1, 2, 6, 21, 64) through degree 4, not (1, 2, 3, 6, 11)."""
     if d_max > MAX_DEGREE:
         raise WindowError("degree exceeds budget")
     n = group.order
-    ranks = [1]
-    boundaries = [F2Matrix(n, 1, [1] * n)]
+    ranks, images, spans = [1], [(1,)], [None]
     kernel = augmentation_kernel(n)
-    kernels = [[_collapse(group, v, 1) for v in kernel.basis]]
+    tags = kernel.basis
     for d in range(1, d_max + 1):
-        # the n translates of each new generator
-        rows, tags, _ = complement([], kernel.basis, lambda v: _translates(group, v, range(n)))
+        # the n translates of each new generator, its own image first
+        rows, tags, span = complement([], kernel.basis, lambda v: _translates(group, v, range(n)))
         ranks.append(len(rows) // n)
-        boundaries.append(F2Matrix(len(rows), boundaries[-1].rows, rows))
-        kernels.append([_collapse(group, v, ranks[d]) for v in tags])
+        images.append(tuple(rows[::n]))
+        spans.append(span)
         if d < d_max:
             kernel = Subspace.span(len(rows), tags)
-    return Resolution(group, tuple(ranks), tuple(boundaries), tuple(kernels))
+    top_kernel = [_collapse(group, v, ranks[-1]) for v in tags]
+    return Resolution(group, tuple(ranks), tuple(images), tuple(spans), top_kernel)
 
 
 def assert_resolution(res: Resolution) -> None:
-    """Exact checks: boundaries compose to zero, exactness, equivariance."""
+    """Exact checks on the boundaries rebuilt from the generator images:
+    they compose to zero and the resolution is exact."""
     n = res.group.order
-    for d in range(1, len(res.boundaries)):
-        prev, cur = res.boundaries[d - 1], res.boundaries[d]
+    prev = F2Matrix(n, 1, [1] * n)
+    for d in range(1, len(res.ranks)):
+        rows = [w for v in res.images[d] for w in _translates(res.group, v, range(n))]
+        cur = F2Matrix(len(rows), prev.rows, rows)
         for row in cur.data:
             if prev.apply_rowspace(row):
                 raise AssertionError(f"boundary square nonzero at degree {d}")
         if prev.left_kernel().dim != cur.rank():
             raise AssertionError(f"resolution not exact at degree {d - 1}")
-        for k in range(res.ranks[d]):
-            moved = map(cur.apply_rowspace, _translates(res.group, 1 << (k * n), range(n)))
-            if list(moved) != _translates(res.group, cur.data[k * n], range(n)):
-                raise AssertionError(f"boundary not equivariant at degree {d}")
+        prev = cur
 
 
 def _collapse(group: PermGroup, v: int, rank: int) -> int:
@@ -353,9 +357,7 @@ def tensored_boundary(res: Resolution, d: int) -> F2Matrix:
     of degree 0 it is zero (the augmentation is not in the complex)."""
     if d == 0:
         return F2Matrix(res.ranks[0], 0, [0] * res.ranks[0])
-    n = res.group.order
-    rows = [_collapse(res.group, res.boundaries[d].data[k * n], res.ranks[d - 1])
-            for k in range(res.ranks[d])]
+    rows = [_collapse(res.group, v, res.ranks[d - 1]) for v in res.images[d]]
     return F2Matrix(res.ranks[d], res.ranks[d - 1], rows)
 
 
@@ -374,18 +376,13 @@ class TensoredComplex(BigradedComplex):
         # bars[d] is the tensored boundary of degree d
         self.bars = [tensored_boundary(res, d) for d in range(self.top + 1)]
 
-    @cached_property
-    def incoming(self) -> list[int]:
-        """A spanning list of pi(ker d_top), kept by ``resolve``."""
-        return self.res.kernels[self.top]
-
     def chain_dim(self, g: int, s: int) -> int:
         if g != self.g_max:
             return 0
-        return self.bars[g - s].rows if s else len(self.incoming)
+        return self.bars[g - s].rows if s else len(self.res.top_kernel)
 
     def _build_row_fn(self, g: int, s: int) -> Callable[[int], int]:
-        return self.bars[g - s].data.__getitem__ if s else self.incoming.__getitem__
+        return self.bars[g - s].data.__getitem__ if s else self.res.top_kernel.__getitem__
 
 
 def homology_dims(res: Resolution) -> tuple:
@@ -414,8 +411,10 @@ class GroupHom:
 
 def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):
     """Lift the homomorphism to a chain map: per-degree generator images
-    in the target free module (solved deterministically; always solvable
-    over a free resolution)."""
+    in the target free module, each the tag of its boundary reduced
+    against the target's elimination of d_d.  That joined the rows of d_d
+    in order, each tagged with its unit vector, so the lift is the x of
+    ``F2Matrix.solve`` on d_d; a residue means the resolution is inexact."""
     n_s = hom.source.order
 
     lifts = [[1 << hom.target.identity]]
@@ -427,10 +426,10 @@ def chain_lift(hom: GroupHom, r_src: Resolution, r_tgt: Resolution, d_max: int):
         cur = []
         for k in range(r_src.ranks[d]):
             b = 0
-            for bit in bits_of(r_src.boundaries[d].data[k * n_s]):
+            for bit in bits_of(r_src.images[d][k]):
                 b ^= moved[bit // n_s][bit % n_s]
-            x = r_tgt.boundaries[d].solve(b)
-            if x is None:
+            r, x = r_tgt.spans[d].reduce(b)
+            if r:
                 raise AssertionError("chain lift failed; resolution inexact")
             cur.append(x)
         lifts.append(cur)

@@ -173,7 +173,7 @@ def test_row_fn_tensored_matches_boundaries():
     cx = res.tensored
     g = cx.g_max
     for s in range(g + 1):
-        want = tensored_boundary(res, g - s).data if s else res.kernels[cx.top]
+        want = tensored_boundary(res, g - s).data if s else res.top_kernel
         row = cx.row_fn(g, s)
         assert cx.chain_dim(g, s) == len(want)
         assert [row(i) for i in range(len(want))] == want, s

@@ -152,8 +152,8 @@ def test_kernel_vectors_annihilate(m):
 @settings(max_examples=150, deadline=None)
 @given(small_matrix)
 def test_solve_exact_or_none(m):
-    # every right-hand side on the one matrix, so all calls after the
-    # first reuse its elimination; x is the same as from a fresh matrix
+    # every right-hand side on the one matrix; x depends only on the
+    # matrix's value, so a copy gives the same
     for b in range(1 << m.cols):
         x = m.solve(b)
         assert x == F2Matrix(m.rows, m.cols, list(m.data)).solve(b)

@@ -6,8 +6,11 @@ for choice independence, a relabelled copy of the group, whose greedy
 resolution picks other generators.
 """
 
+import io
 import re
+from contextlib import redirect_stdout
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,7 @@ from f2alg.grouphom import (
 )
 from f2alg.minres import complement
 
+ROOT = Path(__file__).resolve().parent.parent
 BUILTINS = ["1", "C2", "C4", "S2", "S3", "D8", "GL(2,2)", "GL(3,2)", "UT(3,2)"]
 
 
@@ -162,16 +166,20 @@ def test_dims_independent_of_greedy_ties(name):
     g = builtin_group(name)
     other, _ = relabelled(g)
     res, res_other = resolve(g, 4), resolve(other, 4)
-    assert res.boundaries != res_other.boundaries
+    assert res.images != res_other.images
     assert homology_dims(res) == homology_dims(res_other)
 
 
 # ---------------------------------------------------------------- top degree
 
-def truncated(res, d):
-    """The resolution through degree d; resolve builds degree by degree,
-    so this is what resolve(group, d) returns."""
-    return Resolution(res.group, res.ranks[:d + 1], res.boundaries[:d + 1], res.kernels[:d + 1])
+def boundary(res, d):
+    """d_d rebuilt as a table from the generator images: row k*|G| + e is
+    the translate by e of generator k's image ([0] the augmentation)."""
+    n = res.group.order
+    if d == 0:
+        return F2Matrix(n, 1, [1] * n)
+    rows = [w for v in res.images[d] for w in grouphom._translates(res.group, v, range(n))]
+    return F2Matrix(len(rows), res.ranks[d - 1] * n, rows)
 
 
 @pytest.mark.parametrize("relabel", [False, True])
@@ -189,12 +197,11 @@ def test_top_degree_matches_one_degree_further(name, relabel):
     if relabel:
         # a group of order at most 2 sorts its elements one way only, so
         # its greedy resolution is unique
-        assert (res.boundaries != resolve(base, top).boundaries) is (base.order > 2)
-    head = truncated(further, top)
-    assert (res.ranks, res.boundaries) == (head.ranks, head.boundaries)
+        assert (res.images != resolve(base, top).images) is (base.order > 2)
+    assert (res.ranks, res.images) == (further.ranks[:top + 1], further.images[:top + 1])
     dims = homology_dims(further)
     for d in range(top + 1):
-        assert homology_dims(truncated(further, d)) == dims[:d + 1], d
+        assert homology_dims(resolve(g, d)) == dims[:d + 1], d
 
 
 def test_gl3_top_degree_reads_h4(r_gl3):
@@ -208,7 +215,7 @@ def test_top_degree_induced_map_matches_one_degree_further(gl2, gl3):
     ut3_other, relabel = relabelled(ut3)
     c2, s3 = builtin_group("C2"), builtin_group("S3")
     r_ut3, r_ut3_other = resolve(ut3, 5), resolve(ut3_other, 5)
-    assert r_ut3.boundaries != r_ut3_other.boundaries
+    assert r_ut3.images != r_ut3_other.images
     cases = [
         (stabilization_hom(gl2, gl3, 2), resolve(gl2, 5), resolve(gl3, 5)),
         (GroupHom(c2, s3, lambda p: tuple(p) + (2,)), resolve(c2, 5), resolve(s3, 5)),
@@ -218,7 +225,7 @@ def test_top_degree_induced_map_matches_one_degree_further(gl2, gl3):
     permutations = []
     for hom, r_src, r_tgt in cases:
         for d in range(5):
-            at_top = induced_map(hom, truncated(r_src, d), truncated(r_tgt, d), d)
+            at_top = induced_map(hom, resolve(hom.source, d), resolve(hom.target, d), d)
             assert at_top == induced_map(hom, r_src, r_tgt, d), (hom.source.name, d)
             if hom is relabel:
                 permutations.append(sorted(at_top.data) == [1 << i for i in range(at_top.cols)])
@@ -231,7 +238,7 @@ def kernel_reference(res, d):
     vector."""
     n = res.group.order
     span, out = Echelon(), []
-    for i, row in enumerate(res.boundaries[d].data):
+    for i, row in enumerate(boundary(res, d).data):
         r, tag = span.add(row, 1 << (i // n))
         if not r:
             out.append(tag)
@@ -242,24 +249,30 @@ def kernel_reference(res, d):
                          + [(name, True) for name in ("S3", "D8", "UT(3,2)")])
 def test_resolve_kernels_match_left_kernel(monkeypatch, name, relabel):
     # the kernels resolve reads off each boundary's own elimination are
-    # the reduced-echelon left kernels, and the kept pi(ker d_d) span
-    # what an elimination of d_d tagged by generator blocks spans
+    # the reduced-echelon left kernels, the images rebuild the boundaries
+    # that elimination built, and the kept pi(ker d_top) spans what an
+    # elimination of d_top tagged by generator blocks spans
     g = builtin_group(name)
     if relabel:
         g, _ = relabelled(g)
-    passed = []
+    passed, built = [], []
 
     def recorded(rows, vectors, translates):
         passed.append(list(vectors))
-        return complement(rows, passed[-1], translates)
+        built.append(complement(rows, passed[-1], translates))
+        return built[-1]
 
     monkeypatch.setattr(grouphom, "complement", recorded)
     res = resolve(g, 4)
-    assert len(passed) == 4 and len(res.kernels) == 5
+    assert len(passed) == 4 and len(res.images) == len(res.spans) == 5
     for d, kernel in enumerate(passed):
-        assert kernel == res.boundaries[d].left_kernel().basis, (name, d)
-    for d, rank in enumerate(res.ranks):
-        assert Subspace.span(rank, res.kernels[d]) == \
+        assert kernel == boundary(res, d).left_kernel().basis, (name, d)
+        rows, _, span = built[d]
+        assert boundary(res, d + 1).data == rows and res.spans[d + 1] is span, (name, d)
+    for d in range(5):
+        top = resolve(g, d)
+        rank = top.ranks[d]
+        assert Subspace.span(rank, top.top_kernel) == \
             Subspace.span(rank, kernel_reference(res, d)), (name, d)
 
 
@@ -269,17 +282,16 @@ def test_augmentation_kernel_closed_form(n):
 
 
 def test_incoming_runs_once_per_resolution(monkeypatch, gl2, gl3):
-    # every top-degree read of one resolution shares its tensored complex
-    incoming = TensoredComplex.incoming.func
+    # every top-degree read of one resolution shares its tensored complex,
+    # which reads the kept pi(ker d_top) as its incoming boundaries
+    init = TensoredComplex.__init__
     built = []
 
-    def counted(c):
-        built.append(c.res)
-        return incoming(c)
+    def counted(c, res):
+        built.append(res)
+        init(c, res)
 
-    prop = cached_property(counted)
-    prop.__set_name__(TensoredComplex, "incoming")
-    monkeypatch.setattr(TensoredComplex, "incoming", prop)
+    monkeypatch.setattr(TensoredComplex, "__init__", counted)
     stab = stabilization_hom(gl2, gl3, 2)
     r_src, r_tgt = resolve(gl2, 3), resolve(gl3, 3)
     maps = [induced_map(stab, r_src, r_tgt, 3) for _ in range(3)]
@@ -310,6 +322,24 @@ def test_batched_translates_match_one_element_at_a_time(name, rank, data):
     assert grouphom._translates(g, v, range(g.order)) == \
         [act_reference(g, e, v) for e in range(g.order)]
     assert grouphom._translates(g, v, elements) == [act_reference(g, e, v) for e in elements]
+
+
+ACTION_GROUPS = {name: builtin_group(name) for name in ["S3", "D8", "GL(3,2)"]}
+ACTION_GROUPS["relabelled GL(3,2)"] = relabelled(ACTION_GROUPS["GL(3,2)"])[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ACTION_GROUPS)), st.integers(1, 3), st.data())
+def test_translates_are_a_left_action(name, rank, data):
+    # e.(f.v) = (ef).v and 1.v = v: a boundary kept as its generators'
+    # images is equivariant when each row is a translate of one of them
+    g = ACTION_GROUPS[name]
+    v = data.draw(st.integers(0, (1 << (rank * g.order)) - 1))
+    f = data.draw(st.integers(0, g.order - 1))
+    (moved,) = grouphom._translates(g, v, [f])
+    assert grouphom._translates(g, moved, range(g.order)) == \
+        grouphom._translates(g, v, [g.mult(e, f) for e in range(g.order)])
+    assert grouphom._translates(g, v, [g.identity]) == [v]
 
 
 # greedy ranks, recorded before the kernel-complement step was shared with
@@ -425,7 +455,7 @@ def test_identity_across_tie_breaks(gl3, r_gl3):
     # picks other generators, and the isomorphism changes basis on H_3
     other, relabel = relabelled(gl3)
     r_other = resolve(other, 3)
-    assert r_other.boundaries != r_gl3.boundaries[:4]
+    assert r_other.images != r_gl3.images[:4]
     m = induced_map(relabel, r_gl3, r_other, 3)
     assert m.rank() == m.rows == m.cols == 2
     assert sorted(m.data) != [1, 2]
@@ -483,6 +513,91 @@ def test_s2_into_gl2_iso(gl2, r_gl2):
     for d in range(5):
         m = induced_map(incl, r_s2, r_gl2, d)
         assert m.rows == m.cols == m.rank() == 1
+
+
+class _Solver:
+    """What ``chain_lift`` reads of a kept elimination, ``reduce``, done
+    by F2Matrix.solve on the boundary rebuilt from the images: the
+    reference for the kept spans."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def reduce(self, b):
+        x = self.matrix.solve(b)
+        return (b, 0) if x is None else (0, x)
+
+
+def assert_lift_matches_solve(hom, r_src, r_tgt, d_max):
+    """The chain lift through the target's kept spans is the one that
+    F2Matrix.solve gives on its rebuilt boundaries."""
+    solved = Resolution(r_tgt.group, r_tgt.ranks, r_tgt.images,
+                        (None, *(_Solver(boundary(r_tgt, d)) for d in range(1, d_max + 1))),
+                        r_tgt.top_kernel)
+    lifts = chain_lift(hom, r_src, r_tgt, d_max)
+    assert lifts == chain_lift(hom, r_src, solved, d_max), (hom.source.name, hom.target.name)
+    return lifts
+
+
+def test_lifts_match_solve(gl2, gl3):
+    ut3 = builtin_group("UT(3,2)")
+    c2, s3 = builtin_group("C2"), builtin_group("S3")
+    for hom in [stabilization_hom(gl2, gl3, 2), GroupHom(c2, s3, lambda p: tuple(p) + (2,)),
+                relabelled(ut3)[1]]:
+        lifts = assert_lift_matches_solve(hom, resolve(hom.source, 5), resolve(hom.target, 5), 5)
+        assert all(lifts[5]), hom.source.name
+
+
+@pytest.mark.parametrize("name", ["GL(3,2)", "S4"])
+def test_sylow_route_lifts_match_solve(monkeypatch, name):
+    # every inclusion and conjugation map the route lifts
+    lifted = []
+
+    def spy(*args):
+        lifted.append(args)
+        return chain_lift(*args)
+
+    monkeypatch.setattr(grouphom, "chain_lift", spy)
+    sylow_homology_dims(builtin_group(name), 5)
+    assert len(lifted) >= 2
+    for args in lifted:
+        assert_lift_matches_solve(*args)
+
+
+def test_no_program_path_solves(monkeypatch, gl2, gl3):
+    # lifts reduce against kept eliminations; F2Matrix.solve is only the
+    # tests' reference: every golden's command, the grouphom command and
+    # the induced maps run without it
+    def refuse(m, b):
+        raise AssertionError("F2Matrix.solve called")
+
+    monkeypatch.setattr(F2Matrix, "solve", refuse)
+    monkeypatch.chdir(ROOT)  # cell-spec paths in configs are repo-relative
+    for argv in [[f"@{p.relative_to(ROOT)}"] for p in sorted(ROOT.glob("repro/*.args"))] + [
+            ["grouphom", "GL(3,2)", "--dmax", "6"], ["grouphom", "S4", "--dmax", "6"]]:
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    r2, r3 = resolve(gl2, 5), resolve(gl3, 5)
+    stab = stabilization_hom(gl2, gl3, 2)
+    assert [induced_map(stab, r2, r3, d).rank() for d in range(6)] == [1, 0, 1, 0, 1, 0]
+
+
+def test_chain_lift_check_raises():
+    """With the pivot of the first generator's own image, the first row
+    joined, taken out of the kept elimination of d_1, the identity of S3
+    cannot lift past F_0."""
+    g = builtin_group("S3")
+    res = resolve(g, 1)
+    ident = GroupHom(g, g, lambda p: p)
+    assert chain_lift(ident, res, res, 1)[1]
+    del res.spans[1].pivots[res.images[1][0].bit_length()]
+    with pytest.raises(AssertionError, match="chain lift failed"):
+        chain_lift(ident, res, res, 1)
+
+
+def test_chain_lift_check_survives_optimize_flag(run_optimized):
+    """The test above, run again in a python -O subprocess."""
+    run_optimized("import test_grouphom; test_grouphom.test_chain_lift_check_raises()")
 
 
 def test_non_homomorphism_rejected():
