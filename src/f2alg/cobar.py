@@ -15,9 +15,12 @@ below g_max - 1 keep their rows, and their row function is the list's
 own lookup.  No word tuple is formed.
 ``boundary_words`` yields the same boundary symbolically, one term per
 split with repeated terms included; it is the model behind the symbolic
-d*d check and the tests, and ``words`` and ``word_index`` serve labels
-and products.  Homology in cohomological degree s at grading g is
-Cotor, reindexed by (g, d) with d = g - s.
+d*d check and the tests, and ``words`` and ``word_index`` list a
+layer's word tuples for that check, for labels and for the tests.
+Products, cone module actions and induced maps list no layer's words:
+they read a word's letters off its index (``word_of``) and index a word
+by summing offsets (``index_of``).  Homology in cohomological degree s
+at grading g is Cotor, reindexed by (g, d) with d = g - s.
 
 This is the chain-level model.  Its users are ``mayss``, which filters
 it, and the chain-level checks of products, cone module actions and
@@ -332,6 +335,31 @@ class CobarComplex(BigradedComplex):
             self._offsets_cache[key] = off
         return off
 
+    def word_of(self, g: int, s: int, i: int) -> tuple[int, ...]:
+        """The letters of word i of (g, s), read off the offsets: the first
+        letter a is the block of off(g, s) that holds i, and the tail is
+        word i - off[a] of (g - |a|, s - 1)."""
+        w = []
+        for s in range(s, 0, -1):
+            off = self._offsets(g, s)
+            a = bisect_right(off, i) - 1
+            w.append(a)
+            i -= off[a]
+            g -= self.letter_grading[a]
+        return tuple(w)
+
+    def index_of(self, g: int, s: int, w: tuple[int, ...]) -> int:
+        """The sum of the offsets of the letters w at (g, s), one per
+        letter as index(a|v) = off[a] + index(v) unfolds: the index of w
+        itself when it fills (g, s), and of w|v, for v a word of the layer
+        w leaves, less index(v)."""
+        j = 0
+        for a in w:
+            j += self._offsets(g, s)[a]
+            g -= self.letter_grading[a]
+            s -= 1
+        return j
+
     def chain_dim(self, g: int, s: int) -> int:
         if s <= 0 or g < s:  # letters have grading >= 1
             return int(g == s == 0)
@@ -419,20 +447,21 @@ class CobarComplex(BigradedComplex):
             self._d2_checked.add((g, s))
         return m
 
-    # -- chain translation helpers
-    def chain_words(self, g: int, s: int, chain: int) -> list[tuple[int, ...]]:
-        ws = self.words(g, s)
-        return [ws[i] for i in bits_of(chain)]
-
     def concat_chain(self, g: int, s: int, chain: int, y: CotorClass) -> int:
         """Concatenation of a chain at (g, s) with the representative of
-        y, as a chain at (g + y.g, s + y.s)."""
-        idx = self.word_index(g + y.g, s + y.s)
-        yw = self.chain_words(y.g, y.s, y.chain)
+        y, as a chain at the target (g + y.g, s + y.s).  For words x of
+        (g, s) and w of (y.g, y.s), x|w is word index_of(target, x) +
+        index(w), so x.y is y's chain shifted by index_of(target, x); the
+        shifted copies are disjoint, x|w being distinct words.  The target
+        must lie in the window: past g_max the letters are cut, and its
+        offsets would undercount."""
+        if not chain:
+            return 0
+        gt, st = g + y.g, s + y.s
+        self.check_window(gt, st)
         out = 0
-        for a in self.chain_words(g, s, chain):
-            for b in yw:
-                out ^= 1 << idx[a + b]
+        for i in bits_of(chain):
+            out ^= y.chain << self.index_of(gt, st, self.word_of(g, s, i))
         return out
 
     def product_chain(self, x: CotorClass, y: CotorClass) -> int:
@@ -472,7 +501,7 @@ class ConeComplex(BigradedComplex):
         super().__init__(base.g_max, base.s_max)
         self.base = base
         self.z = z
-        self.z_letters = [base.words(1, 1)[i][0] for i in bits_of(z.chain)]
+        self.z_letters = [base.word_of(1, 1, i)[0] for i in bits_of(z.chain)]
 
     def chain_dim(self, g: int, s: int) -> int:
         return self.base._dim(g, s) + self.base._dim(g - 1, s)
@@ -536,9 +565,15 @@ class CobarMap:
             )
 
     def map_chain(self, g: int, s: int, chain: int) -> int:
-        idx = self.target.word_index(g, s)
+        """The image of a chain at (g, s), which must lie in both windows:
+        each word maps to the product of its letters' images."""
+        if not chain:
+            return 0
+        self.source.check_window(g, s)
+        self.target.check_window(g, s)
         out = 0
-        for w in self.source.chain_words(g, s, chain):
+        for i in bits_of(chain):
+            w = self.source.word_of(g, s, i)
             for nw in itertools.product(*(self.letter_images[lid] for lid in w)):
-                out ^= 1 << idx[nw]
+                out ^= 1 << self.target.index_of(g, s, nw)
         return out

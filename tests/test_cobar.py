@@ -7,6 +7,7 @@ ring_chart_names enumeration.  The big-window chart and the heavy cone
 computations live in the acceptance suite.
 """
 
+import itertools
 from collections import Counter
 from functools import partial
 
@@ -21,7 +22,7 @@ from f2alg.cobar import (
     WindowError,
     build_cobar,
 )
-from f2alg.f2linalg import Echelon, F2Matrix, Subspace, pair_rows
+from f2alg.f2linalg import Echelon, F2Matrix, Subspace, bits_of, pair_rows
 from f2alg.grouphom import TensoredComplex, builtin_group, resolve, tensored_boundary
 from f2alg.minres import ring_chart_names
 from f2alg.hopf import HopfAlgebra, build_a1_star, build_cgl_to_a1_map, build_delta_cgl
@@ -85,7 +86,7 @@ def test_differential_of_x2(cx, a1):
     lid = cx._letter_index[(3, a1.index(3, "x2"))]
     i = cx.word_index(3, 1)[(lid,)]
     img = cx.boundary_bits(3, 1, i)
-    assert [cx.word_label(w) for w in cx.chain_words(3, 2, img)] == ["[x1^2|x1]"]
+    assert [cx.word_label(cx.word_of(3, 2, j)) for j in bits_of(img)] == ["[x1^2|x1]"]
 
 
 def test_primitive_letter_closed(cx, a1):
@@ -450,6 +451,107 @@ def test_periodicity_small_gradings(cx, named):
                 assert cx.map_rank_mod_boundaries(g + 12, d + 8, chains) == len(src)
 
 
+def word_model_concat(cx, g, s, chain, y):
+    """x.y through word tuples: every word of the chain concatenated with
+    every word of y's chain, indexed by the word index of the target."""
+    idx, ws = cx.word_index(g + y.g, s + y.s), cx.words(g, s)
+    yws = [cx.words(y.g, y.s)[j] for j in bits_of(y.chain)]
+    out = 0
+    for i in bits_of(chain):
+        for b in yws:
+            out ^= 1 << idx[ws[i] + b]
+    return out
+
+
+def pattern(n, k):
+    """Every k-th chain of n, from chain k - 1: a mixed chain."""
+    return sum(1 << i for i in range(k - 1, n, k))
+
+
+def test_word_of_and_index_of_match_words(a1):
+    cx = build_cobar(a1, 10, 10)
+    for g in range(11):
+        for s in range(g + 1):
+            for i, w in enumerate(cx.words(g, s)):
+                assert cx.word_of(g, s, i) == w, (g, s, i)
+                assert cx.index_of(g, s, w) == i, (g, s, i)
+
+
+@pytest.mark.parametrize("build,g_max", [(build_a1_star, 9), (build_delta_cgl, 5)])
+def test_concat_chain_matches_word_model(build, g_max):
+    # mixed chains on both sides over every pair of layers that fits the
+    # window, the unit at (0, 0) on either side included
+    cx = build_cobar(build(), g_max, g_max)
+    for g1 in range(g_max + 1):
+        for s1 in range(g1 + 1):
+            n1 = cx.chain_dim(g1, s1)
+            for g2 in range(g_max + 1 - g1):
+                for s2 in range(g2 + 1):
+                    n2 = cx.chain_dim(g2, s2)
+                    for k1, k2 in ((1, 1), (2, 3), (3, 1)):
+                        x, y = pattern(n1, k1), CotorClass(g2, g2 - s2, pattern(n2, k2))
+                        assert cx.concat_chain(g1, s1, x, y) == \
+                            word_model_concat(cx, g1, s1, x, y), (g1, s1, g2, s2, k1, k2)
+
+
+def test_products_match_word_model(cx, named):
+    classes = [cx.unique_class(0, 0), *named.values(), *cx.cotor_basis(4, 2)]
+    for x in classes:
+        for y in classes:
+            if x.g + y.g <= 14:
+                assert cx.product_chain(x, y) == word_model_concat(cx, x.g, x.s, x.chain, y)
+
+
+def test_module_action_matches_word_model(cone, named):
+    # cone chains with nonzero x- and y-parts, and the unit acting
+    base = cone.base
+    for r in (base.unique_class(0, 0), named["h10"], named["h11"], named["y74"]):
+        for g in range(6):
+            for s in range(g + 1):
+                nx, ny = base.chain_dim(g, s), base.chain_dim(g - 1, s)
+                for x, y in ((pattern(nx, 1), pattern(ny, 1)), (0, pattern(ny, 2)),
+                             (pattern(nx, 2), 0)):
+                    gt, dt, c = cone.module_action(r, g, g - s, cone.join_chain(g, s, x, y))
+                    want = cone.join_chain(gt, gt - dt, word_model_concat(base, g, s, x, r),
+                                           word_model_concat(base, g - 1, s, y, r) if y else 0)
+                    assert (gt, dt, c) == (g + r.g, g - s + r.d, want), (r, g, s)
+
+
+def test_concat_chain_refuses_targets_past_the_window(a1):
+    # past g_max the letters are cut, so the offsets undercount: a product
+    # landing there would be misindexed, so it raises; an empty chain is 0
+    small = build_cobar(a1, 4, 4)
+    assert small._offsets(8, 2)[-1] == 1 != build_cobar(a1, 8, 8)._offsets(8, 2)[-1] == 7
+    h11 = small.unique_class(2, 1)
+    h11sq = CotorClass(4, 2, small.product_chain(h11, h11))
+    assert small.class_nonzero(4, 2, h11sq.chain)
+    with pytest.raises(WindowError):
+        small.product_chain(h11sq, h11)
+    with pytest.raises(WindowError):
+        small.concat_chain(2, 1, h11.chain, h11sq)
+    assert small.concat_chain(2, 1, 0, h11sq) == 0
+    assert small.concat_chain(-1, 0, 0, h11) == 0
+    short = build_cobar(a1, 8, 2)
+    h11 = short.unique_class(2, 1)
+    with pytest.raises(WindowError):
+        short.product_chain(CotorClass(4, 2, short.product_chain(h11, h11)), h11)
+
+
+def test_products_list_no_target_words(a1):
+    # criterion 3's products on a fresh complex: the bases are computed
+    # first, and the products and their ranks then build no word index and
+    # list no word of a product target layer
+    cx = build_cobar(a1, 20, 20)
+    y128 = cx.unique_class(12, 8)
+    bases = {(g, d): cx.cotor_basis(g, d) for g in range(6) for d in range(11)}
+    before = set(cx._words_cache)
+    for (g, d), basis in bases.items():
+        images = [cx.product_chain(y128, b) for b in basis]
+        assert cx.map_rank_mod_boundaries(g + 12, d + 8, images) == len(basis), (g, d)
+    assert cx._windex_cache == {}
+    assert set(cx._words_cache) == before
+
+
 # ---------------------------------------------------------------- cone
 
 def test_cone_requires_1_0_cycle(cx, named):
@@ -556,6 +658,23 @@ def test_comparison_map_hits_h10_and_h11(cx, a1):
     img2 = m.map_chain(2, 1, c21.chain)
     assert cx.classes_agree(2, 1, img2, cx.unique_class(2, 1).chain)
     assert cx.class_nonzero(2, 1, img2)
+
+
+def test_map_chain_matches_word_model(a1):
+    cgl = build_delta_cgl()
+    src, tgt = build_cobar(cgl, g_max=5), build_cobar(a1, 5, 5)
+    m = CobarMap(build_cgl_to_a1_map(cgl, a1), src, tgt)
+    for g in range(6):
+        for s in range(g + 1):
+            idx = tgt.word_index(g, s)
+            for i, w in enumerate(src.words(g, s)):
+                want = 0
+                for nw in itertools.product(*(m.letter_images[lid] for lid in w)):
+                    want ^= 1 << idx[nw]
+                assert m.map_chain(g, s, 1 << i) == want, (g, s, i)
+    assert m.map_chain(6, 1, 0) == 0
+    with pytest.raises(WindowError):
+        m.map_chain(6, 1, 1)
 
 
 # ---------------------------------------------------------------- chart table
