@@ -263,7 +263,9 @@ def cmd_grouphom(args) -> str:
     g = grouphom.parse_group(text)
     # through H_1 at least, for the abelianization cross-check
     dims = grouphom.sylow_homology_dims(g, max(args.dmax, 1))
-    name = g.name or args.group
+    # one table cell: a literal's lines joined by "; ", no tab or newline
+    lines = filter(None, map(str.strip, args.group.splitlines()))
+    name = g.name or "; ".join(lines).replace("\t", " ")
     if dims[1] != grouphom.abelianization_f2_dim(g):
         raise AssertionError("H_1 disagrees with the abelianization oracle")
     rows = [(name, d, dims[d]) for d in range(args.dmax + 1)]

@@ -15,12 +15,13 @@ below g_max - 1 keep their rows, and their row function is the list's
 own lookup.  No word tuple is formed.
 ``boundary_words`` yields the same boundary symbolically, one term per
 split with repeated terms included; it is the model behind the symbolic
-d*d check and the tests, and ``words`` and ``word_index`` list a
-layer's word tuples for that check, for labels and for the tests.
-Products, cone module actions and induced maps list no layer's words:
-they read a word's letters off its index (``word_of``) and index a word
-by summing offsets (``index_of``).  Homology in cohomological degree s
-at grading g is Cotor, reindexed by (g, d) with d = g - s.
+d*d check and the tests.  A word's letters are read off its index
+(``word_of``) and a word is indexed by summing offsets (``index_of``):
+products, cone module actions and induced maps list no layer's words,
+and ``words`` and ``word_index`` decode the offsets the same way to
+list a layer's word tuples for that check and for the tests.  Homology
+in cohomological degree s at grading g is Cotor, reindexed by (g, d)
+with d = g - s.
 
 This is the chain-level model.  Its users are ``mayss``, which filters
 it, and the chain-level checks of products, cone module actions and
@@ -287,37 +288,18 @@ class CobarComplex(BigradedComplex):
                     for (g1, i1), (g2, i2) in h.reduced_coproduct(g, i)
                 ]
             )
-        self._words_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self._windex_cache: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
         self._offsets_cache: dict[tuple[int, int], list[int]] = {}
         self._rows_cache: dict[tuple[int, int], list[int]] = {}
-        self._d2_checked: set[tuple[int, int]] = set()
 
     def letter_label(self, lid: int) -> str:
         g, i = self.letters[lid]
         return self.h.label(g, i)
 
     def words(self, g: int, s: int) -> list[tuple[int, ...]]:
-        key = (g, s)
-        if key not in self._words_cache:
-            if s < 0 or g < s:  # letters have grading >= 1
-                out = []
-            elif s == 0:
-                out = [()] if g == 0 else []
-            else:
-                out = []
-                for lid, lg in enumerate(self.letter_grading):
-                    if lg <= g - (s - 1):
-                        for tail in self.words(g - lg, s - 1):
-                            out.append((lid,) + tail)
-            self._words_cache[key] = out
-        return self._words_cache[key]
+        return [self.word_of(g, s, i) for i in range(self._dim(g, s))]
 
     def word_index(self, g: int, s: int) -> dict[tuple[int, ...], int]:
-        key = (g, s)
-        if key not in self._windex_cache:
-            self._windex_cache[key] = {w: i for i, w in enumerate(self.words(g, s))}
-        return self._windex_cache[key]
+        return {w: i for i, w in enumerate(self.words(g, s))}
 
     def word_label(self, w: tuple[int, ...]) -> str:
         return "[" + "|".join(self.letter_label(l) for l in w) + "]"
@@ -434,9 +416,10 @@ class CobarComplex(BigradedComplex):
         return row
 
     def boundary_matrix(self, g: int, s: int) -> F2Matrix:
+        first = (g, s) not in self._matrix_cache
         m = super().boundary_matrix(g, s)
         # symbolic d*d check, independent of any neighbouring matrix
-        if (g, s) not in self._d2_checked and m.rows <= D2_CHECK_LIMIT:
+        if first and m.rows <= D2_CHECK_LIMIT:
             for w in self.words(g, s):
                 acc: set[tuple[int, ...]] = set()
                 for nw in self.boundary_words(w):
@@ -444,7 +427,6 @@ class CobarComplex(BigradedComplex):
                         acc ^= {nnw}
                 if acc:
                     raise AssertionError(f"d*d != 0 on {self.word_label(w)}")
-            self._d2_checked.add((g, s))
         return m
 
     def concat_chain(self, g: int, s: int, chain: int, y: CotorClass) -> int:

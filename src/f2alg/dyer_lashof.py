@@ -513,6 +513,8 @@ def _read(text: str, gens: dict[str, Generator], literal: bool) -> Poly:
             take(")")
             for s in reversed(seq):
                 if tok[0] == "q":
+                    if not p:
+                        break  # Q_s is linear: a tower on 0 is 0
                     # lower index: offset by the current degree
                     s += poly_bidegree(p)[1]
                 p = apply_q(s, p)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .f2linalg import Echelon, Subspace, bits_of
+from .f2linalg import Echelon, bits_of
 from .hopf import HopfAlgebra, WindowError
 
 
@@ -98,7 +98,6 @@ class MinimalResolution:
         # per (level, t) where d is nonzero, the elimination of d there
         # (``complement``'s span); yoneda reads a missing one as empty
         self.spans: dict[tuple[int, int], Echelon] = {}
-        self.ext: dict[tuple[int, int], int] = {}
         for t in range(t_max + 1):
             self._extend(t)
 
@@ -142,32 +141,32 @@ class MinimalResolution:
         degree t for s > t."""
         sizes = self._sizes(0, t)
         # ker d_{s-1} in degree t; below F_0 it is M -> 0, so all of M(t)
-        kernel = Subspace(sum(sizes), [1 << i for i in range(sum(sizes))])
+        kernel = [1 << i for i in range(sum(sizes))]
         for s in range(t + 1):
             level = s + 1
             if level == len(self.degrees):
                 self.degrees.append([])
                 self.images.append([])
             rows = self._rows(level, t, list(accumulate(sizes, initial=0)))
-            new, tags, span = complement(rows, kernel.basis, lambda v: [v])
+            new, tags, span = complement(rows, kernel, lambda v: [v])
             # exact at F_{s-1}: the image of d_s is the kernel of d_{s-1}
-            if span.rank != kernel.dim or any(map(span.residue, kernel.basis)):
+            if span.rank != len(kernel) or any(map(span.residue, kernel)):
                 raise AssertionError(f"im d_{s} != ker d_{s - 1} in degree {t}")
             for v in new:
                 self.degrees[level].append(t)
                 self.images[level].append(self._blocks(level - 1, t, v))
-            self.ext[(s, t)] = len(new)
             if span.rank:
                 self.spans[(level, t)] = span
             # tags over the rows of d_s in degree t, rows + new
-            kernel = Subspace.span(len(rows) + len(new), tags)
+            kernel = tags
             sizes = self._sizes(level, t)
 
     def homology_dim(self, g: int, d: int) -> int:
         """dim Ext^{s,t} at chart spot (g, d) = (t, t - s)."""
         if not 0 <= g <= self.t_max:
             raise WindowError(f"degree {g} outside resolution window {self.t_max}")
-        return self.ext.get((g - d, g), 0)
+        s = g - d
+        return self.degrees[s + 1].count(g) if 0 <= s <= g else 0
 
     def ext_basis(self, g: int, d: int) -> list[ExtClass]:
         """The classes dual to the generators of F_s in degree t, at chart

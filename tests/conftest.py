@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from f2alg.cli import main
+from f2alg.cobar import CobarComplex
 
 
 @pytest.fixture
@@ -39,3 +40,22 @@ def run_optimized():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
     return run
+
+
+@pytest.fixture
+def word_calls(monkeypatch):
+    """Spy on CobarComplex.words and word_index: the list returned records
+    (method name, g, s) for every call made after the fixture is set up."""
+    calls = []
+
+    def spy(name):
+        method = getattr(CobarComplex, name)
+
+        def wrapped(cx, g, s):
+            calls.append((name, g, s))
+            return method(cx, g, s)
+        return wrapped
+
+    for name in ("words", "word_index"):
+        monkeypatch.setattr(CobarComplex, name, spy(name))
+    return calls

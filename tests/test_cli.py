@@ -52,6 +52,17 @@ def test_zero_reads_as_zero_class():
     assert run(["adem", "0"]) == (0, "0\n")
 
 
+@pytest.mark.parametrize("expr", ["q[1](0)", "q[0](0)", "q[1](s+s)", "q[1,1](s*s)", "Q[1](0)"])
+def test_tower_on_zero_class_is_zero(expr):
+    # Q_s is linear, so a lower-indexed tower on 0 is 0, as an upper one
+    # is; in q[1,1](s*s) the inner q[1](s^2) vanishes by Cartan
+    assert run(["adem", expr]) == (0, "0\n")
+
+
+def test_lower_tower_refuses_inhomogeneous_class():
+    assert run(["adem", "q[1](s+b)"]) == (2, "")
+
+
 def test_eval_rejects_garbage():
     with pytest.raises(ValueError):
         eval_expr("Q[2](s")
@@ -88,6 +99,19 @@ def test_grouphom_tsv():
     dims = [int(line.split("\t")[2]) for line in out.splitlines()[1:6]]
     assert dims == [1, 2, 3, 4, 5]
     assert "# H_1 abelianization cross-check: ok" in out
+
+
+@pytest.mark.parametrize("group,name", [
+    ("S3", "S3"), ("(0,1)", "(0,1)"), ("(0,1)\n(2,3)", "(0,1); (2,3)"),
+    ("\n(0 1 2)\n\n  (0 1)\n", "(0 1 2); (0 1)"), ("(0 1)\t(2 3)", "(0 1) (2 3)"),
+])
+def test_grouphom_rows_are_as_wide_as_the_header(group, name):
+    # a literal's lines are joined by "; " into one cell of the TSV
+    code, out = run(["grouphom", group, "--dmax", "2"])
+    assert code == 0
+    header, *rows = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
+    assert {row[0] for row in rows} == {name}
 
 
 def test_delta_json_roundtrip():

@@ -9,7 +9,7 @@ computations live in the acceptance suite.
 
 import itertools
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
@@ -76,6 +76,22 @@ def test_word_basis_0_0(cx):
     assert cx.boundary_bits(0, 0, 0) == 0
 
 
+@pytest.mark.parametrize("build,g_max", [(build_a1_star, 10), (build_delta_cgl, 5)])
+def test_words_are_sorted_letter_tuples(build, g_max):
+    # listing words by first letter and then by tail is lexicographic
+    # order: (g, s) lists the sorted tuples of s letter ids whose gradings
+    # sum to g, here built apart from the offsets that words decodes
+    cx = build_cobar(build(), g_max, g_max)
+    grading = cx.letter_grading
+    for s in range(g_max + 1):
+        letters = [a for a, lg in enumerate(grading) if lg <= g_max - s + 1]
+        by_g = {}
+        for w in itertools.product(letters, repeat=s):
+            by_g.setdefault(sum(grading[a] for a in w), []).append(w)
+        for g in range(g_max + 1):
+            assert cx.words(g, s) == sorted(by_g.get(g, [])), (g, s)
+
+
 @pytest.mark.parametrize("g,s", [(3, -1), (0, -1), (-1, -1), (5, -3)])
 def test_no_words_in_negative_length(cx, g, s):
     assert cx.words(g, s) == []
@@ -105,9 +121,14 @@ def test_d_squared_zero_window(cx):
 
 # ---------------------------------------------------------------- rows from tails
 
+# the word model lists each layer's words and word index once per complex
+layer_words = lru_cache(maxsize=256)(CobarComplex.words)
+layer_index = lru_cache(maxsize=256)(CobarComplex.word_index)
+
+
 def word_model_row(cx, g, s, w):
     """d(w) through the symbolic terms and the word index of (g, s + 1)."""
-    idx, out = cx.word_index(g, s + 1), 0
+    idx, out = layer_index(cx, g, s + 1), 0
     for nw in cx.boundary_words(w):
         out ^= 1 << idx[nw]
     return out
@@ -119,8 +140,8 @@ def cone_model_row(cone, g, s, i):
     base = cone.base
     nx = base.chain_dim(g, s)
     if i < nx:
-        return word_model_row(base, g, s, base.words(g, s)[i])
-    w, idx = base.words(g - 1, s)[i - nx], base.word_index(g, s + 1)
+        return word_model_row(base, g, s, layer_words(base, g, s)[i])
+    w, idx = layer_words(base, g - 1, s)[i - nx], layer_index(base, g, s + 1)
     zw = 0
     for zl in cone.z_letters:
         zw ^= 1 << idx[(zl,) + w]
@@ -454,8 +475,8 @@ def test_periodicity_small_gradings(cx, named):
 def word_model_concat(cx, g, s, chain, y):
     """x.y through word tuples: every word of the chain concatenated with
     every word of y's chain, indexed by the word index of the target."""
-    idx, ws = cx.word_index(g + y.g, s + y.s), cx.words(g, s)
-    yws = [cx.words(y.g, y.s)[j] for j in bits_of(y.chain)]
+    idx, ws = layer_index(cx, g + y.g, s + y.s), layer_words(cx, g, s)
+    yws = [layer_words(cx, y.g, y.s)[j] for j in bits_of(y.chain)]
     out = 0
     for i in bits_of(chain):
         for b in yws:
@@ -537,19 +558,18 @@ def test_concat_chain_refuses_targets_past_the_window(a1):
         short.product_chain(CotorClass(4, 2, short.product_chain(h11, h11)), h11)
 
 
-def test_products_list_no_target_words(a1):
+def test_products_list_no_target_words(a1, request):
     # criterion 3's products on a fresh complex: the bases are computed
-    # first, and the products and their ranks then build no word index and
-    # list no word of a product target layer
+    # first, and the products and their ranks then list no layer's words
+    # and build no word index
     cx = build_cobar(a1, 20, 20)
     y128 = cx.unique_class(12, 8)
     bases = {(g, d): cx.cotor_basis(g, d) for g in range(6) for d in range(11)}
-    before = set(cx._words_cache)
+    calls = request.getfixturevalue("word_calls")
     for (g, d), basis in bases.items():
         images = [cx.product_chain(y128, b) for b in basis]
         assert cx.map_rank_mod_boundaries(g + 12, d + 8, images) == len(basis), (g, d)
-    assert cx._windex_cache == {}
-    assert set(cx._words_cache) == before
+    assert calls == []
 
 
 # ---------------------------------------------------------------- cone

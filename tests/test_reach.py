@@ -27,12 +27,26 @@ SRC = ROOT / "src" / "f2alg"
 ROOT_FILES = [ROOT / "tests" / "test_acceptance.py",
               *sorted((ROOT / "perfbench").rglob("*.py")),
               *sorted((ROOT / "demos").rglob("*.py"))]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # definitions kept although no program path reaches them
 ALLOWED = {
     "grouphom.assert_resolution": "the exactness check of a resolution, run by the tests",
     "hopf.HopfAlgebra.from_json": "the reader paired with to_json, so the JSON form round-trips",
     "__init__.__version__": "the package version, read by tooling rather than by code",
+}
+
+# definitions that only the method names in perfbench/tracer.py's SPANS
+# reach: the benchmark times them, and no other program path calls them
+TRACED_ONLY = {
+    "cobar.BigradedComplex.boundary_bits": "row i of d at (g, s); program paths read rows through row_fn",
+    "cobar.CobarComplex.boundary_bits": "the class-dict alias the tracer wraps as cobar.rows_s",
+    "cobar.ConeComplex.boundary_bits": "the class-dict alias the tracer wraps as cobar.rows_s",
+    "cobar.CobarComplex.word_index": "the tests' word model; timed as cobar.words_s",
+    "f2linalg.F2Matrix.solve": "the tests' lift reference; timed as f2linalg.solve_s",
+    "f2linalg.F2Matrix.transpose": "read by the tests only; timed as f2linalg.transpose_s",
+    "f2linalg.Subspace.intersect": "read by the tests only; timed as f2linalg.span_s",
+    "f2linalg.Subspace.sum": "read by the tests only; timed as f2linalg.span_s",
 }
 
 
@@ -114,7 +128,7 @@ def unreached(defs: list[Definition], roots: set) -> list[str]:
     return sorted(d.qualname for d in defs if d.name not in seen)
 
 
-def package_scan() -> tuple[list[Definition], set]:
+def package_scan(root_files=tuple(ROOT_FILES)) -> tuple[list[Definition], set]:
     roots = set(re.findall(r'^\w+ = "f2alg\.cli:(\w+)"$',
                            (ROOT / "pyproject.toml").read_text(), re.M))
     defs: list[Definition] = []
@@ -122,7 +136,7 @@ def package_scan() -> tuple[list[Definition], set]:
         mod_defs, mod_roots = definitions(path.stem, path.read_text())
         defs += mod_defs
         roots |= mod_roots
-    for path in ROOT_FILES:
+    for path in root_files:
         roots |= names_in([ast.parse(path.read_text())])
     return defs, roots
 
@@ -180,3 +194,12 @@ def test_allowlist_names_unreached_definitions():
     exists, should leave the allowlist."""
     defs, roots = package_scan()
     assert set(ALLOWED) <= set(unreached(defs, roots))
+
+
+def test_tracer_only_definitions_are_pinned():
+    """What the tracer alone keeps reachable is named above with a
+    reason, so that the set cannot grow unnoticed."""
+    defs, roots = package_scan()
+    _, untraced = package_scan([p for p in ROOT_FILES if p != TRACER])
+    only = set(unreached(defs, untraced)) - set(unreached(defs, roots))
+    assert only == set(TRACED_ONLY)
